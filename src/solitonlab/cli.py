@@ -23,9 +23,12 @@ from .errors import (
     BracketError,
     BranchError,
     DeflationSolveError,
+    DegenerateInputError,
     DivergenceError,
     DomainError,
+    InsufficientDataError,
     ParameterError,
+    ShapeError,
 )
 from .explicit import explicit_params, phi_exact
 from .grid import ComplexField, SpectralGrid
@@ -221,6 +224,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if not args.dt > 0:
+        raise UsageError(f"--dt must be positive, got {args.dt:g}")
     grid = _grid_from(args)
     config = _config_from(args)
     out = _out_dir(args)
@@ -232,9 +237,9 @@ def cmd_evolve(args) -> int:
     checkpoints = np.unique(
         np.round(np.linspace(0, total_steps, args.samples + 1)).astype(int)
     )
-    state = evolve_mod.EvolutionState(field=u0, alpha=args.alpha, dt=args.dt)
+    state = evolve_mod.EvolutionState(field=u0, alpha=args.alpha, dt=args.dt, beta=args.beta)
     times = [0.0]
-    energies = [evolve_mod.energy(u0, args.alpha)]
+    energies = [evolve_mod.energy(u0, args.alpha, args.beta)]
     masses = [evolve_mod.mass(u0)]
     distances = [evolve_mod.orbital_distance(u0, profile)]
     blew_up = False
@@ -246,7 +251,7 @@ def cmd_evolve(args) -> int:
             _write_json(out / "error.json", {"error": "blow-up", "time": exc.time})
             break
         times.append(state.time)
-        energies.append(evolve_mod.energy(state.field, args.alpha))
+        energies.append(evolve_mod.energy(state.field, args.alpha, args.beta))
         masses.append(evolve_mod.mass(state.field))
         distances.append(evolve_mod.orbital_distance(state.field, profile))
     _write_csv(
@@ -335,7 +340,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DomainError) as exc:
+    except (ParameterError, DomainError, DegenerateInputError, InsufficientDataError,
+            ShapeError) as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BranchError, BracketError) as exc:

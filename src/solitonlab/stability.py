@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BracketError,
     BranchError,
+    DegenerateInputError,
     DivergenceError,
     InsufficientDataError,
     ParameterError,
@@ -270,7 +271,7 @@ def _scan_row(args):
         try:
             profile, diag = petviashvili_solve(alpha, float(omega), grid, seed_config)
             ok = diag.converged
-        except DivergenceError:
+        except (DivergenceError, DegenerateInputError):
             ok = False
         if not ok:
             seed_config = config  # cold restart at the next cell
@@ -295,8 +296,8 @@ def region_scan(
     """Sign of d'' on the (alpha, omega) lattice; failed cells become NaN."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if alpha_grid.size == 0 or omega_grid.size == 0:
-        raise ParameterError("alpha_grid and omega_grid must be nonempty")
+    if alpha_grid.size == 0 or omega_grid.size < 2:
+        raise ParameterError("need a nonempty alpha_grid and at least 2 omega values")
     if np.any(omega_grid <= 0):
         raise ParameterError("omega values must be positive")
     if grid is None:

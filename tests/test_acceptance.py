@@ -2,7 +2,8 @@
 
 These run on the production grid (half_width 200, 8192 points) and pin the
 tolerances of the package's headline claims.  Expect a total runtime of
-roughly half an hour, dominated by the dense eigensolves of criterion 5.
+about two minutes on two cores, most of it in the criterion-10 evolutions;
+the matrix-free eigensolves of criterion 5 take about 11 s.
 """
 
 import time

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from solitonlab import cli
 from solitonlab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from solitonlab.errors import DegenerateInputError, InsufficientDataError, ShapeError
 
 FAST = ["--grid-n", "1024", "--grid-l", "100"]
 
@@ -140,3 +142,44 @@ def test_out_env_variable(tmp_path, monkeypatch):
     code = main(["solve", "--alpha", "2", "--omega", "0.16"] + FAST)
     assert code == EXIT_OK
     assert (tmp_path / "envdir" / "profile.csv").exists()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dt", ["0", "-1e-3"])
+def test_evolve_nonpositive_dt_is_usage_error(tmp_path, capsys, dt):
+    code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--dt", dt,
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_region_single_omega_is_usage_error(tmp_path, capsys):
+    code = main(["region", "--alpha-steps", "1", "--omega-steps", "1",
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("error", [DegenerateInputError, InsufficientDataError, ShapeError])
+def test_value_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
+    def raising(*args, **kwargs):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "petviashvili_solve", raising)
+    code = main(["solve", "--alpha", "2", "--omega", "0.16",
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_evolve_honours_beta(tmp_path):
+    # the beta = 0 wave stays on its orbit only under the beta = 0 propagator
+    code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--beta", "0",
+                 "--t-final", "5", "--samples", "5", "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_OK
+    data = read_csv(tmp_path / "evolution.csv")
+    assert np.max(data["orbital_distance"]) <= 1e-6

@@ -16,7 +16,8 @@ from solitonlab.evolve import (
     step,
 )
 from solitonlab.explicit import explicit_params, phi_exact
-from solitonlab.grid import ComplexField
+from solitonlab.grid import ComplexField, SpectralGrid
+from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 
 OMEGA0_2 = 4.0 / 25.0
 
@@ -142,3 +143,33 @@ def test_stability_experiment_stable_bounded(grid_mid):
 def test_blow_up_signal_carries_time():
     exc = BlowUpDetected(3.25)
     assert exc.time == 3.25
+
+
+def test_beta_zero_wave_stays_on_its_orbit():
+    # the beta = 0 standing wave must be evolved with the beta = 0 propagator
+    grid = SpectralGrid(n_points=1024, half_width=100.0)
+    config = SolverConfig(dispersion_beta=0.0)
+    result = stability_experiment(2.0, 0.16, 0.0, 5.0, 1e-3, grid, config, n_samples=5)
+    assert not result.blew_up
+    assert np.max(result.distances) <= 1e-6
+
+
+def test_conservation_audit_honours_beta():
+    grid = SpectralGrid(n_points=1024, half_width=100.0)
+    profile, _ = petviashvili_solve(2.0, 0.16, grid, SolverConfig(dispersion_beta=0.0))
+    field = ComplexField(grid, profile.values.astype(complex))
+    audit = conservation_audit(field, 2.0, 1e-3, 2.0, n_samples=4, beta=0.0)
+    drift_e, drift_f = audit.relative_drifts
+    assert drift_e <= 1e-7
+    assert drift_f <= 1e-10
+
+
+def test_energy_uses_beta(standing_wave):
+    # E(beta) - E(0) = (beta/2) int |u_x|^2
+    _, field = standing_wave
+    grid = field.grid
+    ux = grid.apply_symbol(field.values, lambda xi: 1j * xi)
+    gradient = float(grid.quadrature(np.abs(ux) ** 2).real)
+    assert energy(field, 2.0, 0.5) - energy(field, 2.0, 0.0) == pytest.approx(
+        0.25 * gradient, rel=1e-10)
+    assert energy(field, 2.0) == energy(field, 2.0, 1.0)

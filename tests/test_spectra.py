@@ -2,24 +2,33 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solitonlab.errors import DomainError, ParameterError
+from dense_oracle import (
+    dense_operator,
+    dense_report,
+    multiplier_matrix,
+    operator_matrix,
+    restrict_even_sector,
+)
+from solitonlab.errors import DeflationSolveError, DomainError, ParameterError
 from solitonlab.explicit import (
     explicit_params,
     phi_exact,
     phi_pow_alpha_hat_exact,
 )
-from solitonlab.grid import SpectralGrid
+from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.spectra import (
-    EigenReport,
+    LinearizedOperator,
+    _Sector,
     build_operator,
     check_pf2_logconcavity,
     composite_counts,
     eigen_report,
     ground_state_positivity,
-    multiplier_matrix,
     negative_direction_scalar,
-    restrict_even_sector,
 )
 from solitonlab.stability import d_second_at_omega0
 
@@ -56,8 +65,8 @@ def test_build_operator_validation(op_grid):
 
 def test_operator_is_symmetric(op_grid):
     phi = phi_exact(2.0, op_grid)
-    op = build_operator(phi, 2.0, OMEGA0_2, "Lminus")
-    assert np.max(np.abs(op.entries - op.entries.T)) <= 1e-10
+    matrix = operator_matrix(build_operator(phi, 2.0, OMEGA0_2, "Lminus"))
+    assert np.max(np.abs(matrix - matrix.T)) <= 1e-10
 
 
 def test_matvec_matches_spectral_operator(op_grid, rng):
@@ -66,13 +75,13 @@ def test_matvec_matches_spectral_operator(op_grid, rng):
     f = rng.standard_normal(op_grid.n_points)
     spectral = (op_grid.apply_symbol(f, lambda xi: xi**4 + xi**2 + OMEGA0_2)
                 - 3.0 * np.abs(phi.values) ** 2 * f)
-    assert np.max(np.abs(op.entries @ f - spectral)) <= 1e-10
+    assert np.max(np.abs(op.apply(f) - spectral)) <= 1e-10
 
 
 def test_lplus_annihilates_phi(op_grid):
     phi = phi_exact(2.0, op_grid)
     op = build_operator(phi, 2.0, OMEGA0_2, "Lplus")
-    out = op.entries @ phi.values
+    out = op.apply(phi.values)
     assert np.max(np.abs(out)) / np.max(np.abs(phi.values)) <= 1e-7
 
 
@@ -80,7 +89,7 @@ def test_lminus_annihilates_phi_prime(op_grid):
     phi = phi_exact(2.0, op_grid)
     dphi = np.real(op_grid.apply_symbol(phi.values, lambda xi: 1j * xi))
     op = build_operator(phi, 2.0, OMEGA0_2, "Lminus")
-    out = op.entries @ dphi
+    out = op.apply(dphi)
     assert np.max(np.abs(out)) / np.max(np.abs(dphi)) <= 1e-6
 
 
@@ -89,7 +98,7 @@ def test_lminus_quadratic_form_identity(op_grid):
     alpha = 2.0
     phi = phi_exact(alpha, op_grid)
     op = build_operator(phi, alpha, OMEGA0_2, "Lminus")
-    lhs = op_grid.dx * float(phi.values @ (op.entries @ phi.values))
+    lhs = op_grid.dx * float(phi.values @ op.apply(phi.values))
     rhs = -alpha * op_grid.quadrature(np.abs(phi.values) ** (alpha + 2))
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -123,17 +132,57 @@ def test_lminus_kernel_matches_phi_prime(op_grid, reports_alpha2):
     assert corr >= 0.999999
 
 
-def test_eigen_report_bare_matrix_needs_tolerance():
-    with pytest.raises(ParameterError):
-        eigen_report(np.diag([-1.0, 1.0]))
-    rep = eigen_report(np.diag([-1.0, 0.0, 2.0]), tol_zero=1e-8)
+def test_dense_report_counts():
+    rep = dense_report(np.diag([-1.0, 0.0, 2.0]), tol_zero=1e-8)
     assert rep.n_negative == 1 and rep.n_zero == 1
 
 
+def test_eigen_report_synthetic_operator(op_grid):
+    # constant potential -s, s the free symbol at the first nonzero
+    # wavenumber: eigenvalues -s (the constant), 0 (its cosine and sine, one
+    # per parity sector), then the rest of the shifted free symbol
+    xi = op_grid.wavenumbers[: op_grid.n_points // 2 + 1]
+    symbol = xi**4 + xi**2
+    s = symbol[1]
+    op = LinearizedOperator(symbol, np.full(op_grid.n_points, -s), "Lplus", 0.0)
+    rep = eigen_report(op, tol_zero=1e-8)
+    assert (rep.n_negative, rep.n_zero) == (1, 2)
+    expected = np.sort(np.concatenate([symbol, symbol[1:-1]]))[:8] - s
+    np.testing.assert_allclose(rep.eigenvalues, expected, rtol=0, atol=1e-10)
+
+
+def test_eigen_report_rejects_tiny_grid():
+    grid = SpectralGrid(n_points=4, half_width=10.0)
+    op = build_operator(phi_exact(2.0, grid), 2.0, OMEGA0_2, "Lminus")
+    with pytest.raises(ParameterError):
+        eigen_report(op)
+
+
+def test_eigen_report_is_deterministic(op_grid):
+    phi = phi_exact(2.0, op_grid)
+    op = build_operator(phi, 2.0, OMEGA0_2, "Lminus")
+    first, second = eigen_report(op), eigen_report(op)
+    np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+    np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+def test_eigen_report_rejects_inaccurate_pairs(op_grid, monkeypatch):
+    lowest = _Sector.lowest
+
+    def perturbed(self, k, shift):
+        vals, vecs = lowest(self, k, shift)
+        return vals + 1e-4, vecs
+
+    monkeypatch.setattr(_Sector, "lowest", perturbed)
+    op = build_operator(phi_exact(2.0, op_grid), 2.0, OMEGA0_2, "Lplus")
+    with pytest.raises(DeflationSolveError):
+        eigen_report(op)
+
+
 def test_ground_state_positivity_synthetic():
-    rep = eigen_report(np.diag([-1.0, 1.0, 2.0]), tol_zero=1e-8)
+    rep = dense_report(np.diag([-1.0, 1.0, 2.0]), tol_zero=1e-8)
     assert ground_state_positivity(rep)
-    rep_none = eigen_report(np.diag([1.0, 2.0]), tol_zero=1e-8)
+    rep_none = dense_report(np.diag([1.0, 2.0]), tol_zero=1e-8)
     with pytest.raises(ParameterError):
         ground_state_positivity(rep_none)
 
@@ -192,16 +241,89 @@ def test_even_sector_removes_odd_kernel(op_grid):
     for alpha in (2.0, 4.0):
         omega0 = explicit_params(alpha).omega0
         phi = phi_exact(alpha, op_grid)
-        op = build_operator(phi, alpha, omega0, "Lminus")
-        reduced = restrict_even_sector(op)
-        rep = eigen_report(reduced, tol_zero=1e-6 * (omega0 + 1.0))
+        reduced = restrict_even_sector(dense_operator(phi, alpha, omega0, "Lminus"))
+        rep = dense_report(reduced, tol_zero=1e-6 * (omega0 + 1.0))
         assert rep.n_zero == 0
         assert rep.n_negative == 1
+        # the matrix-free split puts the kernel in the odd sector exactly
+        free = eigen_report(build_operator(phi, alpha, omega0, "Lminus"))
+        kernel = free.eigenvectors[:, int(np.argmin(np.abs(free.eigenvalues)))]
+        ground = free.eigenvectors[:, 0]
+        assert np.max(np.abs(kernel + np.roll(kernel[::-1], 1))) <= 1e-14
+        assert np.max(np.abs(ground - np.roll(ground[::-1], 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("which", ["Lminus", "Lplus"])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("grid_name", ["grid_small", "grid_mid"])
+def test_eigenvalues_match_dense_oracle(grid_name, alpha, which, request):
+    grid = request.getfixturevalue(grid_name)
+    omega0 = explicit_params(alpha).omega0
+    phi = phi_exact(alpha, grid)
+    free = eigen_report(build_operator(phi, alpha, omega0, which))
+    dense = scipy.linalg.eigh(dense_operator(phi, alpha, omega0, which),
+                              eigvals_only=True, subset_by_index=(0, 5))
+    np.testing.assert_allclose(free.eigenvalues[:6], dense, rtol=0, atol=1e-9)
+
+
+def test_eigenvalues_match_dense_oracle_negative_beta(op_grid):
+    # beta = -1 puts the minimum of the free symbol away from xi = 0, below 0
+    phi = phi_exact(2.0, op_grid)
+    for which in ("Lminus", "Lplus"):
+        op = build_operator(phi, 2.0, OMEGA0_2, which, beta=-1.0)
+        assert op.symbol.min() < 0
+        free = eigen_report(op)
+        dense = scipy.linalg.eigh(dense_operator(phi, 2.0, OMEGA0_2, which, beta=-1.0),
+                                  eigvals_only=True, subset_by_index=(0, 5))
+        np.testing.assert_allclose(free.eigenvalues[:6], dense, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([16, 64, 256]),
+    alpha=st.floats(0.5, 8.0),
+    beta=st.floats(-2.0, 2.0),
+    omega=st.floats(0.01, 2.0),
+    which=st.sampled_from(["Lminus", "Lplus"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_matches_dense_oracle(n, alpha, beta, omega, which, seed):
+    grid = SpectralGrid(n_points=n, half_width=10.0)
+    rng = np.random.default_rng(seed)
+    profile = RealProfile(grid, rng.standard_normal(n))
+    v = rng.standard_normal(n)
+    dense = dense_operator(profile, alpha, omega, which, beta)
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(v).max()
+    out = build_operator(profile, alpha, omega, which, beta).apply(v)
+    np.testing.assert_allclose(out, dense @ v, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([16, 64, 256]), sign=st.sampled_from([1, -1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sector_coordinates_are_the_parity_projection(n, sign, seed):
+    grid = SpectralGrid(n_points=n, half_width=10.0)
+    v = np.random.default_rng(seed).standard_normal(n)
+    op = build_operator(RealProfile(grid, np.zeros(n)), 2.0, 1.0)
+    sector = _Sector(op, sign)
+    part = 0.5 * (v + sign * np.roll(v[::-1], 1))
+    y = sector.coords(v)
+    np.testing.assert_allclose(sector.values(y), part, rtol=0, atol=1e-12)
+    assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(part), rel=1e-12)
 
 
 def test_negative_direction_scalar_alpha2(op_grid):
     phi = phi_exact(2.0, op_grid)
     assert negative_direction_scalar(phi, 2.0, OMEGA0_2) < 0
+
+
+def test_negative_direction_scalar_matches_dense_oracle(op_grid):
+    # the least-squares solution is orthogonal to the kernel phi'
+    phi = phi_exact(2.0, op_grid)
+    dense = dense_operator(phi, 2.0, OMEGA0_2, "Lminus")
+    chi = np.linalg.lstsq(dense, phi.values, rcond=None)[0]
+    expected = op_grid.quadrature(chi * phi.values)
+    assert negative_direction_scalar(phi, 2.0, OMEGA0_2) == pytest.approx(expected, rel=1e-8)
 
 
 def test_negative_direction_scalar_opposes_d_second(op_grid):

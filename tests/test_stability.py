@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from solitonlab import stability
 from solitonlab.errors import (
     BracketError,
+    DegenerateInputError,
     InsufficientDataError,
     ParameterError,
 )
@@ -149,6 +151,25 @@ def test_region_scan_validation(branch_grid):
         region_scan([], [0.1], branch_grid)
     with pytest.raises(ParameterError):
         region_scan([2.0], [-0.1], branch_grid)
+    with pytest.raises(ParameterError):
+        region_scan([2.0], [0.1], branch_grid)
+
+
+def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):
+    solve = stability.petviashvili_solve
+
+    def failing(alpha, omega, *args, **kwargs):
+        if omega == 0.10:
+            raise DegenerateInputError("nonlinear pairing vanishes for this profile")
+        return solve(alpha, omega, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "petviashvili_solve", failing)
+    result = region_scan([2.0], [0.05, 0.10, 0.15, 0.20], branch_grid)
+    # the failed cell and its left neighbour, which needs it for a forward
+    # difference, are NaN; the row goes on past them
+    row = result.sign_matrix[0]
+    assert np.all(np.isnan(row[:2]))
+    np.testing.assert_array_equal(row[2:], [1.0, 1.0])
 
 
 def test_pure_fourth_order_signs(branch_grid):
