@@ -32,12 +32,16 @@ def dense_operator(profile, alpha, omega, which="Lminus", beta=1.0):
     return 0.5 * (matrix + matrix.T)
 
 
-def dense_report(matrix, tol_zero, n_small=8):
-    """Eigenvalue counts of a dense symmetric matrix by ``eigh``.
+def dense_report(matrix, tol_zero=None, n_small=8):
+    """Eigenvalue counts of a bare dense symmetric matrix by ``eigh``.
 
     Computes the ``n_small`` smallest eigenpairs and doubles the window until
-    the largest clears ``tol_zero``, as ``spectra.eigen_report`` does.
+    the largest clears ``tol_zero``, as ``spectra.eigen_report`` does.  A bare
+    matrix carries no omega to scale a default from, so ``tol_zero`` is
+    required.
     """
+    if tol_zero is None:
+        raise ParameterError("tol_zero is required for a bare matrix")
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     k = min(n_small, n)

@@ -132,7 +132,11 @@ def test_lminus_kernel_matches_phi_prime(op_grid, reports_alpha2):
     assert corr >= 0.999999
 
 
-def test_dense_report_counts():
+def test_eigen_report_bare_matrix_needs_tolerance():
+    # bare matrices are reported by the dense oracle; eigen_report takes
+    # only a LinearizedOperator
+    with pytest.raises(ParameterError):
+        dense_report(np.diag([-1.0, 1.0]))
     rep = dense_report(np.diag([-1.0, 0.0, 2.0]), tol_zero=1e-8)
     assert rep.n_negative == 1 and rep.n_zero == 1
 
