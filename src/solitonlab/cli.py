@@ -186,18 +186,7 @@ def cmd_dmap(args) -> int:
         args.alpha, args.omega_min, args.omega_max, args.steps, grid, config
     )
     samples = stability.d_second(branch)
-    signs = np.array(
-        [
-            float(
-                stability.classify_sign(
-                    d2,
-                    branch.masses[np.searchsorted(branch.omegas, omega)],
-                    omega,
-                )
-            )
-            for omega, d2 in samples
-        ]
-    )
+    signs = stability.sample_signs(branch, samples).astype(float)
     _write_csv(out / "d2.csv", ["omega", "d2", "sign"], [samples[:, 0], samples[:, 1], signs])
     return EXIT_OK if branch.converged_flags.all() else EXIT_NO_CONVERGENCE
 

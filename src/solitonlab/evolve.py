@@ -76,13 +76,8 @@ def _advance(values: np.ndarray, alpha: float, beta: float, dt: float, n_steps: 
     return u
 
 
-def step(state: EvolutionState) -> EvolutionState:
-    """Single Strang step; raises BlowUpDetected on non-finite values."""
-    return advance(state, 1)
-
-
 def advance(state: EvolutionState, n_steps: int) -> EvolutionState:
-    """Advance many steps at once (fused inner loop)."""
+    """Advance n_steps Strang steps (fused inner loop); raises BlowUpDetected."""
     u = _advance(state.field.values, state.alpha, state.beta, state.dt, n_steps,
                  state.field.grid, t0=state.time)
     return dataclasses.replace(

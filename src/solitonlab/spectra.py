@@ -21,6 +21,7 @@ import scipy.sparse.linalg
 
 from .errors import DeflationSolveError, DomainError, ParameterError
 from .grid import RealProfile
+from .petviashvili import half_symbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +67,9 @@ def build_operator(
     """Lminus or Lplus at the given solitary-wave profile."""
     if which not in ("Lminus", "Lplus"):
         raise ParameterError(f"which must be 'Lminus' or 'Lplus', got {which!r}")
-    xi = profile.grid.wavenumbers[: profile.grid.n_points // 2 + 1]
     factor = alpha + 1.0 if which == "Lminus" else 1.0
     potential = -factor * np.abs(profile.values) ** alpha
-    return LinearizedOperator(xi**4 + beta * xi**2 + omega, potential, which, omega)
+    return LinearizedOperator(half_symbol(profile.grid, omega, beta), potential, which, omega)
 
 
 class _Sector:

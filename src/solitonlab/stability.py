@@ -24,7 +24,7 @@ from .errors import (
 )
 from .explicit import explicit_params
 from .grid import RealProfile, SpectralGrid
-from .petviashvili import SolverConfig, petviashvili_solve
+from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
 
 # forward-difference step for pointwise d'' evaluations
 DEFAULT_OMEGA_DELTA = 2e-3
@@ -55,15 +55,6 @@ class StabilityMap:
     sign_matrix: np.ndarray
 
 
-def _check_omega_width(omega: float, grid: SpectralGrid) -> None:
-    # tail decay rate is ~ sqrt(omega) for small omega; refuse domains the
-    # soliton cannot decay on
-    if np.sqrt(omega) * grid.half_width < 10.0:
-        raise ParameterError(
-            f"omega={omega:g} gives a soliton too wide for half_width={grid.half_width:g}"
-        )
-
-
 def _mass(profile: RealProfile) -> float:
     return float(profile.grid.quadrature(profile.values**2))
 
@@ -90,7 +81,6 @@ def continue_branch(
         grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
-    _check_omega_width(omega_start, grid)
 
     omegas = np.linspace(omega_start, omega_end, n_steps)
     profiles, masses, flags = [], [], []
@@ -156,6 +146,14 @@ def classify_sign(d2: float, mass: float, omega: float) -> int:
     return 1 if d2 > 0 else -1
 
 
+def sample_signs(branch: SolitaryBranch, samples: np.ndarray) -> np.ndarray:
+    """classify_sign of each d_second sample, against the mass at its omega."""
+    return np.array([
+        classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omega)], omega)
+        for omega, d2 in samples
+    ])
+
+
 def d_second_at(
     alpha: float,
     omega: float,
@@ -168,8 +166,6 @@ def d_second_at(
 
     Returns (d2, mass, profile) where profile is the wave at omega.
     """
-    if grid is None:
-        grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
     if seed is not None:
@@ -198,19 +194,14 @@ def find_omega_c(
     lo, hi = omega_range
     branch = continue_branch(alpha, lo, hi, n_coarse, grid, config)
     samples = d_second(branch)
-    signs = [
-        classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omega)], omega)
-        for omega, d2 in samples
-    ]
-    bracket = None
+    signs = sample_signs(branch, samples)
     for i in range(len(signs) - 1):
         if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            bracket = (samples[i, 0], samples[i + 1, 0], signs[i])
             break
-    if bracket is None:
+    else:
         return None
-    a, b, sign_a = bracket
-    seed = branch.profiles[0]
+    a, b, sign_a = samples[i, 0], samples[i + 1, 0], signs[i]
+    seed = branch.profiles[int(np.searchsorted(branch.omegas, a))]
     while b - a > tol_omega:
         mid = 0.5 * (a + b)
         d2, mass, seed = d_second_at(alpha, mid, grid, config, seed=seed)
@@ -259,12 +250,9 @@ def find_alpha0(
 
 
 def _scan_row(args):
-    alpha, omega_grid, n_points, half_width, config = args
+    alpha, extended, n_points, half_width, config = args
     grid = SpectralGrid(n_points, half_width)
-    omegas = np.asarray(omega_grid, dtype=float)
-    # one extra point past the end so every cell has a forward difference
-    extended = np.append(omegas, omegas[-1] + (omegas[-1] - omegas[-2]))
-    row = np.full(omegas.size, np.nan)
+    row = np.full(extended.size - 1, np.nan)
     seed_config = config
     prev_mass = None
     for i, omega in enumerate(extended):
@@ -298,14 +286,17 @@ def region_scan(
     omega_grid = np.asarray(omega_grid, dtype=float)
     if alpha_grid.size == 0 or omega_grid.size < 2:
         raise ParameterError("need a nonempty alpha_grid and at least 2 omega values")
-    if np.any(omega_grid <= 0):
+    # one extra point past the end so every cell has a forward difference
+    extended = np.append(omega_grid, omega_grid[-1] + (omega_grid[-1] - omega_grid[-2]))
+    if np.any(extended <= 0):
         raise ParameterError("omega values must be positive")
     if grid is None:
         grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
+    check_omega_width(float(extended.min()), grid)  # before any cell is solved
     tasks = [
-        (float(a), omega_grid, grid.n_points, grid.half_width, config)
+        (float(a), extended, grid.n_points, grid.half_width, config)
         for a in alpha_grid
     ]
     if jobs > 1:

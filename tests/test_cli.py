@@ -176,6 +176,23 @@ def test_value_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", [
+    # sqrt(omega) * L = 1 on the L = 100 domain: the wave is as wide as the domain
+    ["solve", "--alpha", "2", "--omega", "1e-4"],
+    ["verify-exact", "--alpha", "2", "--grid-l", "20"],
+    ["spectrum", "--alpha", "2", "--omega", "1e-4"],
+    ["evolve", "--alpha", "2", "--omega", "1e-4", "--t-final", "0.01"],
+    ["branch", "--alpha", "2", "--omega-min", "1e-4", "--steps", "4"],
+    ["dmap", "--alpha", "2", "--omega-min", "1e-4", "--steps", "4"],
+    ["region", "--alpha-steps", "2", "--omega-min", "1e-4", "--omega-steps", "2"],
+], ids=lambda command: command[0])
+def test_too_wide_wave_is_usage_error(tmp_path, capsys, command):
+    code = main(command[:1] + ["--out", str(tmp_path)] + FAST + command[1:])
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not any(tmp_path.iterdir())
+
+
 def test_evolve_honours_beta(tmp_path):
     # the beta = 0 wave stays on its orbit only under the beta = 0 propagator
     code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--beta", "0",

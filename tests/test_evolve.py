@@ -13,7 +13,6 @@ from solitonlab.evolve import (
     mass,
     orbital_distance,
     stability_experiment,
-    step,
 )
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import ComplexField, SpectralGrid
@@ -46,7 +45,7 @@ def test_zero_field_stays_zero(grid_mid):
 def test_step_advances_bookkeeping(standing_wave):
     _, field = standing_wave
     state = EvolutionState(field=field, alpha=2.0, dt=1e-3)
-    out = step(state)
+    out = advance(state, 1)
     assert out.step_count == 1
     assert out.time == pytest.approx(1e-3)
 

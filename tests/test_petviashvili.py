@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solitonlab.errors import DegenerateInputError, ParameterError
+from reference_petviashvili import reference_solve
+from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterError
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import (
     SolverConfig,
     nonlinearity,
+    pairing_weights,
     petviashvili_solve,
     residual,
     stabilizing_factor,
@@ -182,3 +186,76 @@ def test_alpha4_reproduces_exact_wave(grid_mid, solve_cache):
     assert diag.converged
     exact = phi_exact(4.0, grid_mid)
     assert np.max(np.abs(profile.values - exact.values)) <= 1e-9
+
+
+def _omega0(alpha):
+    return explicit_params(alpha).omega0
+
+
+@pytest.mark.parametrize(
+    "alpha, omega, options",
+    [
+        (1.0, _omega0(1.0), {}),
+        (2.0, _omega0(2.0), {}),
+        (4.0, _omega0(4.0), {}),
+        (3.2, 0.1, {}),
+        (6.0, 0.3, {}),  # sign-changing tails
+        (4.0, 0.1, {"dispersion_beta": 0.0}),
+        (2.0, _omega0(2.0), {"initial_guess": "exact-sech"}),
+        (2.0, 0.17, {"initial_guess": "warm"}),
+        (2.0, _omega0(2.0), {"max_iter": 3}),
+    ],
+    ids=["alpha1", "alpha2", "alpha4", "alpha3.2", "alpha6-tails", "beta0",
+         "exact-sech", "warm", "max-iter-3"],
+)
+def test_solve_matches_complex_fft_oracle(grid_mid, alpha, omega, options):
+    if options.get("initial_guess") == "warm":
+        options = {"initial_guess": phi_exact(2.0, grid_mid)}
+    config = SolverConfig(**options)
+    profile, diag = petviashvili_solve(alpha, omega, grid_mid, config)
+    ref_profile, ref_diag = reference_solve(alpha, omega, grid_mid, config)
+    assert diag.iterations == ref_diag.iterations
+    assert diag.converged == ref_diag.converged
+    assert diag.converged == ("max_iter" not in options)
+    assert np.max(np.abs(profile.values - ref_profile.values)) <= 1e-13
+    # 1e-12 absolute, except that a cold start's first residuals reach 1e5,
+    # where one ulp is 1.5e-11: those agree to a few ulps
+    for name in ("error_history", "stab_history", "res_history"):
+        np.testing.assert_allclose(getattr(diag, name), getattr(ref_diag, name),
+                                   rtol=1e-14, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 4, 16, 64, 256, 1024]),
+    half_width=st.floats(1.0, 300.0),
+    omega=st.floats(1e-3, 2.0),
+    beta=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_spectrum_pairing_is_parseval(n, half_width, omega, beta, seed):
+    grid = SpectralGrid(n_points=n, half_width=half_width)
+    v = np.random.default_rng(seed).standard_normal(n)
+    xi = grid.wavenumbers
+    terms = grid.dx / n * (xi**4 + beta * xi**2 + omega) * np.abs(np.fft.fft(v)) ** 2
+    half = np.sum(pairing_weights(grid, omega, beta) * np.abs(np.fft.rfft(v)) ** 2)
+    assert half == pytest.approx(terms.sum(), rel=0, abs=1e-12 * np.abs(terms).sum())
+
+
+def test_imaginary_mean_mode_is_divergence(grid_small, monkeypatch):
+    # a half spectrum whose mean mode is not real has no real inverse
+    rfft = np.fft.rfft
+
+    def tainted(values, *args, **kwargs):
+        out = rfft(values, *args, **kwargs)
+        out[0] += 1e-6j * values.size
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", tainted)
+    with pytest.raises(DivergenceError, match="imaginary"):
+        petviashvili_solve(2.0, OMEGA0_2, grid_small)
+
+
+def test_vanishing_pairing_is_degenerate(grid_small):
+    with pytest.raises(DegenerateInputError):
+        petviashvili_solve(2.0, OMEGA0_2, grid_small, SolverConfig(guess_amplitude=0.0))

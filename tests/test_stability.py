@@ -12,7 +12,7 @@ from solitonlab.errors import (
 )
 from solitonlab.explicit import phi_exact
 from solitonlab.grid import SpectralGrid
-from solitonlab.petviashvili import SolverConfig
+from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 from solitonlab.stability import (
     SolitaryBranch,
     classify_sign,
@@ -47,6 +47,24 @@ def test_width_guard():
     narrow = SpectralGrid(n_points=512, half_width=50.0)
     with pytest.raises(ParameterError):
         continue_branch(2.0, 0.002, 0.25, 12, narrow)
+    # every solve refuses the wave, not only a branch's first point
+    with pytest.raises(ParameterError, match="too wide"):
+        petviashvili_solve(2.0, 0.002, narrow)
+    with pytest.raises(ParameterError, match="too wide"):
+        d_second_at(2.0, 0.002, narrow)
+
+
+def test_region_scan_checks_lattice_before_work(branch_grid, monkeypatch):
+    calls = []
+    monkeypatch.setattr(stability, "petviashvili_solve",
+                        lambda *args, **kwargs: calls.append(args))
+    # a too-wide cell in mid-row
+    with pytest.raises(ParameterError, match="too wide"):
+        region_scan([2.0, 5.5], [0.05, 1e-4, 0.06], branch_grid)
+    # the forward-difference point past a decreasing lattice is omega = 0
+    with pytest.raises(ParameterError, match="positive"):
+        region_scan([2.0], [0.2, 0.1], branch_grid)
+    assert calls == []
 
 
 def test_branch_alpha2_all_converged(branch_alpha2):
@@ -112,6 +130,29 @@ def test_find_omega_c_alpha5(branch_grid):
     omega_c = find_omega_c(5.0, (0.02, 0.25), branch_grid)
     assert omega_c is not None
     assert 0.02 < omega_c < 0.25
+
+
+def test_find_omega_c_seeds_from_bracket_left_end(branch_grid, monkeypatch):
+    branches, seeds = [], []
+    build, evaluate = stability.continue_branch, stability.d_second_at
+
+    def recording_branch(*args, **kwargs):
+        branches.append(build(*args, **kwargs))
+        return branches[-1]
+
+    def recording_d2(alpha, omega, *args, seed=None, **kwargs):
+        seeds.append((omega, seed))
+        return evaluate(alpha, omega, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(stability, "continue_branch", recording_branch)
+    monkeypatch.setattr(stability, "d_second_at", recording_d2)
+    omega_c = find_omega_c(5.0, (0.02, 0.25), branch_grid)
+    (branch,) = branches
+    first_mid, first_seed = seeds[0]
+    k = next(i for i, p in enumerate(branch.profiles) if p is first_seed)
+    assert branch.omegas[k] < first_mid < branch.omegas[k + 1]
+    # the value that seeding from the branch's first point gave
+    assert omega_c == pytest.approx(0.1105625, abs=1e-12)
 
 
 def test_find_omega_c_none_for_alpha2(branch_grid):
