@@ -91,7 +91,6 @@ def _add_common(parser, grid_n=8192):
     parser.add_argument("--beta", type=float, default=1.0,
                         help="coefficient of -d2/dx2 (0 selects the pure fourth-order model)")
     parser.add_argument("--out", default=None, help="output directory (default: $SOLITONLAB_OUT or .)")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
 
 
 def _diag_payload(diag) -> dict:
@@ -110,7 +109,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     _write_csv(out / "profile.csv", ["x", "phi"], [grid.nodes, profile.values])
-    _write_json(out / "diagnostics.json", _diag_payload(diag) | {"seed": args.seed})
+    _write_json(out / "diagnostics.json", _diag_payload(diag))
     return EXIT_OK if diag.converged else EXIT_NO_CONVERGENCE
 
 
@@ -222,39 +221,24 @@ def cmd_evolve(args) -> int:
     if not diag.converged:
         return EXIT_NO_CONVERGENCE
     u0 = ComplexField(grid, (1.0 + args.delta) * profile.values.astype(complex))
-    total_steps = int(round(args.t_final / args.dt))
-    checkpoints = np.unique(
-        np.round(np.linspace(0, total_steps, args.samples + 1)).astype(int)
-    )
     state = evolve_mod.EvolutionState(field=u0, alpha=args.alpha, dt=args.dt, beta=args.beta)
-    times = [0.0]
-    energies = [evolve_mod.energy(u0, args.alpha, args.beta)]
-    masses = [evolve_mod.mass(u0)]
-    distances = [evolve_mod.orbital_distance(u0, profile)]
-    blew_up = False
-    for prev, nxt in zip(checkpoints[:-1], checkpoints[1:]):
-        try:
-            state = evolve_mod.advance(state, int(nxt - prev))
-        except BlowUpDetected as exc:
-            blew_up = True
-            _write_json(out / "error.json", {"error": "blow-up", "time": exc.time})
-            break
-        times.append(state.time)
-        energies.append(evolve_mod.energy(state.field, args.alpha, args.beta))
-        masses.append(evolve_mod.mass(state.field))
-        distances.append(evolve_mod.orbital_distance(state.field, profile))
+    traj = evolve_mod.run(state, args.t_final, args.samples, {
+        "energy": lambda u: evolve_mod.energy(u, args.alpha, args.beta),
+        "mass": evolve_mod.mass,
+        "orbital_distance": lambda u: evolve_mod.orbital_distance(u, profile),
+    })
+    blew_up = traj.blow_up_time is not None
+    if blew_up:
+        _write_json(out / "error.json", {"error": "blow-up", "time": traj.blow_up_time})
     _write_csv(
-        out / "evolution.csv",
-        ["t", "energy", "mass", "orbital_distance"],
-        [np.asarray(times), np.asarray(energies), np.asarray(masses), np.asarray(distances)],
+        out / "evolution.csv", ["t", *traj.series], [traj.times, *traj.series.values()]
     )
     _write_json(
         out / "audit.json",
         {
-            "energy_drift": float(np.max(np.abs(np.asarray(energies) - energies[0])) / abs(energies[0])),
-            "mass_drift": float(np.max(np.abs(np.asarray(masses) - masses[0])) / abs(masses[0])),
+            "energy_drift": traj.drift("energy"),
+            "mass_drift": traj.drift("mass"),
             "blew_up": blew_up,
-            "seed": args.seed,
         },
     )
     return EXIT_NUMERIC if blew_up else EXIT_OK

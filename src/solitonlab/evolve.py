@@ -1,4 +1,4 @@
-"""Strang split-step Fourier integrator, conservation audit, orbital distance.
+"""Strang split-step Fourier integrator, its checkpoint loop, conservation audit, orbital distance.
 
 One step is a half nonlinear phase rotation, a full linear multiplier
 exp(-i (xi^4 + beta xi^2) dt) in Fourier space, and another half rotation.  The
@@ -31,6 +31,21 @@ class EvolutionState:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
+
+
+@dataclass
+class Trajectory:
+    """Each observer's series (``series[name]``) at the checkpoint ``times``;
+    a blow-up ends both at the last finite checkpoint."""
+
+    times: np.ndarray
+    series: dict
+    blow_up_time: float | None = None
+
+    def drift(self, name: str) -> float:
+        """Relative drift max |Q - Q0| / |Q0| of one observed quantity."""
+        q = self.series[name]
+        return float(np.max(np.abs(q - q[0])) / abs(q[0]))
 
 
 @dataclass
@@ -104,35 +119,46 @@ def mass(field: ComplexField) -> float:
     return 0.5 * float(g.quadrature(np.abs(field.values) ** 2).real)
 
 
+def run(state: EvolutionState, t_final: float, n_samples: int, observers: dict) -> Trajectory:
+    """Advance state to t_final, sampling every observer at the start and at
+    n_samples evenly spaced checkpoints (whole steps, duplicates dropped).
+
+    ``observers`` maps a name to a function of the field.  Blow-up truncates
+    the trajectory instead of raising.
+    """
+    total_steps = int(round(t_final / state.dt))
+    checkpoints = np.unique(np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int))
+    times = [state.time]
+    series = {name: [observe(state.field)] for name, observe in observers.items()}
+    blow_up_time = None
+    for prev, nxt in zip(checkpoints[:-1], checkpoints[1:]):
+        try:
+            state = advance(state, int(nxt - prev))
+        except BlowUpDetected as exc:
+            blow_up_time = exc.time
+            break
+        times.append(state.time)
+        for name, observe in observers.items():
+            series[name].append(observe(state.field))
+    series = {name: np.asarray(values) for name, values in series.items()}
+    return Trajectory(np.asarray(times), series, blow_up_time)
+
+
 def conservation_audit(
     field: ComplexField, alpha: float, dt: float, t_final: float, n_samples: int = 40,
     beta: float = 1.0,
 ) -> ConservationAudit:
-    """Evolve to t_final recording E and F at n_samples checkpoints."""
-    total_steps = int(round(t_final / dt))
-    checkpoints = np.unique(
-        np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int)
-    )
+    """Evolve to t_final recording E and F at n_samples checkpoints; raises BlowUpDetected."""
     state = EvolutionState(field=field, alpha=alpha, dt=dt, beta=beta)
-    times, energies, masses = [], [], []
-    for prev, nxt in zip(checkpoints[:-1], checkpoints[1:]):
-        if not times:
-            times.append(state.time)
-            energies.append(energy(state.field, alpha, beta))
-            masses.append(mass(state.field))
-        state = advance(state, int(nxt - prev))
-        times.append(state.time)
-        energies.append(energy(state.field, alpha, beta))
-        masses.append(mass(state.field))
-    energies = np.asarray(energies)
-    masses = np.asarray(masses)
-    drift_e = float(np.max(np.abs(energies - energies[0])) / abs(energies[0]))
-    drift_f = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
+    traj = run(state, t_final, n_samples,
+               {"energy": lambda u: energy(u, alpha, beta), "mass": mass})
+    if traj.blow_up_time is not None:
+        raise BlowUpDetected(traj.blow_up_time)
     return ConservationAudit(
-        times=np.asarray(times),
-        energies=energies,
-        masses=masses,
-        relative_drifts=(drift_e, drift_f),
+        times=traj.times,
+        energies=traj.series["energy"],
+        masses=traj.series["mass"],
+        relative_drifts=(traj.drift("energy"), traj.drift("mass")),
     )
 
 
@@ -187,27 +213,12 @@ def stability_experiment(
         raise ParameterError(f"no converged wave at alpha={alpha}, omega={omega}")
     u0 = ComplexField(grid, (1.0 + perturbation_size) * profile.values.astype(complex))
 
-    total_steps = int(round(t_final / dt))
-    checkpoints = np.unique(
-        np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int)
-    )
     state = EvolutionState(field=u0, alpha=alpha, dt=dt, beta=config.dispersion_beta)
-    times = [0.0]
-    distances = [orbital_distance(u0, profile)]
-    blew_up = False
-    blow_time = None
-    for prev, nxt in zip(checkpoints[:-1], checkpoints[1:]):
-        try:
-            state = advance(state, int(nxt - prev))
-        except BlowUpDetected as exc:
-            blew_up = True
-            blow_time = exc.time
-            break
-        times.append(state.time)
-        distances.append(orbital_distance(state.field, profile))
+    traj = run(state, t_final, n_samples,
+               {"distance": lambda u: orbital_distance(u, profile)})
     return ExperimentResult(
-        times=np.asarray(times),
-        distances=np.asarray(distances),
-        blew_up=blew_up,
-        blow_up_time=blow_time,
+        times=traj.times,
+        distances=traj.series["distance"],
+        blew_up=traj.blow_up_time is not None,
+        blow_up_time=traj.blow_up_time,
     )

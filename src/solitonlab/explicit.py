@@ -115,15 +115,3 @@ def d2_closed_pure4nls(alpha: float, omega: float, mass: float) -> float:
         raise ParameterError("alpha, omega, mass must be positive")
     return (1.0 / (2.0 * omega)) * ((8.0 - alpha) / (2.0 * alpha)) * mass
 
-
-def constrained_functional(profile: RealProfile, alpha: float, omega: float):
-    """Quadratic part B_omega(u) and nonlinear constraint tau = int |u|^(alpha+2).
-
-    For the explicit wave at omega0 the identity B = tau / 2 holds.
-    """
-    g = profile.grid
-    xi = g.wavenumbers
-    coeffs = np.fft.fft(profile.values)
-    b_value = 0.5 * g.dx / g.n_points * float(np.sum((xi**4 + xi**2 + omega) * np.abs(coeffs) ** 2))
-    tau = float(g.quadrature(np.abs(profile.values) ** (alpha + 2)))
-    return b_value, tau

@@ -92,17 +92,28 @@ def check_omega_width(omega: float, grid: SpectralGrid) -> None:
         )
 
 
+def constrained_functional(
+    profile: RealProfile, alpha: float, omega: float, beta: float = 1.0
+) -> tuple[float, float]:
+    """Quadratic part B_omega(u) = (1/2) int u (d^4 - beta d^2 + omega) u and the
+    nonlinear constraint tau = int |u|^(alpha+2).
+
+    For the explicit wave at omega0 the identity B = tau / 2 holds.
+    """
+    coeffs = np.fft.rfft(profile.values)
+    b_value = 0.5 * float(np.sum(pairing_weights(profile.grid, omega, beta) * np.abs(coeffs) ** 2))
+    tau = float(profile.grid.quadrature(np.abs(profile.values) ** (alpha + 2)))
+    return b_value, tau
+
+
 def stabilizing_factor(
     profile: RealProfile, alpha: float, omega: float, beta: float = 1.0
 ) -> float:
-    """Ratio of the linear quadratic form to the nonlinear pairing; 1 at a solution."""
-    g = profile.grid
-    coeffs = np.fft.rfft(profile.values)
-    numerator = float(np.sum(pairing_weights(g, omega, beta) * np.abs(coeffs) ** 2))
-    denominator = float(g.quadrature(nonlinearity(profile.values, alpha) * profile.values))
-    if denominator == 0.0:
+    """Ratio 2B / tau of the linear quadratic form to the nonlinear pairing; 1 at a solution."""
+    b_value, tau = constrained_functional(profile, alpha, omega, beta)
+    if tau == 0.0:
         raise DegenerateInputError("nonlinear pairing vanishes for this profile")
-    return numerator / denominator
+    return 2.0 * b_value / tau
 
 
 def residual(profile: RealProfile, alpha: float, omega: float, beta: float = 1.0) -> float:

@@ -59,6 +59,24 @@ def _mass(profile: RealProfile) -> float:
     return float(profile.grid.quadrature(profile.values**2))
 
 
+def _sweep(alpha: float, omegas, grid: SpectralGrid, config: SolverConfig):
+    """Warm-started Petviashvili solves along omegas, one per item drawn.
+
+    Yields (profile, converged) per omega; profile is None where the solve
+    diverged or degenerated.  Each solve seeds from the last converged
+    profile; the first solve after a failure restarts cold.
+    """
+    seed_config = config
+    for omega in omegas:
+        try:
+            profile, diag = petviashvili_solve(alpha, float(omega), grid, seed_config)
+            converged = diag.converged
+        except (DivergenceError, DegenerateInputError):
+            profile, converged = None, False
+        yield profile, converged
+        seed_config = dataclasses.replace(config, initial_guess=profile) if converged else config
+
+
 def continue_branch(
     alpha: float,
     omega_start: float,
@@ -69,9 +87,9 @@ def continue_branch(
 ) -> SolitaryBranch:
     """Warm-started Petviashvili sweep over [omega_start, omega_end].
 
-    Each solve seeds from the previous converged profile.  A failure on the
-    first point raises :class:`BranchError`; a mid-branch failure truncates
-    the branch at the failed point, which is flagged not-converged.
+    A failure on the first point raises :class:`BranchError`; a mid-branch
+    failure (not converged, diverged or degenerate) truncates the branch at
+    the failed point, which is flagged not-converged.
     """
     if not (0 < omega_start < omega_end):
         raise ParameterError("need 0 < omega_start < omega_end")
@@ -84,25 +102,15 @@ def continue_branch(
 
     omegas = np.linspace(omega_start, omega_end, n_steps)
     profiles, masses, flags = [], [], []
-    seed_config = config
-    for i, omega in enumerate(omegas):
-        try:
-            profile, diag = petviashvili_solve(alpha, float(omega), grid, seed_config)
-        except DivergenceError as exc:
-            if i == 0:
-                raise BranchError(f"first branch point diverged: {exc}") from exc
-            profiles.append(None)
-            masses.append(np.nan)
-            flags.append(False)
-            break
+    for profile, converged in _sweep(alpha, omegas, grid, config):
+        if not profiles and not converged:
+            state = "diverged or degenerated" if profile is None else "did not converge"
+            raise BranchError(f"first branch point {state} at omega={omega_start:g}")
         profiles.append(profile)
-        masses.append(_mass(profile))
-        flags.append(diag.converged)
-        if not diag.converged:
-            if i == 0:
-                raise BranchError("first branch point did not converge")
+        masses.append(np.nan if profile is None else _mass(profile))
+        flags.append(converged)
+        if not converged:
             break
-        seed_config = dataclasses.replace(config, initial_guess=profile)
     k = len(profiles)
     return SolitaryBranch(
         alpha=alpha,
@@ -253,24 +261,13 @@ def _scan_row(args):
     alpha, extended, n_points, half_width, config = args
     grid = SpectralGrid(n_points, half_width)
     row = np.full(extended.size - 1, np.nan)
-    seed_config = config
     prev_mass = None
-    for i, omega in enumerate(extended):
-        try:
-            profile, diag = petviashvili_solve(alpha, float(omega), grid, seed_config)
-            ok = diag.converged
-        except (DivergenceError, DegenerateInputError):
-            ok = False
-        if not ok:
-            seed_config = config  # cold restart at the next cell
-            prev_mass = None
-            continue
-        mass = float(grid.quadrature(profile.values**2))
-        if prev_mass is not None:
+    for i, (profile, converged) in enumerate(_sweep(alpha, extended, grid, config)):
+        mass = _mass(profile) if converged else None
+        if prev_mass is not None and mass is not None:
             d2 = 0.5 * (mass - prev_mass) / (extended[i] - extended[i - 1])
             row[i - 1] = classify_sign(d2, prev_mass, extended[i - 1])
         prev_mass = mass
-        seed_config = dataclasses.replace(config, initial_guess=profile)
     return row
 
 

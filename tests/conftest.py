@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from solitonlab import evolve
+from solitonlab.errors import BlowUpDetected
 from solitonlab.grid import SpectralGrid
 from solitonlab.petviashvili import petviashvili_solve
 
@@ -35,3 +37,22 @@ def solve_cache():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def blow_up_on_third_interval(monkeypatch):
+    """Make the integrator blow up halfway through its 3rd call.
+
+    Returns the list of the start times of every call made so far.
+    """
+    integrate = evolve._advance
+    starts = []
+
+    def blowing(values, alpha, beta, dt, n_steps, grid, t0=0.0):
+        starts.append(t0)
+        if len(starts) == 3:
+            raise BlowUpDetected(t0 + 0.5 * n_steps * dt)
+        return integrate(values, alpha, beta, dt, n_steps, grid, t0)
+
+    monkeypatch.setattr(evolve, "_advance", blowing)
+    return starts

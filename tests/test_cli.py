@@ -8,6 +8,7 @@ import pytest
 from solitonlab import cli
 from solitonlab.cli import (
     EXIT_NO_CONVERGENCE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -31,6 +32,7 @@ def test_solve_writes_profile(tmp_path):
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["converged"] is True
     assert len(diag["error_history"]) == diag["iterations"]
+    assert "seed" not in diag
 
 
 def test_solve_negative_omega_is_usage_error(tmp_path):
@@ -40,7 +42,11 @@ def test_solve_negative_omega_is_usage_error(tmp_path):
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
-    assert main(["solve", "--alpha", "2", "--bogus", "1"]) == EXIT_USAGE
+    # --seed is gone: nothing in solitonlab is random
+    for flag in (["--bogus", "1"], ["--seed", "0"]):
+        assert main(["solve", "--alpha", "2", "--omega", "0.16",
+                     "--out", str(tmp_path)] + FAST + flag) == EXIT_USAGE
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_command_is_usage_error():
@@ -135,6 +141,21 @@ def test_evolve(tmp_path):
     assert audit["energy_drift"] <= 1e-7
     assert audit["mass_drift"] <= 1e-10
     assert audit["blew_up"] is False
+
+
+def test_evolve_blow_up(tmp_path, blow_up_on_third_interval):
+    # 5 checkpoints of 200 steps; the 3rd interval blows up at t = 0.5
+    code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--t-final", "1",
+                 "--samples", "5", "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_NUMERIC
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert error["error"] == "blow-up"
+    assert error["time"] == pytest.approx(0.5)
+    data = read_csv(tmp_path / "evolution.csv")
+    np.testing.assert_allclose(data["t"], [0.0, 0.2, 0.4])
+    audit = json.loads((tmp_path / "audit.json").read_text())
+    assert audit["blew_up"] is True
+    assert audit["energy_drift"] <= 1e-7
 
 
 def test_out_env_variable(tmp_path, monkeypatch):

@@ -89,6 +89,14 @@ def test_conservation_audit(standing_wave):
     assert drift_f <= 1e-10
 
 
+def test_conservation_audit_zero_duration(standing_wave):
+    # no step to take: the audit holds the initial sample alone
+    _, field = standing_wave
+    audit = conservation_audit(field, 2.0, 1e-3, 0.0, n_samples=4)
+    np.testing.assert_array_equal(audit.times, [0.0])
+    assert audit.relative_drifts == (0.0, 0.0)
+
+
 def test_orbital_distance_identity(grid_mid, standing_wave):
     phi, field = standing_wave
     assert orbital_distance(field, phi) <= 1e-12
@@ -142,6 +150,23 @@ def test_stability_experiment_stable_bounded(grid_mid):
 def test_blow_up_signal_carries_time():
     exc = BlowUpDetected(3.25)
     assert exc.time == 3.25
+
+
+def test_stability_experiment_truncates_at_blow_up(grid_mid, blow_up_on_third_interval):
+    # 5 checkpoints of 200 steps; the 3rd interval blows up at t = 0.5
+    result = stability_experiment(2.0, OMEGA0_2, 0.01, 1.0, 1e-3, grid_mid, n_samples=5)
+    np.testing.assert_allclose(result.times, [0.0, 0.2, 0.4])
+    assert result.distances.size == 3
+    assert result.blew_up
+    assert result.blow_up_time == pytest.approx(0.5)
+
+
+def test_conservation_audit_raises_blow_up(standing_wave, blow_up_on_third_interval):
+    _, field = standing_wave
+    with pytest.raises(BlowUpDetected) as info:
+        conservation_audit(field, 2.0, 1e-3, 1.0, n_samples=5)
+    assert info.value.time == pytest.approx(0.5)
+    assert len(blow_up_on_third_interval) == 3
 
 
 def test_beta_zero_wave_stays_on_its_orbit():

@@ -7,7 +7,6 @@ import pytest
 
 from solitonlab.errors import DomainError, ParameterError
 from solitonlab.explicit import (
-    constrained_functional,
     d2_closed_nls,
     d2_closed_pure4nls,
     explicit_params,
@@ -16,7 +15,7 @@ from solitonlab.explicit import (
     phi_hat_exact,
     phi_pow_alpha_hat_exact,
 )
-from solitonlab.petviashvili import residual
+from solitonlab.petviashvili import constrained_functional, residual
 
 
 def omega0_rational(alpha):
@@ -169,3 +168,15 @@ def test_constrained_functional_scaling(grid_mid):
     b2, tau2 = constrained_functional(doubled, 2.0, 0.16)
     assert b2 == pytest.approx(4.0 * b1, rel=1e-12)
     assert tau2 == pytest.approx(2.0 ** 4 * tau1, rel=1e-12)
+
+
+def test_constrained_functional_uses_beta(grid_mid):
+    # B(beta) - B(0) = (beta/2) int |u_x|^2; tau does not depend on beta
+    phi = phi_exact(2.0, grid_mid)
+    ux = grid_mid.apply_symbol(phi.values, lambda xi: 1j * xi)
+    gradient = float(grid_mid.quadrature(np.abs(ux) ** 2).real)
+    b_half, tau_half = constrained_functional(phi, 2.0, 0.16, 0.5)
+    b_zero, tau_zero = constrained_functional(phi, 2.0, 0.16, 0.0)
+    assert b_half - b_zero == pytest.approx(0.25 * gradient, rel=1e-10)
+    assert tau_half == tau_zero
+    assert constrained_functional(phi, 2.0, 0.16) == constrained_functional(phi, 2.0, 0.16, 1.0)

@@ -6,12 +6,13 @@ import pytest
 from solitonlab import stability
 from solitonlab.errors import (
     BracketError,
+    BranchError,
     DegenerateInputError,
     InsufficientDataError,
     ParameterError,
 )
 from solitonlab.explicit import phi_exact
-from solitonlab.grid import SpectralGrid
+from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 from solitonlab.stability import (
     SolitaryBranch,
@@ -211,6 +212,53 @@ def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):
     row = result.sign_matrix[0]
     assert np.all(np.isnan(row[:2]))
     np.testing.assert_array_equal(row[2:], [1.0, 1.0])
+
+
+def test_region_scan_decreasing_lattice(branch_grid):
+    result = region_scan([2.0, 5.5], [0.20, 0.15, 0.10], branch_grid)
+    assert np.all(result.sign_matrix[0] == 1)
+    assert np.all(result.sign_matrix[1] == -1)
+
+
+def _degenerate_at(monkeypatch, bad_omega):
+    """Make the solver raise DegenerateInputError at bad_omega; returns the
+    (omega, initial guess) of every solve."""
+    solve = stability.petviashvili_solve
+    calls = []
+
+    def failing(alpha, omega, grid=None, config=None):
+        calls.append((omega, config.initial_guess))
+        if omega == bad_omega:
+            raise DegenerateInputError("nonlinear pairing vanishes for this profile")
+        return solve(alpha, omega, grid, config)
+
+    monkeypatch.setattr(stability, "petviashvili_solve", failing)
+    return calls
+
+
+def test_branch_truncates_at_degenerate_point(branch_grid, monkeypatch):
+    omegas = np.linspace(0.05, 0.25, 6)
+    calls = _degenerate_at(monkeypatch, omegas[2])
+    branch = continue_branch(2.0, 0.05, 0.25, 6, branch_grid)
+    np.testing.assert_array_equal(branch.converged_flags, [True, True, False])
+    assert branch.profiles[2] is None
+    assert np.isnan(branch.masses[2])
+    # the branch stops solving at the failed point
+    assert [omega for omega, _ in calls] == list(omegas[:3])
+
+
+def test_branch_degenerate_first_point_is_branch_error(branch_grid, monkeypatch):
+    _degenerate_at(monkeypatch, 0.05)
+    with pytest.raises(BranchError):
+        continue_branch(2.0, 0.05, 0.25, 6, branch_grid)
+
+
+def test_region_scan_restarts_cold_after_failure(branch_grid, monkeypatch):
+    calls = _degenerate_at(monkeypatch, 0.10)
+    region_scan([2.0], [0.05, 0.10, 0.15, 0.20], branch_grid)
+    warm = [isinstance(guess, RealProfile) for _, guess in calls]
+    # 0.05 cold, 0.10 warm and failing, 0.15 cold, 0.20 and 0.25 warm
+    assert warm == [False, True, False, True, True]
 
 
 def test_pure_fourth_order_signs(branch_grid):
