@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BlowUpDetected, ParameterError
 from .grid import ComplexField, RealProfile, SpectralGrid
-from .petviashvili import SolverConfig, petviashvili_solve
+from .petviashvili import SolverConfig, petviashvili_solve, power, symbol
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class ExperimentResult:
 
 
 def _linear_factor(grid: SpectralGrid, dt: float, beta: float) -> np.ndarray:
-    xi = grid.wavenumbers
-    return np.exp(-1j * (xi**4 + beta * xi**2) * dt)
+    return np.exp(-1j * symbol(grid.wavenumbers, 0.0, beta) * dt)
 
 
 def _advance(values: np.ndarray, alpha: float, beta: float, dt: float, n_steps: int,
@@ -78,14 +77,14 @@ def _advance(values: np.ndarray, alpha: float, beta: float, dt: float, n_steps: 
         return values.copy()
     lin = _linear_factor(grid, dt, beta)
     u = values.copy()
-    u *= np.exp(0.5j * dt * np.abs(u) ** alpha)
+    u *= np.exp(0.5j * dt * power(u, alpha))
     for k in range(n_steps - 1):
         u = np.fft.ifft(lin * np.fft.fft(u))
         if not np.all(np.isfinite(u)):
             raise BlowUpDetected(t0 + (k + 1) * dt)
-        u *= np.exp(1j * dt * np.abs(u) ** alpha)
+        u *= np.exp(1j * dt * power(u, alpha))
     u = np.fft.ifft(lin * np.fft.fft(u))
-    u *= np.exp(0.5j * dt * np.abs(u) ** alpha)
+    u *= np.exp(0.5j * dt * power(u, alpha))
     if not np.all(np.isfinite(u)):
         raise BlowUpDetected(t0 + n_steps * dt)
     return u
@@ -106,10 +105,10 @@ def advance(state: EvolutionState, n_steps: int) -> EvolutionState:
 def energy(field: ComplexField, alpha: float, beta: float = 1.0) -> float:
     """E = (1/2) int |u_xx|^2 + beta |u_x|^2 - (2/(alpha+2)) |u|^(alpha+2)."""
     g = field.grid
-    xi = g.wavenumbers
     coeffs = np.fft.fft(field.values)
-    quadratic = g.dx / g.n_points * float(np.sum((xi**4 + beta * xi**2) * np.abs(coeffs) ** 2))
-    nonlinear = float(g.quadrature(np.abs(field.values) ** (alpha + 2)).real)
+    quadratic = g.dx / g.n_points * float(
+        np.sum(symbol(g.wavenumbers, 0.0, beta) * np.abs(coeffs) ** 2))
+    nonlinear = float(g.quadrature(power(field.values, alpha + 2)).real)
     return 0.5 * quadratic - nonlinear / (alpha + 2.0)
 
 
@@ -126,6 +125,8 @@ def run(state: EvolutionState, t_final: float, n_samples: int, observers: dict) 
     ``observers`` maps a name to a function of the field.  Blow-up truncates
     the trajectory instead of raising.
     """
+    if not t_final >= 0 or n_samples < 1:
+        raise ParameterError(f"need t_final >= 0 and n_samples >= 1, got {t_final:g}, {n_samples}")
     total_steps = int(round(t_final / state.dt))
     checkpoints = np.unique(np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int))
     times = [state.time]
@@ -176,13 +177,11 @@ def orbital_distance(field: ComplexField, reference: RealProfile) -> float:
     are not resolved.
     """
     g = field.grid
-    xi = g.wavenumbers
-    weight = 1.0 + xi**2 + xi**4
     u_hat = np.fft.fft(field.values)
     phi_hat = np.fft.fft(reference.values.astype(complex))
-    norm_u_sq = g.dx / g.n_points * float(np.sum(weight * np.abs(u_hat) ** 2))
-    norm_phi_sq = g.dx / g.n_points * float(np.sum(weight * np.abs(phi_hat) ** 2))
-    pairing = g.dx * np.fft.ifft(weight * u_hat * np.conj(phi_hat))
+    norm_u_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(u_hat) ** 2))
+    norm_phi_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(phi_hat) ** 2))
+    pairing = g.dx * np.fft.ifft(g.h2_weight * u_hat * np.conj(phi_hat))
     best = float(np.max(np.abs(pairing)))
     dist_sq = max(norm_u_sq + norm_phi_sq - 2.0 * best, 0.0)
     return float(np.sqrt(dist_sq))

@@ -43,7 +43,9 @@ class SpectralGrid:
         dx = 2.0 * L / n
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "nodes", -L + dx * np.arange(n))
-        object.__setattr__(self, "wavenumbers", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))
+        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+        object.__setattr__(self, "wavenumbers", xi)
+        object.__setattr__(self, "h2_weight", 1.0 + xi**2 + xi**4)
         # phase (-1)^k accounts for the x = -L origin of the node set
         k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
         object.__setattr__(self, "_phase", np.where(k % 2 == 0, 1.0, -1.0))
@@ -101,11 +103,9 @@ class SpectralGrid:
                 raise ParameterError(f"Lp norm requires p >= 1, got {p}")
             return float((self.dx * np.sum(np.abs(values) ** p)) ** (1.0 / p))
         if kind == "H2":
-            xi = self.wavenumbers
-            weight = 1.0 + xi**2 + xi**4
             coeffs = np.fft.fft(values)
             return float(
-                np.sqrt(self.dx / self.n_points * np.sum(weight * np.abs(coeffs) ** 2))
+                np.sqrt(self.dx / self.n_points * np.sum(self.h2_weight * np.abs(coeffs) ** 2))
             )
         raise ParameterError(f"unknown norm kind {kind!r}")
 

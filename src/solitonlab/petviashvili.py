@@ -1,12 +1,18 @@
-"""Stabilized fixed-point iteration for the solitary-wave profile equation.
+"""The model, written down once, and the stabilized fixed-point iteration for it.
 
-Solves phi'''' - beta phi'' + omega phi = |phi|^alpha phi on the periodic
-grid by iterating in Fourier space with the stabilizing factor M_n raised to
-the exponent nu, which defaults to (alpha+2)/(alpha+1).
+The profile equation is phi'''' - beta phi'' + omega phi = |phi|^alpha phi on
+the periodic grid, its time-dependent form is i u_t + beta u_xx - u_xxxx +
+|u|^alpha u = 0, and its constrained functional is B_omega / tau.  This module
+is their one home: ``symbol`` (xi^4 + beta xi^2 + omega), ``power`` (|u|^p)
+and ``half_weights`` (the Parseval weights of an rfft half spectrum) build the
+nonlinearity, the quadratic form and the residual here, and everything that
+``spectra`` and ``evolve`` use of the model.
 
-phi is real, so the loop runs on rfft half spectra and carries the spectrum
-and the nonlinearity of each iterate into the next iteration: 3 real
-transforms and 1 nonlinearity pass per iteration.
+The solver iterates in Fourier space with the stabilizing factor M_n raised
+to the exponent nu = (alpha+2)/(alpha+1).  phi is real, so the loop runs on
+rfft half spectra and carries the spectrum and the nonlinearity of each
+iterate into the next iteration: 3 real transforms and 1 nonlinearity pass
+per iteration.
 """
 
 from __future__ import annotations
@@ -16,40 +22,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DivergenceError, ParameterError
-from .explicit import phi_exact
 from .grid import RealProfile, SpectralGrid
 
 IMAG_RESIDUE_TOL = 1e-13
+# convergence: sup-norm step, |1 - M_n| and sup-norm spectral residual
+TOL_ERROR = 1e-12
+TOL_STAB = 1e-12
+TOL_RES = 1e-10
 
 
 @dataclass
 class SolverConfig:
     """Iteration controls.
 
-    ``initial_guess`` is one of the strings ``"gaussian"`` (default,
-    amplitude ``(2 omega)^(1/alpha)`` unless ``guess_amplitude`` is set) or
-    ``"exact-sech"`` (the explicit closed-form wave), or a
-    :class:`RealProfile` to continue from.  ``dispersion_beta`` is the
-    coefficient of ``-d^2/dx^2``: 1 for the mixed-dispersion equation, 0 for
-    the pure fourth-order one.
+    ``initial_guess`` is a :class:`RealProfile` on the solve's grid to
+    continue from, or None for the Gaussian (2 omega)^(1/alpha) exp(-x^2).
+    ``dispersion_beta`` is the coefficient of ``-d^2/dx^2``: 1 for the
+    mixed-dispersion equation, 0 for the pure fourth-order one.
     """
 
-    nu: float | None = None
-    tol_error: float = 1e-12
-    tol_stab: float = 1e-12
-    tol_res: float = 1e-10
     max_iter: int = 2000
-    initial_guess: str | RealProfile = "gaussian"
-    guess_amplitude: float | None = None
-    guess_width: float = 1.0
+    initial_guess: RealProfile | None = None
     dispersion_beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nu is not None and not self.nu > 0:
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        for name in ("tol_error", "tol_stab", "tol_res"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.dispersion_beta < 0:
@@ -65,23 +61,37 @@ class SolverDiagnostics:
     converged: bool
 
 
-def nonlinearity(values: np.ndarray, alpha: float) -> np.ndarray:
-    """|phi|^alpha phi, valid for non-integer alpha and sign-changing phi."""
-    return np.sign(values) * np.abs(values) ** (alpha + 1)
-
-
-def half_symbol(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
-    """xi^4 + beta xi^2 + omega on the rfft half spectrum."""
-    xi = grid.wavenumbers[: grid.n_points // 2 + 1]
+def symbol(xi: np.ndarray, omega: float, beta: float) -> np.ndarray:
+    """xi^4 + beta xi^2 + omega, the Fourier symbol of d^4 - beta d^2 + omega."""
     return xi**4 + beta * xi**2 + omega
 
 
+def power(u: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p of a real or complex array."""
+    return np.abs(u) ** p
+
+
+def half_weights(n: int) -> np.ndarray:
+    """w with sum(w |rfft(v)|^2) = sum(v^2) for n points, by Parseval: an interior
+    mode also stands for its conjugate, the mean and Nyquist modes do not."""
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    weights[[0, -1]] = 1.0 / n
+    return weights
+
+
+def nonlinearity(values: np.ndarray, alpha: float) -> np.ndarray:
+    """|phi|^alpha phi, valid for non-integer alpha and sign-changing phi."""
+    return np.sign(values) * power(values, alpha + 1)
+
+
+def half_symbol(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
+    """The symbol on the rfft half spectrum."""
+    return symbol(grid.wavenumbers[: grid.n_points // 2 + 1], omega, beta)
+
+
 def pairing_weights(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
-    """w with sum(w |rfft(v)|^2) = int v (d^4 - beta d^2 + omega) v, by Parseval: an
-    interior mode also stands for its conjugate, the mean and Nyquist modes do not."""
-    weights = np.full(grid.n_points // 2 + 1, 2.0 * grid.dx / grid.n_points)
-    weights[[0, -1]] *= 0.5
-    return weights * half_symbol(grid, omega, beta)
+    """w with sum(w |rfft(v)|^2) = int v (d^4 - beta d^2 + omega) v."""
+    return grid.dx * half_weights(grid.n_points) * half_symbol(grid, omega, beta)
 
 
 def check_omega_width(omega: float, grid: SpectralGrid) -> None:
@@ -102,7 +112,7 @@ def constrained_functional(
     """
     coeffs = np.fft.rfft(profile.values)
     b_value = 0.5 * float(np.sum(pairing_weights(profile.grid, omega, beta) * np.abs(coeffs) ** 2))
-    tau = float(profile.grid.quadrature(np.abs(profile.values) ** (alpha + 2)))
+    tau = float(profile.grid.quadrature(power(profile.values, alpha + 2)))
     return b_value, tau
 
 
@@ -118,25 +128,18 @@ def stabilizing_factor(
 
 def residual(profile: RealProfile, alpha: float, omega: float, beta: float = 1.0) -> float:
     """Sup-norm of phi'''' - beta phi'' + omega phi - |phi|^alpha phi."""
-    g = profile.grid
-    linear = g.apply_symbol(profile.values, lambda xi: xi**4 + beta * xi**2 + omega)
-    return float(np.max(np.abs(linear - nonlinearity(profile.values, alpha))))
+    g, v = profile.grid, profile.values
+    linear = np.fft.irfft(half_symbol(g, omega, beta) * np.fft.rfft(v), g.n_points)
+    return float(np.max(np.abs(linear - nonlinearity(v, alpha))))
 
 
 def _initial_guess(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfig):
     guess = config.initial_guess
-    if isinstance(guess, RealProfile):
-        if guess.grid.n_points != grid.n_points:
-            raise ParameterError("provided initial profile lives on a different grid")
-        return guess.values.copy()
-    if guess == "gaussian":
-        amplitude = config.guess_amplitude
-        if amplitude is None:
-            amplitude = (2.0 * omega) ** (1.0 / alpha)
-        return amplitude * np.exp(-((grid.nodes / config.guess_width) ** 2))
-    if guess == "exact-sech":
-        return phi_exact(alpha, grid).values.copy()
-    raise ParameterError(f"unknown initial guess {guess!r}")
+    if guess is None:
+        return (2.0 * omega) ** (1.0 / alpha) * np.exp(-(grid.nodes**2))
+    if (guess.grid.n_points, guess.grid.half_width) != (grid.n_points, grid.half_width):
+        raise ParameterError("provided initial profile lives on a different grid")
+    return guess.values.copy()
 
 
 def _recenter(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -164,7 +167,7 @@ def petviashvili_solve(
     if config is None:
         config = SolverConfig()
     beta = config.dispersion_beta
-    nu = config.nu if config.nu is not None else (alpha + 2.0) / (alpha + 1.0)
+    nu = (alpha + 2.0) / (alpha + 1.0)
 
     check_omega_width(omega, grid)
     denom = half_symbol(grid, omega, beta)
@@ -204,11 +207,7 @@ def petviashvili_solve(
         stabs.append(abs(1.0 - m_n))
         residuals.append(res)
         phi, phi_hat = phi_new, new_hat
-        if (
-            error <= config.tol_error
-            and abs(1.0 - m_n) <= config.tol_stab
-            and res <= config.tol_res
-        ):
+        if error <= TOL_ERROR and abs(1.0 - m_n) <= TOL_STAB and res <= TOL_RES:
             converged = True
             break
 

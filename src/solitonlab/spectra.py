@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 
 from .errors import DeflationSolveError, DomainError, ParameterError
 from .grid import RealProfile
-from .petviashvili import half_symbol
+from .petviashvili import half_symbol, half_weights, power
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,7 @@ def build_operator(
     if which not in ("Lminus", "Lplus"):
         raise ParameterError(f"which must be 'Lminus' or 'Lplus', got {which!r}")
     factor = alpha + 1.0 if which == "Lminus" else 1.0
-    potential = -factor * np.abs(profile.values) ** alpha
+    potential = -factor * power(profile.values, alpha)
     return LinearizedOperator(half_symbol(profile.grid, omega, beta), potential, which, omega)
 
 
@@ -84,9 +84,7 @@ class _Sector:
     def __init__(self, op: LinearizedOperator, sign: int) -> None:
         self.op, self.n = op, op.potential.size
         self.keep, self.unit = (slice(None), 1.0) if sign > 0 else (slice(1, -1), 1j)
-        weight = np.full(self.n // 2 + 1, np.sqrt(2.0 / self.n))
-        weight[[0, -1]] = np.sqrt(1.0 / self.n)
-        self.weight, self.symbol = weight[self.keep], op.symbol[self.keep]
+        self.weight, self.symbol = np.sqrt(half_weights(self.n))[self.keep], op.symbol[self.keep]
         m = self.symbol.size
         self.linear = scipy.sparse.linalg.LinearOperator((m, m), matvec=self.apply, dtype=float)
 

@@ -35,7 +35,6 @@ class SolitaryBranch:
     """Ordered family of solitary waves along increasing omega."""
 
     alpha: float
-    beta: float
     omegas: np.ndarray
     profiles: list
     masses: np.ndarray
@@ -114,7 +113,6 @@ def continue_branch(
     k = len(profiles)
     return SolitaryBranch(
         alpha=alpha,
-        beta=config.dispersion_beta,
         omegas=omegas[:k],
         profiles=profiles,
         masses=np.asarray(masses),

@@ -14,6 +14,9 @@ from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterEr
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import (
     IMAG_RESIDUE_TOL,
+    TOL_ERROR,
+    TOL_RES,
+    TOL_STAB,
     SolverConfig,
     SolverDiagnostics,
     _initial_guess,
@@ -31,7 +34,7 @@ def reference_solve(alpha, omega, grid=None, config=None):
     if config is None:
         config = SolverConfig()
     beta = config.dispersion_beta
-    nu = config.nu if config.nu is not None else (alpha + 2.0) / (alpha + 1.0)
+    nu = (alpha + 2.0) / (alpha + 1.0)
 
     xi = grid.wavenumbers
     denom = xi**4 + beta * xi**2 + omega
@@ -70,9 +73,9 @@ def reference_solve(alpha, omega, grid=None, config=None):
         residuals.append(res)
         phi = phi_new
         if (
-            error <= config.tol_error
-            and abs(1.0 - m_n) <= config.tol_stab
-            and res <= config.tol_res
+            error <= TOL_ERROR
+            and abs(1.0 - m_n) <= TOL_STAB
+            and res <= TOL_RES
         ):
             converged = True
             break

@@ -178,6 +178,17 @@ def test_evolve_nonpositive_dt_is_usage_error(tmp_path, capsys, dt):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "flags", [["--t-final", "-1"], ["--samples", "0"], ["--samples", "-2"]],
+    ids=["negative-t-final", "zero-samples", "negative-samples"])
+def test_evolve_bad_length_is_usage_error(tmp_path, capsys, flags):
+    code = main(["evolve", "--alpha", "2", "--omega", "0.16", *flags,
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "evolution.csv").exists()
+
+
 def test_region_single_omega_is_usage_error(tmp_path, capsys):
     code = main(["region", "--alpha-steps", "1", "--omega-steps", "1",
                  "--out", str(tmp_path)] + FAST)

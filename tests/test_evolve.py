@@ -12,11 +12,12 @@ from solitonlab.evolve import (
     energy,
     mass,
     orbital_distance,
+    run,
     stability_experiment,
 )
 from solitonlab.explicit import explicit_params, phi_exact
-from solitonlab.grid import ComplexField, SpectralGrid
-from solitonlab.petviashvili import SolverConfig, petviashvili_solve
+from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
+from solitonlab.petviashvili import SolverConfig, constrained_functional, petviashvili_solve
 
 OMEGA0_2 = 4.0 / 25.0
 
@@ -95,6 +96,14 @@ def test_conservation_audit_zero_duration(standing_wave):
     audit = conservation_audit(field, 2.0, 1e-3, 0.0, n_samples=4)
     np.testing.assert_array_equal(audit.times, [0.0])
     assert audit.relative_drifts == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2)])
+def test_run_refuses_bad_lengths(standing_wave, t_final, n_samples):
+    _, field = standing_wave
+    state = EvolutionState(field=field, alpha=2.0, dt=1e-3)
+    with pytest.raises(ParameterError):
+        run(state, t_final, n_samples, {"mass": mass})
 
 
 def test_orbital_distance_identity(grid_mid, standing_wave):
@@ -197,3 +206,17 @@ def test_energy_uses_beta(standing_wave):
     assert energy(field, 2.0, 0.5) - energy(field, 2.0, 0.0) == pytest.approx(
         0.25 * gradient, rel=1e-10)
     assert energy(field, 2.0) == energy(field, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("shape", ["explicit", "sign-changing"])
+def test_energy_matches_constrained_functional(grid_mid, beta, shape):
+    # E = B_0 - tau/(alpha+2): the complex-fft and the rfft quadratic forms agree
+    g = grid_mid
+    if shape == "explicit":
+        values = phi_exact(2.0, g).values
+    else:
+        values = np.exp(-g.nodes**2) * np.cos(g.nodes)
+    b_value, tau = constrained_functional(RealProfile(g, values), 2.0, 0.0, beta)
+    e = energy(ComplexField(g, values.astype(complex)), 2.0, beta)
+    assert e == pytest.approx(b_value - tau / 4.0, rel=1e-12)

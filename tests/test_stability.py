@@ -105,7 +105,7 @@ def test_d_second_negative_for_alpha55(branch_grid):
 
 def test_d_second_needs_two_points(branch_grid):
     empty = SolitaryBranch(
-        alpha=2.0, beta=1.0,
+        alpha=2.0,
         omegas=np.array([0.1, 0.12]),
         profiles=[None, None],
         masses=np.array([np.nan, np.nan]),
