@@ -53,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("SOLITONLAB_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -73,26 +66,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _grid_from(args) -> SpectralGrid:
-    return SpectralGrid(n_points=args.grid_n, half_width=args.grid_l)
-
-
-def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        max_iter=args.max_iter,
-        dispersion_beta=args.beta,
-    )
-
-
-def _add_common(parser, grid_n=8192):
-    parser.add_argument("--grid-n", type=int, default=grid_n, help="number of grid points")
-    parser.add_argument("--grid-l", type=float, default=200.0, help="domain half-width")
-    parser.add_argument("--max-iter", type=int, default=2000)
-    parser.add_argument("--beta", type=float, default=1.0,
-                        help="coefficient of -d2/dx2 (0 selects the pure fourth-order model)")
-    parser.add_argument("--out", default=None, help="output directory (default: $SOLITONLAB_OUT or .)")
-
-
 def _diag_payload(diag) -> dict:
     return {
         "iterations": diag.iterations,
@@ -103,20 +76,16 @@ def _diag_payload(diag) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_solve(args, grid, config, out) -> int:
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     _write_csv(out / "profile.csv", ["x", "phi"], [grid.nodes, profile.values])
     _write_json(out / "diagnostics.json", _diag_payload(diag))
     return EXIT_OK if diag.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_verify_exact(args) -> int:
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_verify_exact(args, grid, config, out) -> int:
+    if args.beta != 1.0:
+        raise UsageError(f"the closed-form wave has beta = 1, got --beta {args.beta:g}")
     omega0 = explicit_params(args.alpha).omega0
     profile, diag = petviashvili_solve(args.alpha, omega0, grid, config)
     exact = phi_exact(args.alpha, grid)
@@ -133,10 +102,7 @@ def cmd_verify_exact(args) -> int:
     return EXIT_OK if distance <= 1e-9 else EXIT_NO_CONVERGENCE
 
 
-def cmd_spectrum(args) -> int:
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_spectrum(args, grid, config, out) -> int:
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
         return EXIT_NO_CONVERGENCE
@@ -162,10 +128,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def cmd_branch(args) -> int:
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_branch(args, grid, config, out) -> int:
     branch = stability.continue_branch(
         args.alpha, args.omega_min, args.omega_max, args.steps, grid, config
     )
@@ -177,46 +140,35 @@ def cmd_branch(args) -> int:
     return EXIT_OK if branch.converged_flags.all() else EXIT_NO_CONVERGENCE
 
 
-def cmd_dmap(args) -> int:
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_dmap(args, grid, config, out) -> int:
     branch = stability.continue_branch(
         args.alpha, args.omega_min, args.omega_max, args.steps, grid, config
     )
     samples = stability.d_second(branch)
-    signs = stability.sample_signs(branch, samples).astype(float)
+    signs = stability.sample_signs(branch, samples)
     _write_csv(out / "d2.csv", ["omega", "d2", "sign"], [samples[:, 0], samples[:, 1], signs])
     return EXIT_OK if branch.converged_flags.all() else EXIT_NO_CONVERGENCE
 
 
-def cmd_region(args) -> int:
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_region(args, grid, config, out) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     result = stability.region_scan(alphas, omegas, grid, config, jobs=args.jobs)
-    rows_alpha, rows_omega, rows_sign = [], [], []
-    for i, a in enumerate(result.alpha_grid):
-        for j, w in enumerate(result.omega_grid):
-            rows_alpha.append(a)
-            rows_omega.append(w)
-            rows_sign.append(result.sign_matrix[i, j])
+    # alpha-major rows, one per lattice cell
     _write_csv(
         out / "region.csv",
         ["alpha", "omega", "sign"],
-        [np.asarray(rows_alpha), np.asarray(rows_omega), np.asarray(rows_sign)],
+        [np.repeat(result.alpha_grid, omegas.size), np.tile(result.omega_grid, alphas.size),
+         result.sign_matrix.ravel()],
     )
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    if not args.dt > 0:
-        raise UsageError(f"--dt must be positive, got {args.dt:g}")
-    grid = _grid_from(args)
-    config = _config_from(args)
-    out = _out_dir(args)
+def cmd_evolve(args, grid, config, out) -> int:
+    # every input is checked before the wave is solved
+    evolve_mod.check_run(args.dt, args.t_final, args.samples)
+    if not np.isfinite(args.delta):
+        raise UsageError(f"--delta must be finite, got {args.delta:g}")
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
         return EXIT_NO_CONVERGENCE
@@ -230,78 +182,64 @@ def cmd_evolve(args) -> int:
     blew_up = traj.blow_up_time is not None
     if blew_up:
         _write_json(out / "error.json", {"error": "blow-up", "time": traj.blow_up_time})
-    _write_csv(
-        out / "evolution.csv", ["t", *traj.series], [traj.times, *traj.series.values()]
-    )
-    _write_json(
-        out / "audit.json",
-        {
-            "energy_drift": traj.drift("energy"),
-            "mass_drift": traj.drift("mass"),
-            "blew_up": blew_up,
-        },
-    )
+    _write_csv(out / "evolution.csv", ["t", *traj.series], [traj.times, *traj.series.values()])
+    _write_json(out / "audit.json", {
+        "energy_drift": traj.drift("energy"), "mass_drift": traj.drift("mass"), "blew_up": blew_up,
+    })
     return EXIT_NUMERIC if blew_up else EXIT_OK
 
 
+def _common(grid_n: int) -> argparse.ArgumentParser:
+    """The flags of every subcommand, as a parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--grid-n", type=int, default=grid_n, help="number of grid points")
+    common.add_argument("--grid-l", type=float, default=200.0, help="domain half-width")
+    common.add_argument("--max-iter", type=int, default=2000)
+    common.add_argument("--beta", type=float, default=1.0,
+                        help="coefficient of -d2/dx2 (0 selects the pure fourth-order model)")
+    common.add_argument("--out", default=None,
+                        help="output directory (default: $SOLITONLAB_OUT or .)")
+    return common
+
+
 def build_parser() -> _Parser:
+    alpha, omega, span = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    alpha.add_argument("--alpha", type=float, required=True)
+    omega.add_argument("--omega", type=float, required=True)
+    span.add_argument("--omega-min", type=float, default=0.02)
+    span.add_argument("--omega-max", type=float, default=0.25)
+    common = _common(8192)
     parser = _Parser(prog="solitonlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="compute a solitary profile")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    def command(name, func, help, parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-exact", help="compare the solver with the closed-form wave")
-    p.add_argument("--alpha", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_exact)
+    command("solve", cmd_solve, "compute a solitary profile", [alpha, omega, common])
+    command("verify-exact", cmd_verify_exact, "compare the solver with the closed-form wave",
+            [alpha, common])
+    command("spectrum", cmd_spectrum, "eigenvalue counts of the linearized operators",
+            [alpha, omega, _common(2048)])
+    for name, func, help in (("branch", cmd_branch, "continue the solitary branch in omega"),
+                             ("dmap", cmd_dmap, "d''(omega) along a branch")):
+        p = command(name, func, help, [alpha, span, common])
+        p.add_argument("--steps", type=int, default=24)
 
-    p = sub.add_parser("spectrum", help="eigenvalue counts of the linearized operators")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    _add_common(p, grid_n=2048)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("branch", help="continue the solitary branch in omega")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--omega-min", type=float, default=0.02)
-    p.add_argument("--omega-max", type=float, default=0.25)
-    p.add_argument("--steps", type=int, default=24)
-    _add_common(p)
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("dmap", help="d''(omega) along a branch")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--omega-min", type=float, default=0.02)
-    p.add_argument("--omega-max", type=float, default=0.25)
-    p.add_argument("--steps", type=int, default=24)
-    _add_common(p)
-    p.set_defaults(func=cmd_dmap)
-
-    p = sub.add_parser("region", help="sign of d'' on an (alpha, omega) lattice")
+    p = command("region", cmd_region, "sign of d'' on an (alpha, omega) lattice", [span, common])
     p.add_argument("--alpha-min", type=float, default=1.0)
     p.add_argument("--alpha-max", type=float, default=7.0)
     p.add_argument("--alpha-steps", type=int, default=25)
-    p.add_argument("--omega-min", type=float, default=0.02)
-    p.add_argument("--omega-max", type=float, default=0.25)
     p.add_argument("--omega-steps", type=int, default=24)
     p.add_argument("--jobs", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("evolve", help="split-step evolution of a perturbed wave")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
+    p = command("evolve", cmd_evolve, "split-step evolution of a perturbed wave",
+                [alpha, omega, common])
     p.add_argument("--delta", type=float, default=0.0, help="relative amplitude perturbation")
     p.add_argument("--t-final", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--samples", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=cmd_evolve)
-
     return parser
 
 
@@ -309,7 +247,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        grid = SpectralGrid(n_points=args.grid_n, half_width=args.grid_l)
+        config = SolverConfig(max_iter=args.max_iter, dispersion_beta=args.beta)
+        out = Path(args.out or os.environ.get("SOLITONLAB_OUT") or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, grid, config, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -118,6 +118,13 @@ def mass(field: ComplexField) -> float:
     return 0.5 * float(g.quadrature(np.abs(field.values) ** 2).real)
 
 
+def check_run(dt: float, t_final: float, n_samples: int) -> None:
+    """Refuse a dt or t_final that is not finite, dt <= 0, t_final < 0 and n_samples < 1."""
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf and n_samples >= 1):
+        raise ParameterError("need a finite dt > 0, a finite t_final >= 0 and n_samples >= 1,"
+                             f" got {dt:g}, {t_final:g}, {n_samples}")
+
+
 def run(state: EvolutionState, t_final: float, n_samples: int, observers: dict) -> Trajectory:
     """Advance state to t_final, sampling every observer at the start and at
     n_samples evenly spaced checkpoints (whole steps, duplicates dropped).
@@ -125,8 +132,7 @@ def run(state: EvolutionState, t_final: float, n_samples: int, observers: dict) 
     ``observers`` maps a name to a function of the field.  Blow-up truncates
     the trajectory instead of raising.
     """
-    if not t_final >= 0 or n_samples < 1:
-        raise ParameterError(f"need t_final >= 0 and n_samples >= 1, got {t_final:g}, {n_samples}")
+    check_run(state.dt, t_final, n_samples)
     total_steps = int(round(t_final / state.dt))
     checkpoints = np.unique(np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int))
     times = [state.time]
@@ -203,6 +209,7 @@ def stability_experiment(
     """
     if not 0 <= perturbation_size <= 0.1:
         raise ParameterError("perturbation_size must lie in [0, 0.1]")
+    check_run(dt, t_final, n_samples)
     if grid is None:
         grid = SpectralGrid()
     if config is None:

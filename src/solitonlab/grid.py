@@ -124,7 +124,7 @@ class RealProfile:
                 f"profile length {values.shape} does not match grid ({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("profile contains non-finite values")
+            raise ParameterError("profile contains non-finite values")
         object.__setattr__(self, "values", values)
 
 
@@ -142,5 +142,5 @@ class ComplexField:
                 f"field length {values.shape} does not match grid ({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
+            raise ParameterError("field contains non-finite values")
         object.__setattr__(self, "values", values)

@@ -34,7 +34,6 @@ DEFAULT_OMEGA_DELTA = 2e-3
 class SolitaryBranch:
     """Ordered family of solitary waves along increasing omega."""
 
-    alpha: float
     omegas: np.ndarray
     profiles: list
     masses: np.ndarray
@@ -110,14 +109,14 @@ def continue_branch(
         flags.append(converged)
         if not converged:
             break
-    k = len(profiles)
-    return SolitaryBranch(
-        alpha=alpha,
-        omegas=omegas[:k],
-        profiles=profiles,
-        masses=np.asarray(masses),
-        converged_flags=np.asarray(flags, dtype=bool),
-    )
+    return SolitaryBranch(omegas=omegas[:len(profiles)], profiles=profiles,
+                          masses=np.asarray(masses), converged_flags=np.asarray(flags, dtype=bool))
+
+
+def _forward_d2(omegas: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """d'' of each consecutive pair, attributed to the left point; NaN where
+    either mass is NaN (a failed solve)."""
+    return 0.5 * np.diff(masses) / np.diff(omegas)
 
 
 def d_second(branch: SolitaryBranch) -> np.ndarray:
@@ -126,38 +125,24 @@ def d_second(branch: SolitaryBranch) -> np.ndarray:
     Returns an array of (omega, d2) rows, one per consecutive pair of
     converged branch points.
     """
-    ok = branch.converged_flags
-    pairs = [
-        i for i in range(len(branch.omegas) - 1) if ok[i] and ok[i + 1]
-    ]
-    if not pairs:
+    d2 = _forward_d2(branch.omegas, np.where(branch.converged_flags, branch.masses, np.nan))
+    ok = ~np.isnan(d2)
+    if not ok.any():
         raise InsufficientDataError("need at least 2 consecutive converged points")
-    rows = [
-        (
-            branch.omegas[i],
-            0.5
-            * (branch.masses[i + 1] - branch.masses[i])
-            / (branch.omegas[i + 1] - branch.omegas[i]),
-        )
-        for i in pairs
-    ]
-    return np.asarray(rows)
+    return np.column_stack([branch.omegas[:-1][ok], d2[ok]])
 
 
-def classify_sign(d2: float, mass: float, omega: float) -> int:
-    """Sign of d'' with a scale-aware dead band around zero."""
+def classify_sign(d2, mass, omega):
+    """Sign of d'' (+1, -1, or 0 inside a scale-aware dead band around zero),
+    elementwise; NaN stays NaN."""
     threshold = 1e-6 * mass / omega
-    if abs(d2) < threshold:
-        return 0
-    return 1 if d2 > 0 else -1
+    return np.where(np.abs(d2) < threshold, 0.0, np.sign(d2))
 
 
 def sample_signs(branch: SolitaryBranch, samples: np.ndarray) -> np.ndarray:
     """classify_sign of each d_second sample, against the mass at its omega."""
-    return np.array([
-        classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omega)], omega)
-        for omega, d2 in samples
-    ])
+    omegas, d2 = samples.T
+    return classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omegas)], omegas)
 
 
 def d_second_at(
@@ -166,7 +151,6 @@ def d_second_at(
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
     delta: float = DEFAULT_OMEGA_DELTA,
-    seed: RealProfile | None = None,
 ):
     """Local forward-difference d'' at a single omega.
 
@@ -174,8 +158,6 @@ def d_second_at(
     """
     if config is None:
         config = SolverConfig()
-    if seed is not None:
-        config = dataclasses.replace(config, initial_guess=seed)
     profile, diag = petviashvili_solve(alpha, omega, grid, config)
     if not diag.converged:
         raise BranchError(f"solve at omega={omega:g} did not converge")
@@ -198,19 +180,21 @@ def find_omega_c(
 ):
     """Bisect for the frequency where d'' changes sign; None if no change."""
     lo, hi = omega_range
+    if config is None:
+        config = SolverConfig()
     branch = continue_branch(alpha, lo, hi, n_coarse, grid, config)
     samples = d_second(branch)
     signs = sample_signs(branch, samples)
-    for i in range(len(signs) - 1):
-        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            break
-    else:
+    changes = np.flatnonzero(signs[:-1] * signs[1:] < 0)  # resolved signs that differ
+    if changes.size == 0:
         return None
+    i = changes[0]
     a, b, sign_a = samples[i, 0], samples[i + 1, 0], signs[i]
     seed = branch.profiles[int(np.searchsorted(branch.omegas, a))]
     while b - a > tol_omega:
         mid = 0.5 * (a + b)
-        d2, mass, seed = d_second_at(alpha, mid, grid, config, seed=seed)
+        warm = dataclasses.replace(config, initial_guess=seed)
+        d2, mass, seed = d_second_at(alpha, mid, grid, warm)
         s = classify_sign(d2, mass, mid)
         if s == sign_a:
             a = mid
@@ -258,15 +242,11 @@ def find_alpha0(
 def _scan_row(args):
     alpha, extended, n_points, half_width, config = args
     grid = SpectralGrid(n_points, half_width)
-    row = np.full(extended.size - 1, np.nan)
-    prev_mass = None
-    for i, (profile, converged) in enumerate(_sweep(alpha, extended, grid, config)):
-        mass = _mass(profile) if converged else None
-        if prev_mass is not None and mass is not None:
-            d2 = 0.5 * (mass - prev_mass) / (extended[i] - extended[i - 1])
-            row[i - 1] = classify_sign(d2, prev_mass, extended[i - 1])
-        prev_mass = mass
-    return row
+    masses = np.array([
+        _mass(profile) if converged else np.nan
+        for profile, converged in _sweep(alpha, extended, grid, config)
+    ])
+    return classify_sign(_forward_d2(extended, masses), masses[:-1], extended[:-1])
 
 
 def region_scan(

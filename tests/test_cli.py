@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -20,6 +21,51 @@ FAST = ["--grid-n", "1024", "--grid-l", "100"]
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The (alpha, omega) of every wave the CLI solves."""
+    calls = []
+    solve = cli.petviashvili_solve
+
+    def spy(alpha, omega, *args, **kwargs):
+        calls.append((alpha, omega))
+        return solve(alpha, omega, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "petviashvili_solve", spy)
+    return calls
+
+
+REQUIRED = "required"
+COMMON = {"--grid-n": (int, 8192), "--grid-l": (float, 200.0), "--max-iter": (int, 2000),
+          "--beta": (float, 1.0), "--out": (None, None)}
+ALPHA, OMEGA = {"--alpha": (float, REQUIRED)}, {"--omega": (float, REQUIRED)}
+SPAN = {"--omega-min": (float, 0.02), "--omega-max": (float, 0.25)}
+# every subcommand's options as (type, default)
+PARSER = {
+    "solve": {**ALPHA, **OMEGA, **COMMON},
+    "verify-exact": {**ALPHA, **COMMON},
+    "spectrum": {**ALPHA, **OMEGA, **COMMON, "--grid-n": (int, 2048)},
+    "branch": {**ALPHA, **SPAN, "--steps": (int, 24), **COMMON},
+    "dmap": {**ALPHA, **SPAN, "--steps": (int, 24), **COMMON},
+    "region": {"--alpha-min": (float, 1.0), "--alpha-max": (float, 7.0),
+               "--alpha-steps": (int, 25), **SPAN, "--omega-steps": (int, 24),
+               "--jobs": (int, 1), **COMMON},
+    "evolve": {**ALPHA, **OMEGA, "--delta": (float, 0.0), "--t-final": (float, 20.0),
+               "--dt": (float, 1e-3), "--samples": (int, 100), **COMMON},
+}
+
+
+def test_parser_options_and_defaults():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {a.option_strings[-1]: (a.type, REQUIRED if a.required else a.default)
+               for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+    assert found == PARSER
 
 
 def test_solve_writes_profile(tmp_path):
@@ -88,6 +134,16 @@ def test_verify_exact(tmp_path, capsys):
     assert "Linf_distance" in captured.out
 
 
+def test_verify_exact_refuses_beta_other_than_one(tmp_path, capsys, solves):
+    # the closed-form wave solves the beta = 1 equation only
+    code = main(["verify-exact", "--alpha", "2", "--beta", "0.5",
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert solves == []
+    assert not any(tmp_path.iterdir())
+
+
 def test_spectrum(tmp_path):
     code = main(["spectrum", "--alpha", "2", "--omega", "0.16",
                  "--out", str(tmp_path)] + FAST)
@@ -128,6 +184,9 @@ def test_region(tmp_path):
     assert region["alpha"].size == 6
     assert np.all(region["sign"][region["alpha"] == 2.0] == 1.0)
     assert np.all(region["sign"][region["alpha"] == 5.5] == -1.0)
+    # alpha-major: one block of omegas per alpha
+    np.testing.assert_array_equal(region["alpha"], np.repeat([2.0, 5.5], 3))
+    np.testing.assert_array_equal(region["omega"], np.tile(np.linspace(0.08, 0.16, 3), 2))
 
 
 def test_evolve(tmp_path):
@@ -179,14 +238,17 @@ def test_evolve_nonpositive_dt_is_usage_error(tmp_path, capsys, dt):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--t-final", "-1"], ["--samples", "0"], ["--samples", "-2"]],
-    ids=["negative-t-final", "zero-samples", "negative-samples"])
-def test_evolve_bad_length_is_usage_error(tmp_path, capsys, flags):
+    "flags", [["--t-final", "-1"], ["--samples", "0"], ["--samples", "-2"],
+              ["--t-final", "inf"], ["--delta", "nan"], ["--dt", "inf"]],
+    ids=["negative-t-final", "zero-samples", "negative-samples", "inf-t-final", "nan-delta",
+         "inf-dt"])
+def test_evolve_bad_length_is_usage_error(tmp_path, capsys, solves, flags):
     code = main(["evolve", "--alpha", "2", "--omega", "0.16", *flags,
                  "--out", str(tmp_path)] + FAST)
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)
     assert not (tmp_path / "evolution.csv").exists()
+    assert solves == []  # refused before the wave is solved
 
 
 def test_region_single_omega_is_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from solitonlab import evolve
 from solitonlab.errors import BlowUpDetected, ParameterError
 from solitonlab.evolve import (
     ConservationAudit,
@@ -98,7 +99,7 @@ def test_conservation_audit_zero_duration(standing_wave):
     assert audit.relative_drifts == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2)])
+@pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2), (np.inf, 4)])
 def test_run_refuses_bad_lengths(standing_wave, t_final, n_samples):
     _, field = standing_wave
     state = EvolutionState(field=field, alpha=2.0, dt=1e-3)
@@ -138,6 +139,20 @@ def test_orbital_distance_amplitude_scaling(grid_mid, standing_wave):
 def test_stability_experiment_validation(grid_mid):
     with pytest.raises(ParameterError):
         stability_experiment(2.0, OMEGA0_2, 0.5, 1.0, 1e-3, grid_mid)
+
+
+@pytest.mark.parametrize("delta, t_final, dt, n_samples", [
+    (np.nan, 1.0, 1e-3, 4), (0.0, np.inf, 1e-3, 4), (0.0, -1.0, 1e-3, 4), (0.0, 1.0, 0.0, 4),
+    (0.0, 1.0, np.inf, 4), (0.0, 1.0, 1e-3, 0),
+], ids=["nan-delta", "inf-t-final", "negative-t-final", "zero-dt", "inf-dt", "zero-samples"])
+def test_stability_experiment_checks_inputs_before_solving(grid_mid, monkeypatch, delta,
+                                                           t_final, dt, n_samples):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(evolve, "petviashvili_solve", no_solve)
+    with pytest.raises(ParameterError):
+        stability_experiment(2.0, OMEGA0_2, delta, t_final, dt, grid_mid, n_samples=n_samples)
 
 
 def test_stability_experiment_unperturbed(grid_mid):

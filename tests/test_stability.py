@@ -105,7 +105,6 @@ def test_d_second_negative_for_alpha55(branch_grid):
 
 def test_d_second_needs_two_points(branch_grid):
     empty = SolitaryBranch(
-        alpha=2.0,
         omegas=np.array([0.1, 0.12]),
         profiles=[None, None],
         masses=np.array([np.nan, np.nan]),
@@ -119,6 +118,11 @@ def test_classify_sign_dead_band():
     assert classify_sign(5.0, 1.0, 0.1) == 1
     assert classify_sign(-5.0, 1.0, 0.1) == -1
     assert classify_sign(1e-9, 1.0, 0.1) == 0
+    # elementwise on arrays, and a failed cell (NaN) stays NaN
+    signs = classify_sign(np.array([5.0, -5.0, 1e-9, np.nan]), np.array([1.0, 1.0, 1.0, np.nan]),
+                          np.array([0.1, 0.1, 0.1, 0.1]))
+    np.testing.assert_array_equal(signs, [1.0, -1.0, 0.0, np.nan])
+    assert not np.signbit(signs[2])  # the dead band is +0, which the CSVs print as 0
 
 
 def test_d_second_step_size_robustness(branch_grid):
@@ -141,9 +145,9 @@ def test_find_omega_c_seeds_from_bracket_left_end(branch_grid, monkeypatch):
         branches.append(build(*args, **kwargs))
         return branches[-1]
 
-    def recording_d2(alpha, omega, *args, seed=None, **kwargs):
-        seeds.append((omega, seed))
-        return evaluate(alpha, omega, *args, seed=seed, **kwargs)
+    def recording_d2(alpha, omega, grid, config, *args, **kwargs):
+        seeds.append((omega, config.initial_guess))
+        return evaluate(alpha, omega, grid, config, *args, **kwargs)
 
     monkeypatch.setattr(stability, "continue_branch", recording_branch)
     monkeypatch.setattr(stability, "d_second_at", recording_d2)
@@ -212,6 +216,18 @@ def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):
     row = result.sign_matrix[0]
     assert np.all(np.isnan(row[:2]))
     np.testing.assert_array_equal(row[2:], [1.0, 1.0])
+
+
+def test_region_row_matches_branch_signs(branch_grid):
+    # dyadic omegas: the region's extra point past the end is the branch's last point exactly
+    omegas = np.linspace(1 / 16, 1 / 4, 13)
+    branch = continue_branch(5.0, omegas[0], omegas[-1], omegas.size, branch_grid)
+    assert branch.converged_flags.all()
+    samples = d_second(branch)
+    signs = stability.sample_signs(branch, samples)
+    assert set(signs) == {-1.0, 1.0}  # across the sign change at omega_c
+    row = region_scan([5.0], omegas[:-1], branch_grid).sign_matrix[0]
+    np.testing.assert_array_equal(row, signs)
 
 
 def test_region_scan_decreasing_lattice(branch_grid):

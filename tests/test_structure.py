@@ -1,4 +1,5 @@
-"""The model is written down once: no copy of it outside its home modules."""
+"""Structure of the package source: the model is written down once, with no
+copy of it outside its home modules, and every import is used."""
 
 import ast
 import re
@@ -26,3 +27,41 @@ def test_model_lives_in_petviashvili_and_grid():
         if _is_model_power(node)
     ]
     assert not copies, "model written outside its home:\n" + "\n".join(copies)
+
+
+def _unused_imports(tree):
+    """Names bound by an import and never read, nor listed in __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts if isinstance(elt, ast.Constant)
+    }
+    return {name: line for name, line in imported.items()
+            if name not in used | exported}
+
+
+def test_no_unused_imports():
+    package = Path(solitonlab.__file__).parent
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for name, line in _unused_imports(ast.parse(path.read_text())).items()
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_unused_import_guard_catches_an_unused_name():
+    tree = ast.parse("from __future__ import annotations\nimport os\nimport sys as system\n"
+                     "from a import b, c\n"
+                     "__all__ = ['c']\nsystem.exit(os)\n")
+    assert _unused_imports(tree) == {"b": 4}
