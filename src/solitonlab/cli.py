@@ -144,7 +144,10 @@ def cmd_dmap(args, grid, config, out) -> int:
     branch = stability.continue_branch(
         args.alpha, args.omega_min, args.omega_max, args.steps, grid, config
     )
-    samples = stability.d_second(branch)
+    try:
+        samples = stability.d_second(branch)
+    except InsufficientDataError as exc:
+        raise BranchError(f"branch truncated at omega={branch.omegas[-1]:g}: {exc}") from exc
     signs = stability.sample_signs(branch, samples)
     _write_csv(out / "d2.csv", ["omega", "d2", "sign"], [samples[:, 0], samples[:, 1], signs])
     return EXIT_OK if branch.converged_flags.all() else EXIT_NO_CONVERGENCE
@@ -173,12 +176,11 @@ def cmd_evolve(args, grid, config, out) -> int:
     if not diag.converged:
         return EXIT_NO_CONVERGENCE
     u0 = ComplexField(grid, (1.0 + args.delta) * profile.values.astype(complex))
-    state = evolve_mod.EvolutionState(field=u0, alpha=args.alpha, dt=args.dt, beta=args.beta)
-    traj = evolve_mod.run(state, args.t_final, args.samples, {
+    traj = evolve_mod.run(u0, args.alpha, args.dt, args.t_final, args.samples, {
         "energy": lambda u: evolve_mod.energy(u, args.alpha, args.beta),
         "mass": evolve_mod.mass,
         "orbital_distance": lambda u: evolve_mod.orbital_distance(u, profile),
-    })
+    }, args.beta)
     blew_up = traj.blow_up_time is not None
     if blew_up:
         _write_json(out / "error.json", {"error": "blow-up", "time": traj.blow_up_time})
@@ -250,7 +252,10 @@ def main(argv=None) -> int:
         grid = SpectralGrid(n_points=args.grid_n, half_width=args.grid_l)
         config = SolverConfig(max_iter=args.max_iter, dispersion_beta=args.beta)
         out = Path(args.out or os.environ.get("SOLITONLAB_OUT") or ".")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from exc
         return args.func(args, grid, config, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

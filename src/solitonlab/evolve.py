@@ -9,7 +9,6 @@ genuine splitting error.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,20 +16,6 @@ import numpy as np
 from .errors import BlowUpDetected, ParameterError
 from .grid import ComplexField, RealProfile, SpectralGrid
 from .petviashvili import SolverConfig, petviashvili_solve, power, symbol
-
-
-@dataclass(frozen=True)
-class EvolutionState:
-    field: ComplexField
-    alpha: float
-    dt: float
-    time: float = 0.0
-    step_count: int = 0
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ParameterError("dt must be positive")
 
 
 @dataclass
@@ -66,18 +51,16 @@ class ExperimentResult:
     blow_up_time: float | None = None
 
 
-def _linear_factor(grid: SpectralGrid, dt: float, beta: float) -> np.ndarray:
-    return np.exp(-1j * symbol(grid.wavenumbers, 0.0, beta) * dt)
-
-
-def _advance(values: np.ndarray, alpha: float, beta: float, dt: float, n_steps: int,
-             grid: SpectralGrid, t0: float = 0.0) -> np.ndarray:
-    """Advance n_steps with adjacent half nonlinear substeps fused."""
+def advance(field: ComplexField, alpha: float, dt: float, n_steps: int, beta: float = 1.0,
+            t0: float = 0.0) -> ComplexField:
+    """Advance n_steps Strang steps from time t0, adjacent half nonlinear
+    substeps fused; raises BlowUpDetected."""
+    if not dt > 0:
+        raise ParameterError("dt must be positive")
     if n_steps == 0:
-        return values.copy()
-    lin = _linear_factor(grid, dt, beta)
-    u = values.copy()
-    u *= np.exp(0.5j * dt * power(u, alpha))
+        return field
+    lin = np.exp(-1j * symbol(field.grid.wavenumbers, 0.0, beta) * dt)
+    u = field.values * np.exp(0.5j * dt * power(field.values, alpha))
     for k in range(n_steps - 1):
         u = np.fft.ifft(lin * np.fft.fft(u))
         if not np.all(np.isfinite(u)):
@@ -87,19 +70,7 @@ def _advance(values: np.ndarray, alpha: float, beta: float, dt: float, n_steps: 
     u *= np.exp(0.5j * dt * power(u, alpha))
     if not np.all(np.isfinite(u)):
         raise BlowUpDetected(t0 + n_steps * dt)
-    return u
-
-
-def advance(state: EvolutionState, n_steps: int) -> EvolutionState:
-    """Advance n_steps Strang steps (fused inner loop); raises BlowUpDetected."""
-    u = _advance(state.field.values, state.alpha, state.beta, state.dt, n_steps,
-                 state.field.grid, t0=state.time)
-    return dataclasses.replace(
-        state,
-        field=ComplexField(state.field.grid, u),
-        time=state.time + n_steps * state.dt,
-        step_count=state.step_count + n_steps,
-    )
+    return ComplexField(field.grid, u)
 
 
 def energy(field: ComplexField, alpha: float, beta: float = 1.0) -> float:
@@ -125,28 +96,33 @@ def check_run(dt: float, t_final: float, n_samples: int) -> None:
                              f" got {dt:g}, {t_final:g}, {n_samples}")
 
 
-def run(state: EvolutionState, t_final: float, n_samples: int, observers: dict) -> Trajectory:
-    """Advance state to t_final, sampling every observer at the start and at
-    n_samples evenly spaced checkpoints (whole steps, duplicates dropped).
+def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples: int,
+        observers: dict, beta: float = 1.0) -> Trajectory:
+    """Advance field from t = 0 to t_final, sampling every observer at the
+    start and at n_samples evenly spaced checkpoints (whole steps, duplicates
+    dropped).
 
     ``observers`` maps a name to a function of the field.  Blow-up truncates
     the trajectory instead of raising.
     """
-    check_run(state.dt, t_final, n_samples)
-    total_steps = int(round(t_final / state.dt))
+    check_run(dt, t_final, n_samples)
+    total_steps = int(round(t_final / dt))
     checkpoints = np.unique(np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int))
-    times = [state.time]
-    series = {name: [observe(state.field)] for name, observe in observers.items()}
+    time = 0.0
+    times = [time]
+    series = {name: [observe(field)] for name, observe in observers.items()}
     blow_up_time = None
     for prev, nxt in zip(checkpoints[:-1], checkpoints[1:]):
+        n_steps = int(nxt - prev)
         try:
-            state = advance(state, int(nxt - prev))
+            field = advance(field, alpha, dt, n_steps, beta, t0=time)
         except BlowUpDetected as exc:
             blow_up_time = exc.time
             break
-        times.append(state.time)
+        time = time + n_steps * dt
+        times.append(time)
         for name, observe in observers.items():
-            series[name].append(observe(state.field))
+            series[name].append(observe(field))
     series = {name: np.asarray(values) for name, values in series.items()}
     return Trajectory(np.asarray(times), series, blow_up_time)
 
@@ -156,9 +132,8 @@ def conservation_audit(
     beta: float = 1.0,
 ) -> ConservationAudit:
     """Evolve to t_final recording E and F at n_samples checkpoints; raises BlowUpDetected."""
-    state = EvolutionState(field=field, alpha=alpha, dt=dt, beta=beta)
-    traj = run(state, t_final, n_samples,
-               {"energy": lambda u: energy(u, alpha, beta), "mass": mass})
+    traj = run(field, alpha, dt, t_final, n_samples,
+               {"energy": lambda u: energy(u, alpha, beta), "mass": mass}, beta)
     if traj.blow_up_time is not None:
         raise BlowUpDetected(traj.blow_up_time)
     return ConservationAudit(
@@ -219,9 +194,8 @@ def stability_experiment(
         raise ParameterError(f"no converged wave at alpha={alpha}, omega={omega}")
     u0 = ComplexField(grid, (1.0 + perturbation_size) * profile.values.astype(complex))
 
-    state = EvolutionState(field=u0, alpha=alpha, dt=dt, beta=config.dispersion_beta)
-    traj = run(state, t_final, n_samples,
-               {"distance": lambda u: orbital_distance(u, profile)})
+    traj = run(u0, alpha, dt, t_final, n_samples,
+               {"distance": lambda u: orbital_distance(u, profile)}, config.dispersion_beta)
     return ExperimentResult(
         times=traj.times,
         distances=traj.series["distance"],

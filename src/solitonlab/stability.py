@@ -57,13 +57,15 @@ def _mass(profile: RealProfile) -> float:
     return float(profile.grid.quadrature(profile.values**2))
 
 
-def _sweep(alpha: float, omegas, grid: SpectralGrid, config: SolverConfig):
+def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
     """Warm-started Petviashvili solves along omegas, one per item drawn.
 
     Yields (profile, converged) per omega; profile is None where the solve
     diverged or degenerated.  Each solve seeds from the last converged
     profile; the first solve after a failure restarts cold.
     """
+    if config is None:
+        config = SolverConfig()
     seed_config = config
     for omega in omegas:
         try:
@@ -95,8 +97,6 @@ def continue_branch(
         raise ParameterError("n_steps must be >= 2")
     if grid is None:
         grid = SpectralGrid()
-    if config is None:
-        config = SolverConfig()
 
     omegas = np.linspace(omega_start, omega_end, n_steps)
     profiles, masses, flags = [], [], []
@@ -152,22 +152,31 @@ def d_second_at(
     config: SolverConfig | None = None,
     delta: float = DEFAULT_OMEGA_DELTA,
 ):
-    """Local forward-difference d'' at a single omega.
+    """Forward-difference d'' at omega, from a two-point sweep to omega + delta.
 
-    Returns (d2, mass, profile) where profile is the wave at omega.
+    Returns (d2, mass, profile) with the wave at omega; a failed solve raises
+    :class:`BranchError` before the next is tried.
     """
-    if config is None:
-        config = SolverConfig()
-    profile, diag = petviashvili_solve(alpha, omega, grid, config)
-    if not diag.converged:
-        raise BranchError(f"solve at omega={omega:g} did not converge")
-    warm = dataclasses.replace(config, initial_guess=profile)
-    profile_up, diag_up = petviashvili_solve(alpha, omega + delta, grid, warm)
-    if not diag_up.converged:
-        raise BranchError(f"solve at omega={omega + delta:g} did not converge")
-    mass = _mass(profile)
-    d2 = 0.5 * (_mass(profile_up) - mass) / delta
-    return d2, mass, profile
+    omegas = np.array([omega, omega + delta])
+    profiles = []
+    for w, (profile, converged) in zip(omegas, _sweep(alpha, omegas, grid, config)):
+        if not converged:
+            raise BranchError(f"solve at omega={w:g} did not converge")
+        profiles.append(profile)
+    masses = np.array([_mass(p) for p in profiles])
+    return float(_forward_d2(omegas, masses)[0]), float(masses[0]), profiles[0]
+
+
+def _bisect(keep_left, a: float, b: float, tol: float) -> float:
+    """Final midpoint of the bisection of [a, b] down to width tol; keep_left(mid)
+    is true where mid has the left end's sign, so the root lies right of mid."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if keep_left(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def find_omega_c(
@@ -189,54 +198,37 @@ def find_omega_c(
     if changes.size == 0:
         return None
     i = changes[0]
-    a, b, sign_a = samples[i, 0], samples[i + 1, 0], signs[i]
-    seed = branch.profiles[int(np.searchsorted(branch.omegas, a))]
-    while b - a > tol_omega:
-        mid = 0.5 * (a + b)
+    seed = branch.profiles[int(np.searchsorted(branch.omegas, samples[i, 0]))]
+
+    def keep_left(mid):  # each solve seeds from the last, the first from the bracket's left end
+        nonlocal seed
         warm = dataclasses.replace(config, initial_guess=seed)
         d2, mass, seed = d_second_at(alpha, mid, grid, warm)
-        s = classify_sign(d2, mass, mid)
-        if s == sign_a:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        return classify_sign(d2, mass, mid) == signs[i]
+
+    return _bisect(keep_left, samples[i, 0], samples[i + 1, 0], tol_omega)
 
 
-def d_second_at_omega0(
-    alpha: float,
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-    delta: float = DEFAULT_OMEGA_DELTA,
-) -> float:
+def d_second_at_omega0(alpha: float, grid: SpectralGrid | None = None) -> float:
     """d'' evaluated on the branch at the explicit-solution frequency."""
-    omega0 = explicit_params(alpha).omega0
-    d2, _, _ = d_second_at(alpha, omega0, grid, config, delta)
-    return d2
+    return d_second_at(alpha, explicit_params(alpha).omega0, grid)[0]
 
 
 def find_alpha0(
     alpha_bracket: tuple[float, float],
     grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
     tol_alpha: float = 0.05,
 ) -> float:
     """Root of d''(omega0(alpha)) over the bracket, by bisection."""
     lo, hi = alpha_bracket
-    g_lo = d_second_at_omega0(lo, grid, config)
-    g_hi = d_second_at_omega0(hi, grid, config)
+    g_lo = d_second_at_omega0(lo, grid)
+    g_hi = d_second_at_omega0(hi, grid)
     if not (g_lo > 0 > g_hi):
         raise BracketError(
             f"d''(omega0) does not change sign over [{lo}, {hi}]"
             f" (values {g_lo:.3e}, {g_hi:.3e})"
         )
-    while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if d_second_at_omega0(mid, grid, config) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda mid: d_second_at_omega0(mid, grid) > 0, lo, hi, tol_alpha)
 
 
 def _scan_row(args):
@@ -261,21 +253,22 @@ def region_scan(
     omega_grid = np.asarray(omega_grid, dtype=float)
     if alpha_grid.size == 0 or omega_grid.size < 2:
         raise ParameterError("need a nonempty alpha_grid and at least 2 omega values")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     # one extra point past the end so every cell has a forward difference
     extended = np.append(omega_grid, omega_grid[-1] + (omega_grid[-1] - omega_grid[-2]))
     if np.any(extended <= 0):
         raise ParameterError("omega values must be positive")
     if grid is None:
         grid = SpectralGrid()
-    if config is None:
-        config = SolverConfig()
     check_omega_width(float(extended.min()), grid)  # before any cell is solved
     tasks = [
         (float(a), extended, grid.n_points, grid.half_width, config)
         for a in alpha_grid
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # the pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:
         rows = [_scan_row(t) for t in tasks]

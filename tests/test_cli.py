@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from solitonlab import cli
+from solitonlab import cli, stability
 from solitonlab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
@@ -249,6 +249,44 @@ def test_evolve_bad_length_is_usage_error(tmp_path, capsys, solves, flags):
     assert _one_line_error(capsys)
     assert not (tmp_path / "evolution.csv").exists()
     assert solves == []  # refused before the wave is solved
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_region_nonpositive_jobs_is_usage_error(tmp_path, capsys, jobs):
+    code = main(["region", "--alpha-steps", "2", "--omega-steps", "2", "--jobs", jobs,
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "region.csv").exists()
+
+
+def test_unusable_out_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["solve", "--alpha", "2", "--omega", "0.16", "--out", str(blocker / "sub")] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_dmap_with_one_converged_point_is_non_convergence(tmp_path, capsys, monkeypatch):
+    # the same exit code as branch on the same inputs
+    solve, calls = stability.petviashvili_solve, []
+
+    def second_fails(alpha, omega, grid=None, config=None):
+        calls.append(omega)
+        profile, diag = solve(alpha, omega, grid, config)
+        diag.converged = len(calls) != 2
+        return profile, diag
+
+    monkeypatch.setattr(stability, "petviashvili_solve", second_fails)
+    for command in ("branch", "dmap"):
+        calls.clear()
+        code = main([command, "--alpha", "2", "--omega-min", "0.05", "--omega-max", "0.2",
+                     "--steps", "6", "--out", str(tmp_path)] + FAST)
+        assert code == EXIT_NO_CONVERGENCE
+        assert len(calls) == 2
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "d2.csv").exists()
 
 
 def test_region_single_omega_is_usage_error(tmp_path, capsys):

@@ -7,7 +7,6 @@ from solitonlab import evolve
 from solitonlab.errors import BlowUpDetected, ParameterError
 from solitonlab.evolve import (
     ConservationAudit,
-    EvolutionState,
     advance,
     conservation_audit,
     energy,
@@ -29,46 +28,43 @@ def standing_wave(grid_mid):
     return phi, ComplexField(grid_mid, phi.values.astype(complex))
 
 
-def test_state_validation(grid_mid, standing_wave):
+def test_advance_and_run_refuse_zero_dt(standing_wave):
     _, field = standing_wave
     with pytest.raises(ParameterError):
-        EvolutionState(field=field, alpha=2.0, dt=0.0)
+        advance(field, 2.0, 0.0, 1)
+    with pytest.raises(ParameterError):
+        run(field, 2.0, 0.0, 1.0, 4, {"mass": mass})
 
 
 def test_zero_field_stays_zero(grid_mid):
     zero = ComplexField(grid_mid, np.zeros(grid_mid.n_points, dtype=complex))
-    state = EvolutionState(field=zero, alpha=2.0, dt=1e-2)
-    out = advance(state, 10)
-    assert np.max(np.abs(out.field.values)) == 0.0
-    assert out.time == pytest.approx(0.1)
-    assert out.step_count == 10
+    out = advance(zero, 2.0, 1e-2, 10)
+    assert np.max(np.abs(out.values)) == 0.0
+    traj = run(zero, 2.0, 1e-2, 0.1, 1, {"mass": mass})
+    assert traj.times == pytest.approx([0.0, 0.1])
 
 
 def test_step_advances_bookkeeping(standing_wave):
     _, field = standing_wave
-    state = EvolutionState(field=field, alpha=2.0, dt=1e-3)
-    out = advance(state, 1)
-    assert out.step_count == 1
-    assert out.time == pytest.approx(1e-3)
+    traj = run(field, 2.0, 1e-3, 1e-3, 1, {"mass": mass})
+    assert traj.times == pytest.approx([0.0, 1e-3])
 
 
 def test_standing_wave_phase_rotation(standing_wave):
     # exact solution u(t) = exp(i omega0 t) phi
     phi, field = standing_wave
-    state = EvolutionState(field=field, alpha=2.0, dt=1e-3)
-    out = advance(state, 1000)
+    out = advance(field, 2.0, 1e-3, 1000)
     expected = np.exp(1j * OMEGA0_2 * 1.0) * phi.values
-    assert np.max(np.abs(out.field.values - expected)) <= 1e-6
+    assert np.max(np.abs(out.values - expected)) <= 1e-6
 
 
 def test_second_order_convergence(standing_wave):
     phi, field = standing_wave
     errors = []
     for dt in (2e-3, 1e-3):
-        state = EvolutionState(field=field, alpha=2.0, dt=dt)
-        out = advance(state, int(round(1.0 / dt)))
+        out = advance(field, 2.0, dt, int(round(1.0 / dt)))
         expected = np.exp(1j * OMEGA0_2) * phi.values
-        errors.append(np.max(np.abs(out.field.values - expected)))
+        errors.append(np.max(np.abs(out.values - expected)))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -102,9 +98,8 @@ def test_conservation_audit_zero_duration(standing_wave):
 @pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2), (np.inf, 4)])
 def test_run_refuses_bad_lengths(standing_wave, t_final, n_samples):
     _, field = standing_wave
-    state = EvolutionState(field=field, alpha=2.0, dt=1e-3)
     with pytest.raises(ParameterError):
-        run(state, t_final, n_samples, {"mass": mass})
+        run(field, 2.0, 1e-3, t_final, n_samples, {"mass": mass})
 
 
 def test_orbital_distance_identity(grid_mid, standing_wave):

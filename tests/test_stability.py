@@ -177,6 +177,25 @@ def test_find_alpha0_bracket_error(branch_grid):
 def test_find_alpha0_localizes_root(branch_grid):
     alpha0 = find_alpha0((4.0, 5.5), branch_grid, tol_alpha=0.2)
     assert 4.5 <= alpha0 <= 5.1
+    # the bisection's final midpoints, bit for bit
+    assert alpha0 == 4.84375
+    assert find_alpha0((4.0, 5.5), branch_grid) == 4.7734375
+
+
+def test_d_second_at_failed_first_point_solves_once(branch_grid, monkeypatch):
+    calls = _degenerate_at(monkeypatch, 0.1)
+    with pytest.raises(BranchError):
+        d_second_at(2.0, 0.1, branch_grid)
+    assert [omega for omega, _ in calls] == [0.1]
+
+
+def test_d_second_at_is_a_two_point_branch_difference(branch_grid):
+    d2, mass, profile = d_second_at(2.0, 0.1, branch_grid)
+    branch = continue_branch(2.0, 0.1, 0.1 + stability.DEFAULT_OMEGA_DELTA, 2, branch_grid)
+    assert type(d2) is float
+    assert d2 == d_second(branch)[0, 1]
+    assert mass == branch.masses[0]
+    np.testing.assert_array_equal(profile.values, branch.profiles[0].values)
 
 
 def test_region_scan_small_lattice(branch_grid):
@@ -192,9 +211,37 @@ def test_region_scan_parallel_matches_serial(branch_grid):
     np.testing.assert_array_equal(serial.sign_matrix, parallel.sign_matrix)
 
 
+def test_region_scan_pool_has_at_most_one_worker_per_row(branch_grid, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(stability, "ProcessPoolExecutor", SerialPool)
+    pooled = region_scan([2.0, 5.5], [0.08, 0.12], branch_grid, jobs=8)
+    assert sizes == [2]
+    region_scan([2.0], [0.08, 0.12], branch_grid, jobs=8)  # one row runs in-process
+    assert sizes == [2]
+    serial = region_scan([2.0, 5.5], [0.08, 0.12], branch_grid)
+    np.testing.assert_array_equal(pooled.sign_matrix, serial.sign_matrix)
+
+
 def test_region_scan_validation(branch_grid):
     with pytest.raises(ParameterError):
         region_scan([], [0.1], branch_grid)
+    for jobs in (0, -4):
+        with pytest.raises(ParameterError, match="jobs"):
+            region_scan([2.0], [0.1, 0.12], branch_grid, jobs=jobs)
     with pytest.raises(ParameterError):
         region_scan([2.0], [-0.1], branch_grid)
     with pytest.raises(ParameterError):

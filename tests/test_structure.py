@@ -1,5 +1,6 @@
 """Structure of the package source: the model is written down once, with no
-copy of it outside its home modules, and every import is used."""
+copy of it outside its home modules, the threshold layer solves only through
+its one sweep, and every import is used."""
 
 import ast
 import re
@@ -27,6 +28,23 @@ def test_model_lives_in_petviashvili_and_grid():
         if _is_model_power(node)
     ]
     assert not copies, "model written outside its home:\n" + "\n".join(copies)
+
+
+def _references(tree, name):
+    """Line numbers of every read of name, bare or as a module attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_stability_solves_only_in_sweep():
+    # one site keeps the warm-start policy in one place
+    tree = ast.parse((Path(solitonlab.__file__).parent / "stability.py").read_text())
+    (sweep,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
+    solves = _references(tree, "petviashvili_solve")
+    assert len(solves) == 1, f"petviashvili_solve read at lines {solves}"
+    assert solves == _references(sweep, "petviashvili_solve")
 
 
 def _unused_imports(tree):
