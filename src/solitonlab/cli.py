@@ -175,7 +175,13 @@ def cmd_evolve(args, grid, config, out) -> int:
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
         return EXIT_NO_CONVERGENCE
-    u0 = ComplexField(grid, (1.0 + args.delta) * profile.values.astype(complex))
+    with np.errstate(all="ignore"):
+        u0 = ComplexField(grid, (1.0 + args.delta) * profile.values.astype(complex))
+        energy0, mass0 = evolve_mod.energy(u0, args.alpha, args.beta), evolve_mod.mass(u0)
+    # the drifts are relative to these
+    if not (np.isfinite(energy0) and 0 < mass0 < np.inf):
+        raise UsageError(f"--delta {args.delta:g} gives an initial field with energy {energy0:g}"
+                         f" and mass {mass0:g}; both must be finite and the mass positive")
     traj = evolve_mod.run(u0, args.alpha, args.dt, args.t_final, args.samples, {
         "energy": lambda u: evolve_mod.energy(u, args.alpha, args.beta),
         "mass": evolve_mod.mass,

@@ -1,11 +1,12 @@
-"""Closed-form solitary waves, their Fourier transforms, and closed d'' formulas.
+"""Closed-form solitary waves, the transform of phi^alpha, and closed d'' formulas.
 
 The mixed-dispersion profile equation admits an explicit sech^(4/alpha)
 solution at one special frequency omega0(alpha).  This module evaluates that
-wave, its amplitude/width parameters, its Fourier transform through Gamma
-functions, the classical second-order NLS sech solution, and the closed-form
-stability quantities for the two comparison models (second-order NLS and
-pure fourth-order NLS).
+wave, its amplitude/width parameters, the closed-form Fourier transform of
+its power phi^alpha, the classical second-order NLS sech solution, and the
+closed-form stability quantities for the two comparison models (second-order
+NLS and pure fourth-order NLS).  The Gamma-function transform of the wave
+itself is a test oracle and lives with the tests.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .grid import RealProfile, SpectralGrid
 
 
@@ -50,31 +50,6 @@ def phi_exact(alpha: float, grid: SpectralGrid) -> RealProfile:
     """Explicit solitary profile a0 * sech^(4/alpha)(b0 x) at omega0(alpha)."""
     p = explicit_params(alpha)
     return RealProfile(grid, p.a0 * _sech_power(p.b0 * grid.nodes, 4.0 / p.alpha))
-
-
-def phi_hat_exact(alpha: float, xi) -> np.ndarray:
-    """Gamma-function form of the transform of the explicit wave.
-
-    Positive and even in xi; defined up to the source's Fourier-normalization
-    constant, which callers fit once at xi = 0 when comparing with discrete
-    transforms.
-    """
-    p = explicit_params(alpha)
-    xi = np.asarray(xi, dtype=float)
-    z = 2.0 / p.alpha + 1j * xi / (2.0 * p.b0)
-    log_val = (
-        (4.0 / p.alpha - 2.0) * math.log(2.0)
-        + 2.0 * np.real(loggamma(z))
-        - float(loggamma(4.0 / p.alpha).real)
-    )
-    with np.errstate(over="raise"):
-        try:
-            out = (p.a0 / p.b0) * np.exp(log_val)
-        except FloatingPointError as exc:
-            raise DomainError("Gamma formula overflows at the requested xi") from exc
-    if not np.all(np.isfinite(out)):
-        raise DomainError("Gamma formula is not finite at the requested xi")
-    return out
 
 
 def phi_pow_alpha_hat_exact(alpha: float, xi) -> np.ndarray:

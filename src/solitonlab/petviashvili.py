@@ -8,11 +8,20 @@ and ``half_weights`` (the Parseval weights of an rfft half spectrum) build the
 nonlinearity, the quadratic form and the residual here, and everything that
 ``spectra`` and ``evolve`` use of the model.
 
-The solver iterates in Fourier space with the stabilizing factor M_n raised
-to the exponent nu = (alpha+2)/(alpha+1).  phi is real, so the loop runs on
-rfft half spectra and carries the spectrum and the nonlinearity of each
-iterate into the next iteration: 3 real transforms and 1 nonlinearity pass
-per iteration.
+The solver's map is the stabilized (Petviashvili) step c -> g(c) = M^nu
+N(c) / (xi^4 + beta xi^2 + omega) on rfft half spectra c, with the
+stabilizing factor M raised to the exponent nu = (alpha+2)/(alpha+1).  The
+loop Anderson-mixes it with depth ANDERSON_DEPTH = 5: at each iterate it
+measures M, the spectral residual and g, and takes the combination of the
+last images g that least-squares minimizes the combined residual f = g - c
+over the float view of the half spectrum.  The first iteration, and every
+iterate with |1 - M| > MIX_STAB, takes the plain step and restarts the
+history: far from a solution the mixing's linear model wanders, and its
+large coefficients amplify rounding in the odd (translation) direction,
+which a warm-started branch then carries along.  Each iteration costs 3 real
+transforms and 1 nonlinearity pass.  The diagnostics record, per iteration,
+the sup-norm step of the mixed iterate (``error``), |1 - M| and the sup-norm
+residual, the last two at the iterate the step starts from.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgelss
 
 from .errors import DegenerateInputError, DivergenceError, ParameterError
 from .grid import RealProfile, SpectralGrid
@@ -29,6 +39,12 @@ IMAG_RESIDUE_TOL = 1e-13
 TOL_ERROR = 1e-12
 TOL_STAB = 1e-12
 TOL_RES = 1e-10
+# Anderson mixing: history depth, the relative singular-value cutoff of the
+# least-squares solve (LAPACK's SVD-based dgelss) on its Gram matrix, and the
+# |1 - M_n| above which the loop takes the plain step instead
+ANDERSON_DEPTH = 5
+RANK_CUTOFF = 1e-12
+MIX_STAB = 0.5
 
 
 @dataclass
@@ -81,7 +97,7 @@ def half_weights(n: int) -> np.ndarray:
 
 def nonlinearity(values: np.ndarray, alpha: float) -> np.ndarray:
     """|phi|^alpha phi, valid for non-integer alpha and sign-changing phi."""
-    return np.sign(values) * power(values, alpha + 1)
+    return values * power(values, alpha)
 
 
 def half_symbol(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
@@ -154,7 +170,7 @@ def petviashvili_solve(
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
 ):
-    """Run the stabilized iteration; returns (profile, diagnostics).
+    """Run the Anderson-mixed stabilized iteration; returns (profile, diagnostics).
 
     Non-convergence within ``max_iter`` is reported through
     ``diagnostics.converged`` rather than an exception; non-finite iterates
@@ -175,38 +191,60 @@ def petviashvili_solve(
     dx, n = grid.dx, grid.n_points
 
     phi = _initial_guess(alpha, omega, grid, config)
-    phi_hat = np.fft.rfft(phi)
-    nl = nonlinearity(phi, alpha)
-    nl_hat = np.fft.rfft(nl)
+    coeffs = np.fft.rfft(phi)
+    # Anderson history in the float view of the half spectrum: differences of
+    # successive residuals f = g - c and images g, with their Gram matrix
+    delta_f = np.zeros((ANDERSON_DEPTH, 2 * coeffs.size))
+    delta_g = np.zeros_like(delta_f)
+    gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    history = 0  # iterates since the last plain step
     errors, stabs, residuals = [], [], []
     converged = False
 
     for _ in range(config.max_iter):
-        numerator = float(np.sum(weights * np.abs(phi_hat) ** 2))
+        nl = nonlinearity(phi, alpha)
+        nl_hat = np.fft.rfft(nl)
+        numerator = float(np.sum(weights * np.abs(coeffs) ** 2))
         denominator = dx * float(np.sum(nl * phi))
         if denominator == 0.0:
             raise DegenerateInputError("nonlinear pairing vanished during iteration")
         m_n = numerator / denominator
-        new_hat = m_n**nu * nl_hat / denom
-        phi_new = np.fft.irfft(new_hat, n)
+        # residual of the spectral iterate: denom * coeffs is exact in
+        # coefficient space, avoiding the xi^4 noise amplification of a
+        # fresh physical-space transform
+        res = float(np.max(np.abs(np.fft.irfft(denom * coeffs - nl_hat, n))))
+        image = m_n**nu * nl_hat / denom
+        g = image.view(float)
+        f = g - coeffs.view(float)
+        if abs(1.0 - m_n) > MIX_STAB:
+            history = 0
+        if history > 0:
+            slot = (history - 1) % ANDERSON_DEPTH
+            np.subtract(f, f_prev, out=delta_f[slot])
+            np.subtract(g, g_prev, out=delta_g[slot])
+            used = min(history, ANDERSON_DEPTH)
+            gram[slot, :used] = gram[:used, slot] = delta_f[:used] @ delta_f[slot]
+            rhs = delta_f[:used] @ f
+            # LAPACK does not return on non-finite input
+            if not (np.isfinite(gram[slot, :used]).all() and np.isfinite(rhs).all()):
+                raise DivergenceError("iteration produced non-finite values")
+            gamma = dgelss(gram[:used, :used], rhs, cond=RANK_CUTOFF)[1]
+            image = (g - gamma @ delta_g[:used]).view(complex)
+        f_prev, g_prev = f, g
+        history += 1
+        phi_new = np.fft.irfft(image, n)
         # irfft drops Im of the mean and Nyquist modes, which no real iterate has
         scale = max(float(np.max(np.abs(phi_new))), 1.0)
-        if (abs(new_hat[0].imag) + abs(new_hat[-1].imag)) / n > IMAG_RESIDUE_TOL * scale:
+        if (abs(image[0].imag) + abs(image[-1].imag)) / n > IMAG_RESIDUE_TOL * scale:
             raise DivergenceError("iterate acquired a non-negligible imaginary part")
         if not np.all(np.isfinite(phi_new)):
             raise DivergenceError("iteration produced non-finite values")
 
         error = float(np.max(np.abs(phi_new - phi)))
-        # residual of the spectral iterate: denom * new_hat is exact in
-        # coefficient space, avoiding the xi^4 noise amplification of a
-        # fresh physical-space transform
-        nl = nonlinearity(phi_new, alpha)
-        nl_hat = np.fft.rfft(nl)
-        res = float(np.max(np.abs(np.fft.irfft(denom * new_hat - nl_hat, n))))
         errors.append(error)
         stabs.append(abs(1.0 - m_n))
         residuals.append(res)
-        phi, phi_hat = phi_new, new_hat
+        phi, coeffs = phi_new, image
         if error <= TOL_ERROR and abs(1.0 - m_n) <= TOL_STAB and res <= TOL_RES:
             converged = True
             break

@@ -1,11 +1,12 @@
-"""The complex-FFT Petviashvili loop, kept as a test oracle.
+"""The plain complex-FFT Petviashvili loop, kept as a test oracle.
 
-This is the solver loop as it stood before it moved to rfft half spectra:
-every iteration takes the full complex FFT of the profile and of its
-nonlinearity, inverts the new iterate, and transforms the nonlinearity of
-the new iterate again for the residual, i.e. 5 complex FFTs and 2
-nonlinearity passes.  The production solver must reproduce its iteration
-counts, histories and profiles to rounding.
+This is the solver loop as it stood before it moved to rfft half spectra and
+to Anderson mixing: every iteration takes the plain stabilized step, with the
+full complex FFT of the profile and of its nonlinearity, inverts the new
+iterate, and transforms the nonlinearity of the new iterate again for the
+residual, i.e. 5 complex FFTs and 2 nonlinearity passes.  The production
+solver must reach the same verdict and, when it converges, the same profile
+to 1e-12 in no more iterations.
 """
 
 import numpy as np

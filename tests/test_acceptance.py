@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf, cos, fsum, sech
 
+from gamma_oracle import phi_hat_exact
 from solitonlab.errors import ParameterError
 from solitonlab.evolve import conservation_audit, stability_experiment
 from solitonlab.explicit import (
     explicit_params,
     phi_exact,
-    phi_hat_exact,
     phi_pow_alpha_hat_exact,
 )
 from solitonlab.grid import ComplexField, SpectralGrid

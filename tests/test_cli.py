@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,22 @@ def test_evolve_bad_length_is_usage_error(tmp_path, capsys, solves, flags):
     assert _one_line_error(capsys)
     assert not (tmp_path / "evolution.csv").exists()
     assert solves == []  # refused before the wave is solved
+
+
+@pytest.mark.parametrize(
+    "flags", [["--alpha", "6", "--omega", "0.5", "--delta", "3e51", "--grid-n", "2048",
+               "--grid-l", "100"],
+              ["--alpha", "2", "--omega", "0.16", "--delta", "1e160", *FAST],
+              ["--alpha", "2", "--omega", "0.16", "--delta", "-1", *FAST]],
+    ids=["energy-overflow", "mass-overflow", "zero-field"])
+def test_evolve_unusable_initial_field_is_usage_error(tmp_path, capsys, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evolve", *flags, "--t-final", "0.01", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "evolution.csv").exists()
+    assert not (tmp_path / "audit.json").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

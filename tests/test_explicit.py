@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gamma_oracle import phi_hat_exact
 from solitonlab.errors import DomainError, ParameterError
 from solitonlab.explicit import (
     d2_closed_nls,
@@ -12,7 +13,6 @@ from solitonlab.explicit import (
     explicit_params,
     nls_sech_solution,
     phi_exact,
-    phi_hat_exact,
     phi_pow_alpha_hat_exact,
 )
 from solitonlab.petviashvili import constrained_functional, residual

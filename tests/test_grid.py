@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from gamma_oracle import phi_hat_exact
 from solitonlab.errors import ParameterError, ShapeError
-from solitonlab.explicit import explicit_params, phi_exact, phi_hat_exact
+from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
 
 

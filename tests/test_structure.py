@@ -1,9 +1,13 @@
 """Structure of the package source: the model is written down once, with no
 copy of it outside its home modules, the threshold layer solves only through
-its one sweep, and every import is used."""
+its one sweep, every import is used, and the program does not load
+``scipy.special``."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import solitonlab
@@ -83,3 +87,12 @@ def test_unused_import_guard_catches_an_unused_name():
                      "from a import b, c\n"
                      "__all__ = ['c']\nsystem.exit(os)\n")
     assert _unused_imports(tree) == {"b": 4}
+
+
+def test_cli_does_not_import_scipy_special():
+    # only the tests' Gamma-function oracle needs it
+    code = "import sys, solitonlab.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(solitonlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
