@@ -177,11 +177,7 @@ def cmd_evolve(args, grid, config, out) -> int:
         return EXIT_NO_CONVERGENCE
     with np.errstate(all="ignore"):
         u0 = ComplexField(grid, (1.0 + args.delta) * profile.values.astype(complex))
-        energy0, mass0 = evolve_mod.energy(u0, args.alpha, args.beta), evolve_mod.mass(u0)
-    # the drifts are relative to these
-    if not (np.isfinite(energy0) and 0 < mass0 < np.inf):
-        raise UsageError(f"--delta {args.delta:g} gives an initial field with energy {energy0:g}"
-                         f" and mass {mass0:g}; both must be finite and the mass positive")
+    evolve_mod.check_field(u0, args.alpha, args.beta)
     traj = evolve_mod.run(u0, args.alpha, args.dt, args.t_final, args.samples, {
         "energy": lambda u: evolve_mod.energy(u, args.alpha, args.beta),
         "mass": evolve_mod.mass,

@@ -89,6 +89,16 @@ def mass(field: ComplexField) -> float:
     return 0.5 * float(g.quadrature(np.abs(field.values) ** 2).real)
 
 
+def check_field(field: ComplexField, alpha: float, beta: float = 1.0) -> None:
+    """Refuse an initial field whose energy or mass is not finite, or whose
+    mass is not positive: the relative drifts are taken against them."""
+    with np.errstate(all="ignore"):
+        energy0, mass0 = energy(field, alpha, beta), mass(field)
+    if not (np.isfinite(energy0) and 0 < mass0 < np.inf):
+        raise ParameterError(f"the initial field has energy {energy0:g} and mass {mass0:g};"
+                             " both must be finite and the mass positive")
+
+
 def check_run(dt: float, t_final: float, n_samples: int) -> None:
     """Refuse a dt or t_final that is not finite, dt <= 0, t_final < 0 and n_samples < 1."""
     if not (0 < dt < np.inf and 0 <= t_final < np.inf and n_samples >= 1):
@@ -132,6 +142,7 @@ def conservation_audit(
     beta: float = 1.0,
 ) -> ConservationAudit:
     """Evolve to t_final recording E and F at n_samples checkpoints; raises BlowUpDetected."""
+    check_field(field, alpha, beta)
     traj = run(field, alpha, dt, t_final, n_samples,
                {"energy": lambda u: energy(u, alpha, beta), "mass": mass}, beta)
     if traj.blow_up_time is not None:
@@ -193,6 +204,7 @@ def stability_experiment(
     if not diag.converged:
         raise ParameterError(f"no converged wave at alpha={alpha}, omega={omega}")
     u0 = ComplexField(grid, (1.0 + perturbation_size) * profile.values.astype(complex))
+    check_field(u0, alpha, config.dispersion_beta)
 
     traj = run(u0, alpha, dt, t_final, n_samples,
                {"distance": lambda u: orbital_distance(u, profile)}, config.dispersion_beta)

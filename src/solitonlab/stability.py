@@ -1,14 +1,23 @@
-"""Branch continuation in omega and the numerical d''(omega) stability map.
+"""Branch continuation in omega, the d''(omega) stability map and its thresholds.
 
-d''(omega) = (1/2) d/domega of the squared L2 mass along the solitary
-branch, discretized with the trapezoid rule for the mass and a forward
-difference in omega.  Threshold detection locates omega_c (sign change in
-omega for fixed alpha) and alpha0 (sign change of d'' at omega0(alpha)).
+d''(omega) is (1/2) d/domega of the squared L2 mass along the solitary
+branch.  Differentiating the profile equation in omega gives
+L- d_omega(phi) = -phi, so d'' = int phi d_omega(phi) = -<chi, phi> with
+L- chi = phi: one even-sector MINRES solve at the wave
+(``spectra.negative_direction_scalar``), exact up to discretization.  This
+chi form decides every region cell and both thresholds, whose roots Brent's
+method finds: alpha0, where d''(omega0(alpha)) changes sign, at the
+closed-form wave with no nonlinear solve; omega_c, where d''(omega) changes
+sign at fixed alpha, inside a bracket that the coarse branch's forward
+differences give.  The forward difference of the trapezoid-rule mass
+(``d_second``, ``d_second_at``, ``d_second_at_omega0``) stays as the
+independent estimate that ``dmap`` writes and the cross-checks compare with.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,9 +31,10 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .explicit import explicit_params
+from .explicit import explicit_params, phi_exact
 from .grid import RealProfile, SpectralGrid
 from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
+from .spectra import negative_direction_scalar
 
 # forward-difference step for pointwise d'' evaluations
 DEFAULT_OMEGA_DELTA = 2e-3
@@ -167,16 +177,47 @@ def d_second_at(
     return float(_forward_d2(omegas, masses)[0]), float(masses[0]), profiles[0]
 
 
-def _bisect(keep_left, a: float, b: float, tol: float) -> float:
-    """Final midpoint of the bisection of [a, b] down to width tol; keep_left(mid)
-    is true where mid has the left end's sign, so the root lies right of mid."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if keep_left(mid):
-            a = mid
+def _chi_d2(profile: RealProfile, alpha: float, omega: float, beta: float) -> float:
+    """d'' = -<chi, phi> at a solved wave, where L- chi = phi."""
+    return -negative_direction_scalar(profile, alpha, omega, beta)
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """Root of f in [a, b], given fa = f(a) and fb = f(b) of opposite signs,
+    to within tol, by Brent's method: inverse quadratic interpolation or a
+    secant step where it stays well inside the bracket and shrinks it fast
+    enough, bisection otherwise."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if fb * fc > 0:  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0:
+            return float(b)
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b = mid
-    return 0.5 * (a + b)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
 
 
 def find_omega_c(
@@ -184,10 +225,19 @@ def find_omega_c(
     omega_range: tuple[float, float],
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
-    tol_omega: float = 1e-3,
+    tol_omega: float = 1e-10,
     n_coarse: int = 16,
 ):
-    """Bisect for the frequency where d'' changes sign; None if no change."""
+    """Frequency where d'' changes sign; None if the coarse branch shows no change.
+
+    The first change of the forward-difference signs along an n_coarse-point
+    branch brackets the root between branch points; Brent's method then
+    finds the root of the chi form of d'' there, each solve seeded from the
+    last.  The chi form at the branch's own profiles gives the bracket's
+    ends.  The forward differences are attributed to their left point, so
+    the root may lie one interval further right, where the bracket then
+    moves.
+    """
     lo, hi = omega_range
     if config is None:
         config = SolverConfig()
@@ -197,48 +247,70 @@ def find_omega_c(
     changes = np.flatnonzero(signs[:-1] * signs[1:] < 0)  # resolved signs that differ
     if changes.size == 0:
         return None
-    i = changes[0]
-    seed = branch.profiles[int(np.searchsorted(branch.omegas, samples[i, 0]))]
+    i = int(np.searchsorted(branch.omegas, samples[changes[0], 0]))
+    omegas, profiles = branch.omegas, branch.profiles
+    beta = config.dispersion_beta
+    fa = _chi_d2(profiles[i], alpha, omegas[i], beta)
+    fb = _chi_d2(profiles[i + 1], alpha, omegas[i + 1], beta)
+    if fa * fb > 0:
+        i, fa = i + 1, fb
+        fb = _chi_d2(profiles[i + 1], alpha, omegas[i + 1], beta)
+        if fa * fb > 0:
+            raise BracketError(f"d'' does not change sign over [{omegas[i - 1]:g},"
+                               f" {omegas[i + 1]:g}] (values {fa:.3e}, {fb:.3e})")
+    seed = profiles[i]
 
-    def keep_left(mid):  # each solve seeds from the last, the first from the bracket's left end
+    def d2(omega):  # each solve seeds from the last, the first from the bracket's left end
         nonlocal seed
         warm = dataclasses.replace(config, initial_guess=seed)
-        d2, mass, seed = d_second_at(alpha, mid, grid, warm)
-        return classify_sign(d2, mass, mid) == signs[i]
+        ((seed, converged),) = _sweep(alpha, [omega], grid, warm)
+        if not converged:
+            raise BranchError(f"solve at omega={omega:g} did not converge")
+        return _chi_d2(seed, alpha, omega, beta)
 
-    return _bisect(keep_left, samples[i, 0], samples[i + 1, 0], tol_omega)
+    return _brent(d2, omegas[i], omegas[i + 1], fa, fb, tol_omega)
 
 
 def d_second_at_omega0(alpha: float, grid: SpectralGrid | None = None) -> float:
-    """d'' evaluated on the branch at the explicit-solution frequency."""
+    """Forward-difference d'' on the branch at the explicit-solution frequency."""
     return d_second_at(alpha, explicit_params(alpha).omega0, grid)[0]
 
 
 def find_alpha0(
     alpha_bracket: tuple[float, float],
     grid: SpectralGrid | None = None,
-    tol_alpha: float = 0.05,
+    tol_alpha: float = 1e-10,
 ) -> float:
-    """Root of d''(omega0(alpha)) over the bracket, by bisection."""
+    """Root of d''(omega0(alpha)) over the bracket, by Brent's method on the
+    chi form at the closed-form wave, which is the solution at omega0."""
+    if grid is None:
+        grid = SpectralGrid()
+
+    def d2(alpha):
+        omega0 = explicit_params(alpha).omega0
+        check_omega_width(omega0, grid)
+        return _chi_d2(phi_exact(alpha, grid), alpha, omega0, 1.0)
+
     lo, hi = alpha_bracket
-    g_lo = d_second_at_omega0(lo, grid)
-    g_hi = d_second_at_omega0(hi, grid)
+    g_lo, g_hi = d2(lo), d2(hi)
     if not (g_lo > 0 > g_hi):
         raise BracketError(
             f"d''(omega0) does not change sign over [{lo}, {hi}]"
             f" (values {g_lo:.3e}, {g_hi:.3e})"
         )
-    return _bisect(lambda mid: d_second_at_omega0(mid, grid) > 0, lo, hi, tol_alpha)
+    return _brent(d2, lo, hi, g_lo, g_hi, tol_alpha)
 
 
 def _scan_row(args):
-    alpha, extended, n_points, half_width, config = args
+    """Signs of one alpha row, each cell from the chi form at its own wave."""
+    alpha, omegas, n_points, half_width, config = args
     grid = SpectralGrid(n_points, half_width)
-    masses = np.array([
-        _mass(profile) if converged else np.nan
-        for profile, converged in _sweep(alpha, extended, grid, config)
-    ])
-    return classify_sign(_forward_d2(extended, masses), masses[:-1], extended[:-1])
+    d2, masses = np.full((2, omegas.size), np.nan)
+    for j, (profile, converged) in enumerate(_sweep(alpha, omegas, grid, config)):
+        if converged:
+            d2[j] = _chi_d2(profile, alpha, omegas[j], config.dispersion_beta)
+            masses[j] = _mass(profile)
+    return classify_sign(d2, masses, omegas)
 
 
 def region_scan(
@@ -248,22 +320,23 @@ def region_scan(
     config: SolverConfig | None = None,
     jobs: int = 1,
 ) -> StabilityMap:
-    """Sign of d'' on the (alpha, omega) lattice; failed cells become NaN."""
+    """Sign of d'' on the (alpha, omega) lattice, each cell from its own
+    wave; a cell whose solve fails becomes NaN."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if alpha_grid.size == 0 or omega_grid.size < 2:
         raise ParameterError("need a nonempty alpha_grid and at least 2 omega values")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    # one extra point past the end so every cell has a forward difference
-    extended = np.append(omega_grid, omega_grid[-1] + (omega_grid[-1] - omega_grid[-2]))
-    if np.any(extended <= 0):
+    if np.any(omega_grid <= 0):
         raise ParameterError("omega values must be positive")
     if grid is None:
         grid = SpectralGrid()
-    check_omega_width(float(extended.min()), grid)  # before any cell is solved
+    if config is None:
+        config = SolverConfig()
+    check_omega_width(float(omega_grid.min()), grid)  # before any cell is solved
     tasks = [
-        (float(a), extended, grid.n_points, grid.half_width, config)
+        (float(a), omega_grid, grid.n_points, grid.half_width, config)
         for a in alpha_grid
     ]
     workers = min(jobs, len(tasks))  # the pool starts every worker at once

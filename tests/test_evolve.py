@@ -1,5 +1,8 @@
 """Tests for the split-step integrator, conservation, and orbital distance."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,23 @@ def test_conservation_audit_zero_duration(standing_wave):
     audit = conservation_audit(field, 2.0, 1e-3, 0.0, n_samples=4)
     np.testing.assert_array_equal(audit.times, [0.0])
     assert audit.relative_drifts == (0.0, 0.0)
+
+
+def test_conservation_audit_refuses_zero_field(grid_mid):
+    # the drifts are relative to the initial mass, which is 0
+    zero = ComplexField(grid_mid, np.zeros(grid_mid.n_points, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="mass 0"):
+            conservation_audit(zero, 2.0, 1e-3, 0.01, n_samples=2)
+
+
+def test_stability_experiment_refuses_zero_wave(grid_mid, monkeypatch):
+    zero = RealProfile(grid_mid, np.zeros(grid_mid.n_points))
+    monkeypatch.setattr(evolve, "petviashvili_solve",
+                        lambda *args: (zero, types.SimpleNamespace(converged=True)))
+    with pytest.raises(ParameterError, match="initial field"):
+        stability_experiment(2.0, OMEGA0_2, 0.0, 1.0, 1e-3, grid_mid, n_samples=4)
 
 
 @pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2), (np.inf, 4)])

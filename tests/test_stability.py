@@ -1,7 +1,11 @@
 """Tests for branch continuation, d''(omega), and threshold detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonlab import stability
 from solitonlab.errors import (
@@ -11,9 +15,10 @@ from solitonlab.errors import (
     InsufficientDataError,
     ParameterError,
 )
-from solitonlab.explicit import phi_exact
+from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import SolverConfig, petviashvili_solve
+from solitonlab.spectra import negative_direction_scalar
 from solitonlab.stability import (
     SolitaryBranch,
     classify_sign,
@@ -53,6 +58,9 @@ def test_width_guard():
         petviashvili_solve(2.0, 0.002, narrow)
     with pytest.raises(ParameterError, match="too wide"):
         d_second_at(2.0, 0.002, narrow)
+    # omega0(4) = 0.094 on a domain of half-width 20
+    with pytest.raises(ParameterError, match="too wide"):
+        find_alpha0((4.0, 5.5), SpectralGrid(n_points=512, half_width=20.0))
 
 
 def test_region_scan_checks_lattice_before_work(branch_grid, monkeypatch):
@@ -62,9 +70,8 @@ def test_region_scan_checks_lattice_before_work(branch_grid, monkeypatch):
     # a too-wide cell in mid-row
     with pytest.raises(ParameterError, match="too wide"):
         region_scan([2.0, 5.5], [0.05, 1e-4, 0.06], branch_grid)
-    # the forward-difference point past a decreasing lattice is omega = 0
     with pytest.raises(ParameterError, match="positive"):
-        region_scan([2.0], [0.2, 0.1], branch_grid)
+        region_scan([2.0], [0.2, 0.0], branch_grid)
     assert calls == []
 
 
@@ -131,33 +138,77 @@ def test_d_second_step_size_robustness(branch_grid):
     assert abs(d2_coarse - d2_fine) <= 0.1 * abs(d2_fine)
 
 
+@pytest.mark.parametrize("f, a, b, root", [
+    (lambda x: x**3 - 2.0, 0.0, 3.0, 2.0 ** (1 / 3)),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+    (lambda x: math.expm1(40.0 * (x - 0.3)), -1.0, 1.0, 0.3),  # steep and lopsided
+    (lambda x: x - 0.25, 0.25, 1.0, 0.25),  # root at an end
+], ids=["cubic", "cos", "steep", "end"])
+def test_brent_finds_closed_form_roots(f, a, b, root):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    found = stability._brent(counted, a, b, f(a), f(b), 1e-12)
+    assert found == pytest.approx(root, abs=1e-12)
+    assert all(min(a, b) <= x <= max(a, b) for x in calls)
+    assert len(calls) <= 20  # bisection to 1e-12 takes 40
+
+
 def test_find_omega_c_alpha5(branch_grid):
     omega_c = find_omega_c(5.0, (0.02, 0.25), branch_grid)
     assert omega_c is not None
     assert 0.02 < omega_c < 0.25
 
 
+def _recording_sweeps(monkeypatch):
+    """Record every _sweep call as (omegas, initial guess, profiles yielded)."""
+    sweeps, sweep = [], stability._sweep
+
+    def recording(alpha, omegas, grid, config):
+        record = (list(omegas), config.initial_guess, [])
+        sweeps.append(record)
+        for profile, converged in sweep(alpha, omegas, grid, config):
+            record[2].append(profile)
+            yield profile, converged
+
+    monkeypatch.setattr(stability, "_sweep", recording)
+    return sweeps
+
+
 def test_find_omega_c_seeds_from_bracket_left_end(branch_grid, monkeypatch):
-    branches, seeds = [], []
-    build, evaluate = stability.continue_branch, stability.d_second_at
-
-    def recording_branch(*args, **kwargs):
-        branches.append(build(*args, **kwargs))
-        return branches[-1]
-
-    def recording_d2(alpha, omega, grid, config, *args, **kwargs):
-        seeds.append((omega, config.initial_guess))
-        return evaluate(alpha, omega, grid, config, *args, **kwargs)
-
-    monkeypatch.setattr(stability, "continue_branch", recording_branch)
-    monkeypatch.setattr(stability, "d_second_at", recording_d2)
+    sweeps = _recording_sweeps(monkeypatch)
     omega_c = find_omega_c(5.0, (0.02, 0.25), branch_grid)
-    (branch,) = branches
-    first_mid, first_seed = seeds[0]
-    k = next(i for i, p in enumerate(branch.profiles) if p is first_seed)
-    assert branch.omegas[k] < first_mid < branch.omegas[k + 1]
-    # the value that seeding from the branch's first point gave
-    assert omega_c == pytest.approx(0.1105625, abs=1e-12)
+    (omegas, _, profiles), *solves = sweeps
+    assert len(omegas) == 16 and len(solves) >= 2
+    # the first interior solve seeds from the bracket's left end, the branch
+    # point just below it; each later one from the solve before it
+    (first_mid,), first_seed, _ = solves[0]
+    k = next(i for i, p in enumerate(profiles) if p is first_seed)
+    assert omegas[k] < first_mid < omegas[k + 1]
+    for (_, _, (before,)), (_, seed, _) in zip(solves, solves[1:]):
+        assert seed is before
+    assert omega_c == pytest.approx(0.1118831293, abs=1e-8)
+
+
+def test_find_omega_c_moves_bracket_past_left_attribution(branch_grid, monkeypatch):
+    # branch points 1.525e-2 apart with one at 0.1115, just left of omega_c: the
+    # forward differences change sign between the samples left of and at that
+    # point, but the chi form is negative at both ends of the left interval
+    sweeps = _recording_sweeps(monkeypatch)
+    omega_c = find_omega_c(5.0, (0.02, 0.02 + 15 * 0.01525), branch_grid)
+    (omegas, _, _), *solves = sweeps
+    assert omegas[6] == pytest.approx(0.1115, abs=1e-15)
+    assert all(omegas[6] < mid < omegas[7] for (mid,), _, _ in solves)
+    assert omega_c == pytest.approx(0.1118831293, abs=1e-8)
+
+
+def test_find_omega_c_without_chi_sign_change_is_bracket_error(branch_grid, monkeypatch):
+    monkeypatch.setattr(stability, "_chi_d2", lambda *args: 1.0)
+    with pytest.raises(BracketError):
+        find_omega_c(5.0, (0.02, 0.25), branch_grid)
 
 
 def test_find_omega_c_none_for_alpha2(branch_grid):
@@ -175,11 +226,89 @@ def test_find_alpha0_bracket_error(branch_grid):
 
 
 def test_find_alpha0_localizes_root(branch_grid):
+    # within its tolerance of the root, which the default tolerance resolves
     alpha0 = find_alpha0((4.0, 5.5), branch_grid, tol_alpha=0.2)
-    assert 4.5 <= alpha0 <= 5.1
-    # the bisection's final midpoints, bit for bit
-    assert alpha0 == 4.84375
-    assert find_alpha0((4.0, 5.5), branch_grid) == 4.7734375
+    assert abs(alpha0 - 4.791042420) <= 0.2
+    assert type(alpha0) is float
+    assert find_alpha0((4.0, 5.5), branch_grid) == pytest.approx(4.791042420, abs=1e-8)
+
+
+def _mass_d2(alpha, omega, grid, h, seed, beta=1.0):
+    """Central-difference oracle 0.5 (M(omega + h) - M(omega - h)) / 2h of the
+    squared L2 mass M, from two solves seeded from ``seed``."""
+    config = SolverConfig(initial_guess=seed, dispersion_beta=beta)
+    masses = []
+    for w in (omega - h, omega + h):
+        profile, diag = petviashvili_solve(alpha, w, grid, config)
+        assert diag.converged
+        masses.append(stability._mass(profile))
+    return 0.5 * (masses[1] - masses[0]) / (2.0 * h)
+
+
+def _bisect_root(f, a, b, tol):
+    fa = f(a)
+    assert fa * f(b) < 0
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if math.copysign(1.0, f(mid)) == math.copysign(1.0, fa):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _assert_matches_central_difference(root, d2_at_step, bracket):
+    """The bisected roots of the central difference at steps h and h/2 approach
+    root at O(h^2), and their Richardson extrapolation agrees with it."""
+    coarse, fine = (_bisect_root(lambda x: d2_at_step(x, h), *bracket, 1e-11)
+                    for h in (5e-4, 2.5e-4))
+    assert abs(coarse - root) == pytest.approx(4.0 * abs(fine - root), rel=0.05)
+    assert abs(fine - root) <= 1e-5
+    assert (4.0 * fine - coarse) / 3.0 == pytest.approx(root, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_points", [4096, 8192])
+def test_find_alpha0_matches_central_difference(n_points, monkeypatch):
+    grid = SpectralGrid(n_points, 200.0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("find_alpha0 solved a wave")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "petviashvili_solve", no_solve)
+        alpha0 = find_alpha0((4.0, 5.5), grid)
+    assert alpha0 == pytest.approx(4.791042420, abs=1e-8)
+
+    def d2(alpha, h):
+        return _mass_d2(alpha, explicit_params(alpha).omega0, grid, h, phi_exact(alpha, grid))
+
+    _assert_matches_central_difference(alpha0, d2, (4.7, 4.9))
+
+
+@pytest.mark.parametrize("n_points, half_width", [(2048, 100.0), (8192, 200.0)])
+def test_find_omega_c_matches_central_difference(n_points, half_width):
+    grid = SpectralGrid(n_points, half_width)
+    omega_c = find_omega_c(5.0, (0.02, 0.25), grid)
+    assert omega_c == pytest.approx(0.1118831293, abs=1e-8)
+    seed, _ = petviashvili_solve(5.0, omega_c, grid)
+    _assert_matches_central_difference(
+        omega_c, lambda omega, h: _mass_d2(5.0, omega, grid, h, seed), (0.105, 0.12))
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=st.floats(0.5, 4.0), omega=st.floats(0.05, 1.0), beta=st.sampled_from([0.0, 1.0]))
+def test_chi_form_is_the_central_difference_limit(branch_grid, alpha, omega, beta):
+    # alpha <= 4 is stable at every omega for beta = 1 and 0 (d'' > 0)
+    profile, diag = petviashvili_solve(alpha, omega, branch_grid,
+                                       SolverConfig(dispersion_beta=beta))
+    assert diag.converged
+    d2 = -negative_direction_scalar(profile, alpha, omega, beta)
+    assert d2 > 0
+    h = 0.01 * omega
+    errors = [_mass_d2(alpha, omega, branch_grid, step, profile, beta) - d2
+              for step in (h, h / 2)]
+    assert abs(errors[0]) <= 1e-4 * d2
+    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_d_second_at_failed_first_point_solves_once(branch_grid, monkeypatch):
@@ -258,23 +387,22 @@ def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):
 
     monkeypatch.setattr(stability, "petviashvili_solve", failing)
     result = region_scan([2.0], [0.05, 0.10, 0.15, 0.20], branch_grid)
-    # the failed cell and its left neighbour, which needs it for a forward
-    # difference, are NaN; the row goes on past them
-    row = result.sign_matrix[0]
-    assert np.all(np.isnan(row[:2]))
-    np.testing.assert_array_equal(row[2:], [1.0, 1.0])
+    # only the failed cell is NaN; the row goes on past it
+    np.testing.assert_array_equal(result.sign_matrix[0], [1.0, np.nan, 1.0, 1.0])
 
 
 def test_region_row_matches_branch_signs(branch_grid):
-    # dyadic omegas: the region's extra point past the end is the branch's last point exactly
+    # each cell's sign is that of -<chi, phi> at its own wave, which the
+    # region's sweep solves as the branch over the same omegas does
     omegas = np.linspace(1 / 16, 1 / 4, 13)
     branch = continue_branch(5.0, omegas[0], omegas[-1], omegas.size, branch_grid)
     assert branch.converged_flags.all()
-    samples = d_second(branch)
-    signs = stability.sample_signs(branch, samples)
-    assert set(signs) == {-1.0, 1.0}  # across the sign change at omega_c
-    row = region_scan([5.0], omegas[:-1], branch_grid).sign_matrix[0]
+    d2 = [-negative_direction_scalar(p, 5.0, w) for p, w in zip(branch.profiles, omegas)]
+    signs = classify_sign(np.array(d2), branch.masses, omegas)
+    row = region_scan([5.0], omegas, branch_grid).sign_matrix[0]
     np.testing.assert_array_equal(row, signs)
+    # the sign changes at omega_c = 0.1118831293 (-, then +)
+    np.testing.assert_array_equal(row, np.where(omegas < 0.1118831293, -1.0, 1.0))
 
 
 def test_region_scan_decreasing_lattice(branch_grid):
@@ -320,8 +448,8 @@ def test_region_scan_restarts_cold_after_failure(branch_grid, monkeypatch):
     calls = _degenerate_at(monkeypatch, 0.10)
     region_scan([2.0], [0.05, 0.10, 0.15, 0.20], branch_grid)
     warm = [isinstance(guess, RealProfile) for _, guess in calls]
-    # 0.05 cold, 0.10 warm and failing, 0.15 cold, 0.20 and 0.25 warm
-    assert warm == [False, True, False, True, True]
+    # 0.05 cold, 0.10 warm and failing, 0.15 cold, 0.20 warm
+    assert warm == [False, True, False, True]
 
 
 def test_pure_fourth_order_signs(branch_grid):

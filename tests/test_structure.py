@@ -1,7 +1,7 @@
 """Structure of the package source: the model is written down once, with no
 copy of it outside its home modules, the threshold layer solves only through
-its one sweep, every import is used, and the program does not load
-``scipy.special``."""
+its one sweep and finds roots with its one root finder, every import is
+used, and the program does not load ``scipy.special`` or ``scipy.optimize``."""
 
 import ast
 import os
@@ -51,6 +51,16 @@ def test_stability_solves_only_in_sweep():
     assert solves == _references(sweep, "petviashvili_solve")
 
 
+def test_stability_has_one_root_finder():
+    # Brent's method, called by the two threshold searches only
+    tree = ast.parse((Path(solitonlab.__file__).parent / "stability.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_bisect" not in functions and not _references(tree, "_bisect")
+    callers = sorted(name for name, node in functions.items() if _references(node, "_brent"))
+    assert callers == ["find_alpha0", "find_omega_c"]
+    assert len(_references(tree, "_brent")) == 2
+
+
 def _unused_imports(tree):
     """Names bound by an import and never read, nor listed in __all__."""
     imported = {}
@@ -89,10 +99,21 @@ def test_unused_import_guard_catches_an_unused_name():
     assert _unused_imports(tree) == {"b": 4}
 
 
-def test_cli_does_not_import_scipy_special():
-    # only the tests' Gamma-function oracle needs it
-    code = "import sys, solitonlab.cli; print('scipy.special' in sys.modules)"
+def _loaded_by_cli(module):
+    """Whether ``import solitonlab.cli`` in a fresh interpreter loads module."""
+    code = f"import sys, solitonlab.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(solitonlab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_does_not_import_scipy_special():
+    # only the tests' Gamma-function oracle needs it
+    assert not _loaded_by_cli("scipy.special")
+
+
+def test_cli_does_not_import_scipy_optimize():
+    # the threshold searches have their own root finder; importing it would add
+    # about 0.2 s to every command's start (2-vCPU x86-64 VM)
+    assert not _loaded_by_cli("scipy.optimize")
