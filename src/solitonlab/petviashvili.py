@@ -3,7 +3,8 @@
 The profile equation is phi'''' - beta phi'' + omega phi = |phi|^alpha phi on
 the periodic grid, its time-dependent form is i u_t + beta u_xx - u_xxxx +
 |u|^alpha u = 0, and its constrained functional is B_omega / tau.  This module
-is their one home: ``symbol`` (xi^4 + beta xi^2 + omega), ``power`` (|u|^p)
+is their one home: ``symbol`` (xi^4 + beta xi^2 + omega), ``power`` (|u|^p),
+``power_from_square`` (|u|^p from |u|^2, for the integrator's in-place step)
 and ``half_weights`` (the Parseval weights of an rfft half spectrum) build the
 nonlinearity, the quadratic form and the residual here, and everything that
 ``spectra`` and ``evolve`` use of the model.
@@ -85,6 +86,23 @@ def symbol(xi: np.ndarray, omega: float, beta: float) -> np.ndarray:
 def power(u: np.ndarray, p: float) -> np.ndarray:
     """|u|^p of a real or complex array."""
     return np.abs(u) ** p
+
+
+def power_from_square(square: np.ndarray, p: float, work: np.ndarray) -> np.ndarray:
+    """|u|^p from square = |u|^2, with no square root and no new array.
+
+    p = 2 returns square itself; p = 4, 6, 8 take repeated products into
+    work; any other p raises square to p/2 in place.  Returns square or work.
+    """
+    half = p / 2.0
+    if half == 1:
+        return square
+    if half in (2, 3, 4):
+        np.multiply(square, square, out=work)
+        for _ in range(int(half) - 2):
+            work *= square
+        return work
+    return np.power(square, half, out=square)
 
 
 def half_weights(n: int) -> np.ndarray:

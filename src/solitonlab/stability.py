@@ -324,8 +324,8 @@ def region_scan(
     wave; a cell whose solve fails becomes NaN."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if alpha_grid.size == 0 or omega_grid.size < 2:
-        raise ParameterError("need a nonempty alpha_grid and at least 2 omega values")
+    if alpha_grid.size == 0 or omega_grid.size == 0:
+        raise ParameterError("need a nonempty alpha_grid and omega_grid")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if np.any(omega_grid <= 0):

@@ -306,11 +306,23 @@ def test_dmap_with_one_converged_point_is_non_convergence(tmp_path, capsys, monk
     assert not (tmp_path / "d2.csv").exists()
 
 
-def test_region_single_omega_is_usage_error(tmp_path, capsys):
-    code = main(["region", "--alpha-steps", "1", "--omega-steps", "1",
-                 "--out", str(tmp_path)] + FAST)
-    assert code == EXIT_USAGE
-    assert _one_line_error(capsys)
+def test_region_single_omega_lattice(tmp_path):
+    # each cell has its own d'', so one omega is a lattice; its cells agree
+    # with the matching cells of a two-omega lattice
+    signs = []
+    for steps in ("1", "2"):
+        out = tmp_path / steps
+        code = main(["region", "--alpha-min", "2", "--alpha-max", "5.5", "--alpha-steps", "2",
+                     "--omega-min", "0.08", "--omega-max", "0.16", "--omega-steps", steps,
+                     "--out", str(out)] + FAST)
+        assert code == EXIT_OK
+        region = read_csv(out / "region.csv")
+        at_min = region["omega"] == 0.08
+        np.testing.assert_array_equal(region["alpha"][at_min], [2.0, 5.5])
+        signs.append(region["sign"][at_min])
+    assert region["alpha"].size == 4
+    np.testing.assert_array_equal(signs[0], [1.0, -1.0])
+    np.testing.assert_array_equal(signs[0], signs[1])
 
 
 @pytest.mark.parametrize("error", [DegenerateInputError, InsufficientDataError, ShapeError])

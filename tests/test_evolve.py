@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_evolve import reference_advance
 from solitonlab import evolve
 from solitonlab.errors import BlowUpDetected, ParameterError
 from solitonlab.evolve import (
@@ -70,6 +73,65 @@ def test_second_order_convergence(standing_wave):
         errors.append(np.max(np.abs(out.values - expected)))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 6.0])
+def test_advance_matches_allocating_reference(grid_small, alpha, beta):
+    # a perturbed, boosted explicit wave: a 1-ulp change of it moves the
+    # reference itself by about 6e-15 after 1000 steps
+    values = 1.01 * phi_exact(alpha, grid_small).values * np.exp(0.2j * grid_small.nodes)
+    field = ComplexField(grid_small, values)
+    out = advance(field, alpha, 1e-3, 1000, beta).values
+    expected = reference_advance(field, alpha, 1e-3, 1000, beta).values
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_advance_leaves_the_input_field_alone(standing_wave):
+    _, field = standing_wave
+    before = field.values.copy()
+    out = advance(field, 6.0, 1e-3, 10)
+    np.testing.assert_array_equal(field.values, before)
+    assert not np.shares_memory(out.values, field.values)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 6.0])
+def test_blow_up_time_matches_reference(grid_small, alpha, n_steps):
+    # |u|^alpha = 1e308 on a constant field, which every substep keeps
+    # constant: dt |u|^alpha overflows in the first full rotation (after
+    # step 1) but not in the half rotations, so a run of 2 or more steps turns
+    # non-finite in its second step and a 1-step run never does
+    field = ComplexField(grid_small, np.full(grid_small.n_points, 1e308 ** (1 / alpha) + 0j))
+    times = []
+    for integrate in (advance, reference_advance):
+        with np.errstate(all="ignore"):
+            try:
+                integrate(field, alpha, 2.4, n_steps, t0=0.25)
+                times.append(None)
+            except BlowUpDetected as exc:
+                times.append(exc.time)
+    assert times[0] == times[1] == (None if n_steps == 1 else 0.25 + 2 * 2.4)
+
+
+def test_overflowing_sum_of_finite_field_is_finite():
+    # the per-step check sums first; a sum of 8192 entries of 1e305 overflows
+    # while every entry is finite, which the element-wise rule accepts
+    u = np.full(8192, 1e305 + 1e305j)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(u))
+        assert evolve._all_finite(u)
+        u[4321] = np.nan
+        assert not evolve._all_finite(u)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [1e305 + 0j, -1e305 + 0j, 1e308j, 0j]), min_size=1, max_size=64))
+def test_finiteness_check_is_the_elementwise_rule(entries):
+    u = np.array(entries, dtype=complex)
+    with np.errstate(all="ignore"):
+        assert evolve._all_finite(u) == bool(np.all(np.isfinite(u)))
 
 
 def test_energy_and_mass_of_standing_wave(grid_mid, standing_wave):

@@ -16,6 +16,7 @@ from solitonlab.petviashvili import (
     pairing_weights,
     petviashvili_solve,
     power,
+    power_from_square,
     residual,
     stabilizing_factor,
 )
@@ -270,6 +271,23 @@ def test_half_spectrum_pairing_is_parseval(n, half_width, omega, beta, seed):
     terms = grid.dx / n * (xi**4 + beta * xi**2 + omega) * np.abs(np.fft.fft(v)) ** 2
     half = np.sum(pairing_weights(grid, omega, beta) * np.abs(np.fft.rfft(v)) ** 2)
     assert half == pytest.approx(terms.sum(), rel=0, abs=1e-12 * np.abs(terms).sum())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    p=st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0, 8.0]), st.floats(0.1, 10.0)),
+    n=st.integers(1, 64),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_from_square_matches_power(p, n, scale, seed):
+    # the products and the half power from |u|^2 agree with |u|^p from np.abs to rounding
+    rng = np.random.default_rng(seed)
+    u = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    u[rng.random(n) < 0.1] = 0.0
+    square, work = (u * u.conj()).real, np.empty(n)
+    np.testing.assert_allclose(power_from_square(square, p, work), power(u, p),
+                               rtol=1e-14, atol=0)
 
 
 def test_imaginary_mean_mode_is_divergence(grid_small, monkeypatch):

@@ -374,7 +374,7 @@ def test_region_scan_validation(branch_grid):
     with pytest.raises(ParameterError):
         region_scan([2.0], [-0.1], branch_grid)
     with pytest.raises(ParameterError):
-        region_scan([2.0], [0.1], branch_grid)
+        region_scan([2.0], [], branch_grid)
 
 
 def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):
