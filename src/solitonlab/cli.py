@@ -154,6 +154,9 @@ def cmd_dmap(args, grid, config, out) -> int:
 
 
 def cmd_region(args, grid, config, out) -> int:
+    for flag, steps in (("--alpha-steps", args.alpha_steps), ("--omega-steps", args.omega_steps)):
+        if steps < 1:
+            raise UsageError(f"{flag} must be >= 1, got {steps}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     result = stability.region_scan(alphas, omegas, grid, config, jobs=args.jobs)

@@ -5,19 +5,23 @@ The two diagonal blocks of the linearization at a solitary wave are
     Lminus = d^4/dx^4 - beta d^2/dx^2 + omega - (alpha+1) |phi|^alpha
     Lplus  = d^4/dx^4 - beta d^2/dx^2 + omega -           |phi|^alpha
 
-applied with real FFTs as (Fourier multiplier) + (diagonal potential).  The
-low spectrum comes from shift-invert Lanczos in the even and odd sectors, so
-the odd kernel phi' is split off by symmetry.  Counts of negative and zero
-eigenvalues certify the spectral propositions; the PF(2) check certifies
-log-concavity of the transformed nonlinearity.
+applied with real FFTs as (Fourier multiplier) + (diagonal potential).  In
+the even and odd sectors, so that the odd kernel phi' is split off by
+symmetry, the low spectrum comes from a dense eigensolve of the sector
+compressed to the Fourier modes the potential resolves, certified by each
+pair's residual on the full sector; linear solves use preconditioned MINRES.
+Counts of negative and zero eigenvalues certify the spectral propositions;
+the PF(2) check certifies log-concavity of the transformed nonlinearity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DeflationSolveError, DomainError, ParameterError
 from .grid import RealProfile
@@ -82,11 +86,9 @@ class _Sector:
     """
 
     def __init__(self, op: LinearizedOperator, sign: int) -> None:
-        self.op, self.n = op, op.potential.size
+        self.op, self.n, self.sign = op, op.potential.size, sign
         self.keep, self.unit = (slice(None), 1.0) if sign > 0 else (slice(1, -1), 1j)
         self.weight, self.symbol = np.sqrt(half_weights(self.n))[self.keep], op.symbol[self.keep]
-        m = self.symbol.size
-        self.linear = scipy.sparse.linalg.LinearOperator((m, m), matvec=self.apply, dtype=float)
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         return (np.fft.rfft(v)[self.keep] / self.unit).real * self.weight
@@ -99,28 +101,84 @@ class _Sector:
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.symbol * y + self.coords(self.op.potential * self.values(y))
 
-    def solve(self, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """(L - shift)^-1 rhs by MINRES, preconditioned by (symbol - shift)^-1."""
-        pre = scipy.sparse.linalg.LinearOperator(
-            self.linear.shape, matvec=lambda y: y / (self.symbol - shift), dtype=float)
-        y, info = scipy.sparse.linalg.minres(
-            self.linear, rhs, M=pre, shift=shift, rtol=1e-12, maxiter=10 * rhs.size)
-        if info != 0:
-            raise DeflationSolveError(f"MINRES did not converge (info={info})")
-        return y
+    def compressed(self, p_hat: np.ndarray, m_c: int) -> np.ndarray:
+        """The sector on its first m_c modes k_i (i, or i + 1 if odd), from
+        p_hat = rfft(potential).real: s_i delta_ij plus
+        w_i w_j (p_hat(k_i - k_j) +- p_hat(k_i + k_j)) / 2, built in one array."""
+        p_hat = np.concatenate([p_hat, p_hat[-2::-1]])  # p_hat(n - k) = p_hat(k)
+        low = 0 if self.sign > 0 else 2  # k_0 + k_0
+        toeplitz = sliding_window_view(p_hat[np.abs(np.arange(1 - m_c, m_c))], m_c)[::-1]
+        hankel = sliding_window_view(p_hat[low:low + 2 * m_c - 1], m_c)
+        matrix = toeplitz + hankel if self.sign > 0 else toeplitz - hankel
+        matrix *= 0.5 * self.weight[:m_c]
+        matrix *= self.weight[:m_c, None]
+        matrix[np.diag_indices(m_c)] += self.symbol[:m_c]
+        return matrix
 
-    def lowest(self, k: int, shift: float):
-        """The k lowest eigenpairs above ``shift``, by shift-invert Lanczos."""
+    def lowest(self, k: int):
+        """The k lowest eigenpairs, by a dense eigensolve of the sector on its
+        first m_c Fourier modes (a Rayleigh-Ritz compression).
+
+        m_c starts at the potential's resolved bandwidth (the last mode with
+        |p_hat| above 1e-6 of its peak), at least 2k, and grows by a quarter
+        until every kept pair has a sector residual of at most 1e-10 and no
+        discarded mode has a Weyl bound, symbol + min(potential, 0), below
+        the largest kept eigenvalue.
+        """
         m = self.symbol.size
-        k = min(k, m - 1)
-        # fixed broadband start vector, so repeated runs give identical output
-        start = self.coords(np.cos(np.sqrt(2.0) * np.arange(self.n) ** 2))
-        inverse = scipy.sparse.linalg.LinearOperator(
-            (m, m), matvec=lambda y: self.solve(y, shift), dtype=float)
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            self.linear, k, sigma=shift, which="LM", OPinv=inverse, v0=start,
-            ncv=min(max(24, 2 * k + 1), m), tol=1e-10)
-        return vals, np.column_stack([self.values(y) for y in vecs.T])
+        k = min(k, m)
+        p_hat = np.fft.rfft(self.op.potential).real
+        resolved = np.flatnonzero(np.abs(p_hat) > 1e-6 * np.abs(p_hat).max()).max(initial=0)
+        floor = min(self.op.potential.min(), 0.0)
+        m_c = min(m, max(2 * k, resolved + 1))
+        while True:
+            # the symmetric matrix's .T is Fortran-ordered: LAPACK overwrites it, no copy
+            vals, vecs = scipy.linalg.eigh(self.compressed(p_hat, m_c).T, overwrite_a=True,
+                                           subset_by_index=(0, k - 1))
+            vecs = np.vstack([vecs, np.zeros((m - m_c, k))])
+            residual = max(np.linalg.norm(self.apply(y) - lam * y) for lam, y in zip(vals, vecs.T))
+            if m_c == m or residual <= 1e-10 and self.symbol[m_c:].min() + floor > vals[-1]:
+                return vals, np.column_stack([self.values(y) for y in vecs.T])
+            m_c = min(m, m_c + max(1, m_c // 4))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """L^-1 rhs by MINRES (Paige & Saunders 1975), preconditioned by
+        1/symbol, with the recurrences and stop tests of scipy's ``minres``:
+        |r| <= 1e-12 |A| |x| or |A r| <= 1e-12 |A| |r|.  Its products by
+        1/beta and 1/gamma are kept, so the iterates round as scipy's do."""
+        x, w, w2 = (np.zeros_like(rhs) for _ in range(3))
+        r1 = r2 = rhs
+        y = rhs / self.symbol
+        beta = beta1 = math.sqrt(rhs @ y)
+        if beta1 == 0.0:
+            return x
+        oldb = dbar = epsln = tnorm2 = sn = 0.0
+        phibar, cs = beta1, -1.0
+        for _ in range(10 * rhs.size):
+            v = (1.0 / beta) * y
+            y = self.apply(v)
+            if oldb:
+                y = y - (beta / oldb) * r1
+            alfa = v @ y
+            y = y - (alfa / beta) * r2
+            r1, r2 = r2, y
+            y = r2 / self.symbol
+            oldb, beta = beta, math.sqrt(r2 @ y)
+            tnorm2 += alfa**2 + oldb**2 + beta**2
+            # apply the previous rotation, then compute the next one
+            oldeps, delta, gbar = epsln, cs * dbar + sn * alfa, sn * dbar - cs * alfa
+            epsln, dbar = sn * beta, -cs * beta
+            root = math.hypot(gbar, dbar)
+            gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+            cs, sn = gbar / gamma, beta / gamma
+            phi, phibar = cs * phibar, sn * phibar
+            w1, w2 = w2, w
+            w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+            x = x + phi * w
+            anorm = math.sqrt(tnorm2)
+            if phibar <= 1e-12 * anorm * np.linalg.norm(x) or root <= 1e-12 * anorm:
+                return x
+        raise DeflationSolveError(f"MINRES did not converge in {10 * rhs.size} iterations")
 
 
 def default_tol_zero(omega: float) -> float:
@@ -132,21 +190,20 @@ def eigen_report(
 ) -> EigenReport:
     """Count negative and (numerically) zero eigenvalues.
 
-    Computes the ``n_small`` smallest eigenpairs of each parity sector, keeps
-    the smallest ``n_small`` of both, and doubles the window until the largest
-    kept eigenvalue clears ``tol_zero``, so the counts are complete.  The
-    shift sits 0.1 below the Weyl bound min(symbol) + min(potential, 0), so
-    L - shift and symbol - shift are positive definite.  Raises
-    :class:`DeflationSolveError` if a returned pair misses its residual bound.
+    Computes the ``n_small`` smallest eigenpairs of each parity sector (a
+    dense eigensolve of the sector on its resolved Fourier modes, see
+    ``_Sector.lowest``), keeps the smallest ``n_small`` of both, and doubles
+    the window until the largest kept eigenvalue clears ``tol_zero``, so the
+    counts are complete.  Raises :class:`DeflationSolveError` if a returned
+    pair misses its residual bound on the full operator.
     """
     if op.potential.size < 8:
         raise ParameterError("the sector eigensolver needs at least 8 grid points")
     if tol_zero is None:
         tol_zero = default_tol_zero(op.omega)
-    shift = op.symbol.min() + min(op.potential.min(), 0.0) - 0.1
     k = n_small
     while True:
-        pairs = [_Sector(op, sign).lowest(k, shift) for sign in (1, -1)]
+        pairs = [_Sector(op, sign).lowest(k) for sign in (1, -1)]
         vals, vecs = (np.concatenate(parts, axis=-1) for parts in zip(*pairs))
         order = np.argsort(vals)[:k]
         vals, vecs = vals[order], vecs[:, order]
@@ -201,8 +258,8 @@ def negative_direction_scalar(
     """Inner product <chi, phi> where Lminus chi = phi.
 
     The kernel of Lminus is spanned by phi' (odd), so for an even profile the
-    system is solved in the even sector, where Lminus is invertible, by the
-    preconditioned MINRES of :func:`eigen_report`.  The sign of the result
+    system is solved in the even sector, where Lminus is invertible, by
+    preconditioned MINRES (``_Sector.solve``).  The sign of the result
     is opposite to the sign of d''(omega).
     """
     op = build_operator(profile, alpha, omega, "Lminus", beta)

@@ -277,6 +277,17 @@ def test_region_nonpositive_jobs_is_usage_error(tmp_path, capsys, jobs):
     assert not (tmp_path / "region.csv").exists()
 
 
+@pytest.mark.parametrize("flag, steps", [("--omega-steps", "-1"), ("--alpha-steps", "-2"),
+                                         ("--omega-steps", "0")])
+def test_region_nonpositive_steps_is_usage_error(tmp_path, capsys, flag, steps):
+    # the later flag wins
+    code = main(["region", "--alpha-steps", "2", "--omega-steps", "2", flag, steps,
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "region.csv").exists()
+
+
 def test_unusable_out_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

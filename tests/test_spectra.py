@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from solitonlab.explicit import (
     phi_pow_alpha_hat_exact,
 )
 from solitonlab.grid import RealProfile, SpectralGrid
+from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 from solitonlab.spectra import (
     LinearizedOperator,
     _Sector,
@@ -155,6 +157,19 @@ def test_eigen_report_synthetic_operator(op_grid):
     np.testing.assert_allclose(rep.eigenvalues, expected, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_small", [1, 8])
+def test_eigen_report_synthetic_operator_negative_beta(op_grid, n_small):
+    # xi^4 - xi^2 is least near xi = 0.71, mode 22, beyond the first 2 n_small
+    # modes that a constant potential would keep: no discarded mode may bound
+    # an eigenvalue below the kept ones
+    xi = op_grid.wavenumbers[: op_grid.n_points // 2 + 1]
+    symbol = xi**4 - xi**2
+    op = LinearizedOperator(symbol, np.full(op_grid.n_points, 0.5), "Lplus", 0.0)
+    rep = eigen_report(op, n_small=n_small)
+    expected = np.sort(np.concatenate([symbol, symbol[1:-1]]))[:n_small] + 0.5
+    np.testing.assert_allclose(rep.eigenvalues, expected, rtol=0, atol=1e-12)
+
+
 def test_eigen_report_rejects_tiny_grid():
     grid = SpectralGrid(n_points=4, half_width=10.0)
     op = build_operator(phi_exact(2.0, grid), 2.0, OMEGA0_2, "Lminus")
@@ -173,8 +188,8 @@ def test_eigen_report_is_deterministic(op_grid):
 def test_eigen_report_rejects_inaccurate_pairs(op_grid, monkeypatch):
     lowest = _Sector.lowest
 
-    def perturbed(self, k, shift):
-        vals, vecs = lowest(self, k, shift)
+    def perturbed(self, k):
+        vals, vecs = lowest(self, k)
         return vals + 1e-4, vecs
 
     monkeypatch.setattr(_Sector, "lowest", perturbed)
@@ -314,6 +329,104 @@ def test_sector_coordinates_are_the_parity_projection(n, sign, seed):
     y = sector.coords(v)
     np.testing.assert_allclose(sector.values(y), part, rtol=0, atol=1e-12)
     assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(part), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([16, 64, 256]),
+    sign=st.sampled_from([1, -1]),
+    alpha=st.floats(0.5, 8.0),
+    beta=st.floats(-2.0, 2.0),
+    omega=st.floats(0.01, 2.0),
+    cut=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compressed_sector_is_the_leading_block(n, sign, alpha, beta, omega, cut, seed):
+    # column j of the sector matrix is apply(e_j); the compression to m_c modes
+    # is its leading m_c x m_c block, whatever the potential's parity
+    grid = SpectralGrid(n_points=n, half_width=10.0)
+    profile = RealProfile(grid, np.random.default_rng(seed).standard_normal(n))
+    sector = _Sector(build_operator(profile, alpha, omega, "Lminus", beta), sign)
+    m = sector.symbol.size
+    m_c = max(1, round(cut * m))
+    full = np.column_stack([sector.apply(e) for e in np.eye(m)])
+    matrix = sector.compressed(np.fft.rfft(sector.op.potential).real, m_c)
+    np.testing.assert_allclose(matrix, full[:m_c, :m_c], rtol=0,
+                               atol=1e-13 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("which", ["Lminus", "Lplus"])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+def test_eigen_report_matches_full_sector_eigh(op_grid, alpha, which):
+    # each sector's full matrix, column by column from apply, diagonalized;
+    # eigh's eigenvalues carry eps |A| (about 1e-11 here), their Rayleigh
+    # quotients do not
+    omega0 = explicit_params(alpha).omega0
+    op = build_operator(phi_exact(alpha, op_grid), alpha, omega0, which)
+    dense = []
+    for sign in (1, -1):
+        sector = _Sector(op, sign)
+        full = np.column_stack([sector.apply(e) for e in np.eye(sector.symbol.size)])
+        full = 0.5 * (full + full.T)
+        vecs = scipy.linalg.eigh(full, subset_by_index=(0, 15))[1]
+        dense.append(np.einsum("ij,ij->j", vecs, full @ vecs))
+    dense = np.sort(np.concatenate(dense))
+    rep = eigen_report(op)
+    np.testing.assert_allclose(rep.eigenvalues, dense[: rep.eigenvalues.size], rtol=0, atol=1e-11)
+
+
+def _counting_apply(monkeypatch):
+    """Count _Sector.apply calls: one per MINRES iteration."""
+    calls = []
+    apply = _Sector.apply
+
+    def counting(self, y):
+        calls.append(1)
+        return apply(self, y)
+
+    monkeypatch.setattr(_Sector, "apply", counting)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("alpha, omega", [(1.0, explicit_params(1.0).omega0), (2.0, OMEGA0_2),
+                                          (5.0, 0.1118831293),  # omega_c(5) at beta = 1
+                                          (6.0, explicit_params(6.0).omega0)])
+def test_minres_matches_scipy_oracle(op_grid, monkeypatch, alpha, omega, beta):
+    profile, diag = petviashvili_solve(alpha, omega, op_grid, SolverConfig(dispersion_beta=beta))
+    assert diag.converged
+    sector = _Sector(build_operator(profile, alpha, omega, "Lminus", beta), 1)
+    rhs, m = sector.coords(profile.values), sector.symbol.size
+    calls = _counting_apply(monkeypatch)
+    chi = sector.values(sector.solve(rhs))
+    steps = len(calls)
+    calls.clear()
+    oracle, info = scipy.sparse.linalg.minres(
+        scipy.sparse.linalg.LinearOperator((m, m), matvec=sector.apply, dtype=float), rhs,
+        M=scipy.sparse.linalg.LinearOperator((m, m), matvec=lambda y: y / sector.symbol,
+                                             dtype=float),
+        rtol=1e-12, maxiter=10 * m)
+    assert info == 0
+    assert steps == len(calls)
+    expected = sector.values(oracle)
+    # relative to |chi| |phi|: at omega_c(5) the product itself nearly cancels
+    scale = op_grid.dx * np.linalg.norm(expected) * np.linalg.norm(profile.values)
+    got = op_grid.quadrature(chi * profile.values)
+    assert abs(got - op_grid.quadrature(expected * profile.values)) <= 1e-10 * scale
+    assert got == negative_direction_scalar(profile, alpha, omega, beta)
+
+
+def test_minres_iteration_limit_is_deflation_error(monkeypatch):
+    # a non-finite operator never meets a stop test: all 10 m iterations run
+    grid = SpectralGrid(n_points=16, half_width=10.0)
+    op = build_operator(RealProfile(grid, np.zeros(16)), 2.0, 1.0)
+    potential = op.potential.copy()
+    potential[3] = np.nan
+    sector = _Sector(LinearizedOperator(op.symbol, potential, "Lminus", 1.0), 1)
+    calls = _counting_apply(monkeypatch)
+    with pytest.raises(DeflationSolveError):
+        sector.solve(sector.coords(np.cos(grid.nodes)))
+    assert len(calls) == 10 * sector.symbol.size
 
 
 def test_negative_direction_scalar_alpha2(op_grid):

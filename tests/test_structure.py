@@ -1,7 +1,9 @@
 """Structure of the package source: the model is written down once, with no
 copy of it outside its home modules, the threshold layer solves only through
 its one sweep and finds roots with its one root finder, every import is
-used, and the program does not load ``scipy.special`` or ``scipy.optimize``."""
+used, the program does not load ``scipy.special``, ``scipy.optimize`` or
+``scipy.sparse``, and the eigensolver's dense matrices do not grow with the
+grid."""
 
 import ast
 import os
@@ -11,6 +13,9 @@ import sys
 from pathlib import Path
 
 import solitonlab
+from solitonlab import spectra
+from solitonlab.explicit import explicit_params, phi_exact
+from solitonlab.grid import SpectralGrid
 
 HOMES = {"petviashvili.py", "grid.py"}
 
@@ -117,3 +122,33 @@ def test_cli_does_not_import_scipy_optimize():
     # the threshold searches have their own root finder; importing it would add
     # about 0.2 s to every command's start (2-vCPU x86-64 VM)
     assert not _loaded_by_cli("scipy.optimize")
+
+
+def test_cli_does_not_import_scipy_sparse():
+    # the sectors' eigensolve is a dense eigh and their MINRES is the package's own
+    assert not _loaded_by_cli("scipy.sparse")
+
+
+def test_no_arpack_in_src():
+    package = Path(solitonlab.__file__).parent
+    assert not [path.name for path in package.glob("*.py") if "eigsh" in path.read_text()]
+
+
+def test_eigen_report_keeps_the_same_modes_on_finer_grids(monkeypatch):
+    # dense N x N matrices belong in the tests only: at alpha = 1 the sectors
+    # are compressed to the same modes on N = 2048 and N = 8192
+    kept = {}
+    compressed = spectra._Sector.compressed
+
+    def spy(self, p_hat, m_c):
+        kept.setdefault(self.n, []).append((self.sign, m_c))
+        return compressed(self, p_hat, m_c)
+
+    monkeypatch.setattr(spectra._Sector, "compressed", spy)
+    omega0 = explicit_params(1.0).omega0
+    for n in (2048, 8192):
+        profile = phi_exact(1.0, SpectralGrid(n_points=n, half_width=200.0))
+        for which in ("Lminus", "Lplus"):
+            spectra.eigen_report(spectra.build_operator(profile, 1.0, omega0, which))
+    assert kept[2048] == kept[8192]
+    assert max(m_c for _, m_c in kept[8192]) < 2048 // 4
