@@ -7,11 +7,12 @@ The two diagonal blocks of the linearization at a solitary wave are
 
 applied with real FFTs as (Fourier multiplier) + (diagonal potential).  In
 the even and odd sectors, so that the odd kernel phi' is split off by
-symmetry, the low spectrum comes from a dense eigensolve of the sector
-compressed to the Fourier modes the potential resolves, certified by each
-pair's residual on the full sector; linear solves use preconditioned MINRES.
-Counts of negative and zero eigenvalues certify the spectral propositions;
-the PF(2) check certifies log-concavity of the transformed nonlinearity.
+symmetry, the low spectrum comes from one dense eigensolve of the sector
+compressed to the Fourier modes whose coupling entries reach its residual
+target, certified by each pair's residual on the full sector (more modes are
+taken only if that certificate fails); linear solves use preconditioned
+MINRES.  Counts of negative and zero eigenvalues certify the spectral
+propositions.
 """
 
 from __future__ import annotations
@@ -23,9 +24,19 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DeflationSolveError, DomainError, ParameterError
+from .errors import DeflationSolveError, ParameterError
 from .grid import RealProfile
 from .petviashvili import half_symbol, half_weights, power
+
+# every kept eigenpair of a compressed sector has a residual of at most
+# SECTOR_RESIDUAL on the full sector
+SECTOR_RESIDUAL = 1e-10
+# the compression starts past the last mode whose coupling entry |p_hat| / n
+# is above COUPLING_FRACTION * SECTOR_RESIDUAL.  Measured on the waves at
+# omega0 (alpha 1, 2, 4) and on alpha 1.5-3.5, omega 0.1-0.3: the 1e-10
+# residual needs entries down to 9.5e-16 (alpha 1, Lminus), and rfft rounds
+# them to about 3e-18 at N = 8192
+COUPLING_FRACTION = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,25 +130,34 @@ class _Sector:
         """The k lowest eigenpairs, by a dense eigensolve of the sector on its
         first m_c Fourier modes (a Rayleigh-Ritz compression).
 
-        m_c starts at the potential's resolved bandwidth (the last mode with
-        |p_hat| above 1e-6 of its peak), at least 2k, and grows by a quarter
-        until every kept pair has a sector residual of at most 1e-10 and no
-        discarded mode has a Weyl bound, symbol + min(potential, 0), below
+        m_c is read off the compressed matrix: the Toeplitz entry coupling two
+        modes d apart is w_i w_j p_hat(d) / 2 = p_hat(d) / n, the same on every
+        grid, and m_c starts past the last d where it exceeds
+        COUPLING_FRACTION * SECTOR_RESIDUAL (at least 2k modes, at most the
+        sector).  That is one eigensolve wherever p_hat decays; a potential
+        that is not smooth (a profile that changes sign) starts at the full
+        sector.  The start is only an estimate: m_c grows by a quarter until
+        every kept pair has a sector residual of at most SECTOR_RESIDUAL and
+        no discarded mode has a Weyl bound, symbol + min(potential, 0), below
         the largest kept eigenvalue.
         """
         m = self.symbol.size
         k = min(k, m)
         p_hat = np.fft.rfft(self.op.potential).real
-        resolved = np.flatnonzero(np.abs(p_hat) > 1e-6 * np.abs(p_hat).max()).max(initial=0)
+        coupled = np.abs(p_hat) > COUPLING_FRACTION * SECTOR_RESIDUAL * self.n
         floor = min(self.op.potential.min(), 0.0)
-        m_c = min(m, max(2 * k, resolved + 1))
+        m_c = min(m, max(2 * k, np.flatnonzero(coupled).max(initial=0) + 1))
         while True:
             # the symmetric matrix's .T is Fortran-ordered: LAPACK overwrites it, no copy
             vals, vecs = scipy.linalg.eigh(self.compressed(p_hat, m_c).T, overwrite_a=True,
                                            subset_by_index=(0, k - 1))
             vecs = np.vstack([vecs, np.zeros((m - m_c, k))])
-            residual = max(np.linalg.norm(self.apply(y) - lam * y) for lam, y in zip(vals, vecs.T))
-            if m_c == m or residual <= 1e-10 and self.symbol[m_c:].min() + floor > vals[-1]:
+            products = np.column_stack([self.apply(y) for y in vecs.T])
+            # Rayleigh quotients on the full sector: eigh's values carry eps |A| of the compression
+            vals = np.einsum("ij,ij->j", vecs, products)
+            residual = np.linalg.norm(products - vals * vecs, axis=0).max()
+            if m_c == m or (residual <= SECTOR_RESIDUAL
+                            and self.symbol[m_c:].min() + floor > vals.max()):
                 return vals, np.column_stack([self.values(y) for y in vecs.T])
             m_c = min(m, m_c + max(1, m_c // 4))
 
@@ -145,7 +165,11 @@ class _Sector:
         """L^-1 rhs by MINRES (Paige & Saunders 1975), preconditioned by
         1/symbol, with the recurrences and stop tests of scipy's ``minres``:
         |r| <= 1e-12 |A| |x| or |A r| <= 1e-12 |A| |r|.  Its products by
-        1/beta and 1/gamma are kept, so the iterates round as scipy's do."""
+        1/beta and 1/gamma are kept, so the iterates round as scipy's do.
+        A symbol that is not positive is no preconditioner: ParameterError."""
+        if not self.symbol.min() > 0.0:
+            raise ParameterError(f"MINRES needs a positive symbol, its minimum is "
+                                 f"{self.symbol.min():.3g} (omega < beta^2/4?)")
         x, w, w2 = (np.zeros_like(rhs) for _ in range(3))
         r1 = r2 = rhs
         y = rhs / self.symbol
@@ -232,24 +256,6 @@ def ground_state_positivity(report: EigenReport) -> bool:
     vec = vec / np.max(np.abs(vec))
     band = 1e-8
     return bool(vec.min() >= -band or vec.max() <= band)
-
-
-def check_pf2_logconcavity(samples: np.ndarray) -> bool:
-    """Discrete log-concavity of positive samples on a uniform xi-grid.
-
-    True iff the second difference of log(samples) is negative at every
-    interior node, excluding the node adjacent to the maximum (xi = 0) where
-    equality can occur to rounding.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if np.any(samples <= 0):
-        raise DomainError("PF(2) check requires strictly positive samples")
-    log_s = np.log(samples)
-    second = log_s[:-2] - 2.0 * log_s[1:-1] + log_s[2:]
-    center = int(np.argmax(samples))
-    interior = np.arange(1, samples.size - 1)
-    keep = np.abs(interior - center) > 1
-    return bool(np.all(second[keep] < 0))
 
 
 def negative_direction_scalar(

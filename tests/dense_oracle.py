@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from solitonlab.errors import ParameterError
-from solitonlab.spectra import EigenReport
+from solitonlab.spectra import EigenReport, _Sector
 
 MAX_N = 2048
 
@@ -80,3 +80,21 @@ def operator_matrix(op):
     if n > MAX_N:
         raise ParameterError(f"dense oracle limited to N <= {MAX_N}")
     return np.column_stack([op.apply(e) for e in np.eye(n)])
+
+
+def full_sector_eigenvalues(op, count):
+    """The ``count`` smallest eigenvalues of both parity sectors of ``op``,
+    each sector's full matrix built one ``_Sector.apply`` per column and
+    diagonalized by ``eigh``.  They are returned as Rayleigh quotients of
+    eigh's eigenvectors: eigh's own values carry eps |A|, about 1e-11 at
+    dx = 0.2, the quotients do not."""
+    if op.potential.size > MAX_N:
+        raise ParameterError(f"dense oracle limited to N <= {MAX_N}")
+    dense = []
+    for sign in (1, -1):
+        sector = _Sector(op, sign)
+        full = np.column_stack([sector.apply(e) for e in np.eye(sector.symbol.size)])
+        full = 0.5 * (full + full.T)
+        vecs = scipy.linalg.eigh(full, subset_by_index=(0, count - 1))[1]
+        dense.append(np.einsum("ij,ij->j", vecs, full @ vecs))
+    return np.sort(np.concatenate(dense))[:count]

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
     dense_operator,
     dense_report,
+    full_sector_eigenvalues,
     multiplier_matrix,
     operator_matrix,
     restrict_even_sector,
 )
+from pf2_oracle import check_pf2_logconcavity
 from solitonlab.errors import DeflationSolveError, DomainError, ParameterError
 from solitonlab.explicit import (
     explicit_params,
@@ -26,7 +28,6 @@ from solitonlab.spectra import (
     LinearizedOperator,
     _Sector,
     build_operator,
-    check_pf2_logconcavity,
     composite_counts,
     eigen_report,
     ground_state_positivity,
@@ -358,21 +359,28 @@ def test_compressed_sector_is_the_leading_block(n, sign, alpha, beta, omega, cut
 @pytest.mark.parametrize("which", ["Lminus", "Lplus"])
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
 def test_eigen_report_matches_full_sector_eigh(op_grid, alpha, which):
-    # each sector's full matrix, column by column from apply, diagonalized;
-    # eigh's eigenvalues carry eps |A| (about 1e-11 here), their Rayleigh
-    # quotients do not
+    # each sector's full matrix, column by column from apply, diagonalized
     omega0 = explicit_params(alpha).omega0
     op = build_operator(phi_exact(alpha, op_grid), alpha, omega0, which)
-    dense = []
-    for sign in (1, -1):
-        sector = _Sector(op, sign)
-        full = np.column_stack([sector.apply(e) for e in np.eye(sector.symbol.size)])
-        full = 0.5 * (full + full.T)
-        vecs = scipy.linalg.eigh(full, subset_by_index=(0, 15))[1]
-        dense.append(np.einsum("ij,ij->j", vecs, full @ vecs))
-    dense = np.sort(np.concatenate(dense))
     rep = eigen_report(op)
-    np.testing.assert_allclose(rep.eigenvalues, dense[: rep.eigenvalues.size], rtol=0, atol=1e-11)
+    np.testing.assert_allclose(rep.eigenvalues, full_sector_eigenvalues(op, rep.eigenvalues.size),
+                               rtol=0, atol=1e-11)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.5, 6.0), omega=st.floats(0.05, 3.0),
+       which=st.sampled_from(["Lminus", "Lplus"]))
+def test_eigen_report_matches_full_sector_eigh_on_solved_waves(alpha, omega, which):
+    # omega >= 0.05 keeps the wave inside the width guard on [-50, 50); the
+    # potential is smooth or not (a wave that changes sign), and the
+    # compression starts wherever its coupling entries say
+    grid = SpectralGrid(n_points=512, half_width=50.0)
+    profile, diag = petviashvili_solve(alpha, omega, grid)
+    assume(diag.converged)
+    op = build_operator(profile, alpha, omega, which)
+    rep = eigen_report(op)
+    np.testing.assert_allclose(rep.eigenvalues, full_sector_eigenvalues(op, rep.eigenvalues.size),
+                               rtol=0, atol=1e-11)
 
 
 def _counting_apply(monkeypatch):
@@ -427,6 +435,16 @@ def test_minres_iteration_limit_is_deflation_error(monkeypatch):
     with pytest.raises(DeflationSolveError):
         sector.solve(sector.coords(np.cos(grid.nodes)))
     assert len(calls) == 10 * sector.symbol.size
+
+
+def test_chi_solve_refuses_a_symbol_that_is_not_positive(monkeypatch):
+    # omega < beta^2 / 4: xi^4 - xi^2 + 0.1 dips below 0, so 1/symbol is no
+    # preconditioner; one line, before the first MINRES step
+    calls = _counting_apply(monkeypatch)
+    with pytest.raises(ParameterError, match="positive symbol") as err:
+        negative_direction_scalar(phi_exact(2.0, SpectralGrid(1024, 100.0)), 2.0, 0.1, beta=-1.0)
+    assert "\n" not in str(err.value)
+    assert not calls
 
 
 def test_negative_direction_scalar_alpha2(op_grid):

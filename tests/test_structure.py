@@ -3,7 +3,7 @@ copy of it outside its home modules, the threshold layer solves only through
 its one sweep and finds roots with its one root finder, every import is
 used, the program does not load ``scipy.special``, ``scipy.optimize`` or
 ``scipy.sparse``, and the eigensolver's dense matrices do not grow with the
-grid."""
+grid and are built once per parity sector."""
 
 import ast
 import os
@@ -12,10 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import solitonlab
+from dense_oracle import full_sector_eigenvalues
 from solitonlab import spectra
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import SpectralGrid
+from solitonlab.petviashvili import petviashvili_solve
 
 HOMES = {"petviashvili.py", "grid.py"}
 
@@ -152,3 +157,66 @@ def test_eigen_report_keeps_the_same_modes_on_finer_grids(monkeypatch):
             spectra.eigen_report(spectra.build_operator(profile, 1.0, omega0, which))
     assert kept[2048] == kept[8192]
     assert max(m_c for _, m_c in kept[8192]) < 2048 // 4
+
+
+def _compressions(monkeypatch):
+    """(sign, m_c) of every _Sector.compressed call: one per sector eigh."""
+    kept = []
+    compressed = spectra._Sector.compressed
+
+    def spy(self, p_hat, m_c):
+        kept.append((self.sign, m_c))
+        return compressed(self, p_hat, m_c)
+
+    monkeypatch.setattr(spectra._Sector, "compressed", spy)
+    return kept
+
+
+def _compressions_per_operator(monkeypatch, profile, alpha, omega):
+    kept, per_operator = _compressions(monkeypatch), []
+    for which in ("Lminus", "Lplus"):
+        kept.clear()
+        spectra.eigen_report(spectra.build_operator(profile, alpha, omega, which))
+        per_operator.append(list(kept))
+    return per_operator
+
+
+@pytest.mark.parametrize("n", [2048, 8192])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+def test_each_sector_is_compressed_once_at_omega0(monkeypatch, alpha, n):
+    # the spectrum workload's solved waves and the gate's closed-form ones:
+    # the start read off the coupling entries already meets the residual
+    grid = SpectralGrid(n_points=n, half_width=200.0)
+    omega0 = explicit_params(alpha).omega0
+    solved, diag = petviashvili_solve(alpha, omega0, grid)
+    assert diag.converged
+    for profile in (phi_exact(alpha, grid), solved):
+        for kept in _compressions_per_operator(monkeypatch, profile, alpha, omega0):
+            assert [sign for sign, _ in kept] == [1, -1]
+
+
+@pytest.mark.parametrize("alpha, omega", [(2.5, 0.2), (3.5, 0.3)])
+def test_each_sector_is_compressed_once_in_the_spectrum_regime(monkeypatch, alpha, omega):
+    # N = 4096, alpha in [1.5, 3.5], omega in [0.1, 0.3]; (3.5, 0.3) needs
+    # the most modes
+    profile, diag = petviashvili_solve(alpha, omega, SpectralGrid(n_points=4096, half_width=200.0))
+    assert diag.converged
+    for kept in _compressions_per_operator(monkeypatch, profile, alpha, omega):
+        assert [sign for sign, _ in kept] == [1, -1]
+
+
+def test_a_wave_that_changes_sign_starts_at_the_full_sector(monkeypatch):
+    # at alpha 3, omega 3 the wave changes sign, so |phi|^3 is not smooth and
+    # p_hat never decays below the start level: one eigh of the whole sector
+    grid = SpectralGrid(n_points=1024, half_width=100.0)
+    profile, diag = petviashvili_solve(3.0, 3.0, grid)
+    assert diag.converged and profile.values.min() < 0
+    kept = _compressions(monkeypatch)
+    for which in ("Lminus", "Lplus"):
+        kept.clear()
+        op = spectra.build_operator(profile, 3.0, 3.0, which)
+        rep = spectra.eigen_report(op)
+        assert kept == [(1, 513), (-1, 511)]
+        np.testing.assert_allclose(rep.eigenvalues,
+                                   full_sector_eigenvalues(op, rep.eigenvalues.size),
+                                   rtol=0, atol=1e-11)
