@@ -25,13 +25,12 @@ from .errors import (
     DeflationSolveError,
     DegenerateInputError,
     DivergenceError,
-    DomainError,
     InsufficientDataError,
     ParameterError,
     ShapeError,
 )
 from .explicit import explicit_params, phi_exact
-from .grid import ComplexField, SpectralGrid
+from .grid import SpectralGrid
 from .petviashvili import SolverConfig, petviashvili_solve
 
 EXIT_OK = 0
@@ -178,14 +177,8 @@ def cmd_evolve(args, grid, config, out) -> int:
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
         return EXIT_NO_CONVERGENCE
-    with np.errstate(all="ignore"):
-        u0 = ComplexField(grid, (1.0 + args.delta) * profile.values.astype(complex))
-    evolve_mod.check_field(u0, args.alpha, args.beta)
-    traj = evolve_mod.run(u0, args.alpha, args.dt, args.t_final, args.samples, {
-        "energy": lambda u: evolve_mod.energy(u, args.alpha, args.beta),
-        "mass": evolve_mod.mass,
-        "orbital_distance": lambda u: evolve_mod.orbital_distance(u, profile),
-    }, args.beta)
+    traj = evolve_mod.perturbed_run(profile, args.alpha, args.delta, args.dt, args.t_final,
+                                    args.samples, args.beta)
     blew_up = traj.blow_up_time is not None
     if blew_up:
         _write_json(out / "error.json", {"error": "blow-up", "time": traj.blow_up_time})
@@ -265,8 +258,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DomainError, DegenerateInputError, InsufficientDataError,
-            ShapeError) as exc:
+    except (ParameterError, DegenerateInputError, InsufficientDataError, ShapeError) as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BranchError, BracketError) as exc:

@@ -1,4 +1,5 @@
-"""Strang split-step Fourier integrator, its checkpoint loop, conservation audit, orbital distance.
+"""Strang split-step Fourier integrator, its checkpoint loop, the perturbed-wave
+driver (``perturbed_run``), conservation audit, orbital distance.
 
 One step is a half nonlinear phase rotation, a full linear multiplier
 exp(-i (xi^4 + beta xi^2) dt) in Fourier space, and another half rotation.  The
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpDetected, ParameterError
-from .grid import ComplexField, RealProfile, SpectralGrid
-from .petviashvili import SolverConfig, petviashvili_solve, power, power_from_square, symbol
+from .grid import ComplexField, RealProfile
+from .petviashvili import power, power_from_square, symbol
 
 
 @dataclass
@@ -39,16 +40,6 @@ class ConservationAudit:
     energies: np.ndarray
     masses: np.ndarray
     relative_drifts: tuple  # (energy drift, mass drift), both max |Q-Q0|/|Q0|
-
-
-@dataclass
-class ExperimentResult:
-    """Orbital-distance time series of a perturbation experiment."""
-
-    times: np.ndarray
-    distances: np.ndarray
-    blew_up: bool
-    blow_up_time: float | None = None
 
 
 def advance(field: ComplexField, alpha: float, dt: float, n_steps: int, beta: float = 1.0,
@@ -133,10 +124,13 @@ def check_field(field: ComplexField, alpha: float, beta: float = 1.0) -> None:
 
 
 def check_run(dt: float, t_final: float, n_samples: int) -> None:
-    """Refuse a dt or t_final that is not finite, dt <= 0, t_final < 0 and n_samples < 1."""
+    """Refuse a dt or t_final that is not finite, dt <= 0, t_final < 0, n_samples < 1
+    and a step count of 2**53 or more, which float checkpoints do not hold exactly."""
     if not (0 < dt < np.inf and 0 <= t_final < np.inf and n_samples >= 1):
         raise ParameterError("need a finite dt > 0, a finite t_final >= 0 and n_samples >= 1,"
                              f" got {dt:g}, {t_final:g}, {n_samples}")
+    if not np.round(t_final / dt) < 2**53:
+        raise ParameterError(f"t_final / dt = {t_final / dt:g} steps; need fewer than 2**53")
 
 
 def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples: int,
@@ -168,6 +162,20 @@ def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples:
             series[name].append(observe(field))
     series = {name: np.asarray(values) for name, values in series.items()}
     return Trajectory(np.asarray(times), series, blow_up_time)
+
+
+def perturbed_run(profile: RealProfile, alpha: float, delta: float, dt: float, t_final: float,
+                  n_samples: int, beta: float = 1.0) -> Trajectory:
+    """Evolve u0 = (1 + delta) phi, observing its energy, mass and orbital
+    distance to phi; refuses an unusable u0 (``check_field``)."""
+    with np.errstate(all="ignore"):
+        u0 = ComplexField(profile.grid, (1.0 + delta) * profile.values.astype(complex))
+    check_field(u0, alpha, beta)
+    return run(u0, alpha, dt, t_final, n_samples, {
+        "energy": lambda u: energy(u, alpha, beta),
+        "mass": mass,
+        "orbital_distance": lambda u: orbital_distance(u, profile),
+    }, beta)
 
 
 def conservation_audit(
@@ -210,40 +218,3 @@ def orbital_distance(field: ComplexField, reference: RealProfile) -> float:
     best = float(np.max(np.abs(pairing)))
     dist_sq = max(norm_u_sq + norm_phi_sq - 2.0 * best, 0.0)
     return float(np.sqrt(dist_sq))
-
-
-def stability_experiment(
-    alpha: float,
-    omega: float,
-    perturbation_size: float,
-    t_final: float,
-    dt: float,
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-    n_samples: int = 100,
-) -> ExperimentResult:
-    """Evolve u0 = (1 + delta) phi and track the orbital distance.
-
-    Blow-up truncates the series and sets the flag instead of raising.
-    """
-    if not 0 <= perturbation_size <= 0.1:
-        raise ParameterError("perturbation_size must lie in [0, 0.1]")
-    check_run(dt, t_final, n_samples)
-    if grid is None:
-        grid = SpectralGrid()
-    if config is None:
-        config = SolverConfig()
-    profile, diag = petviashvili_solve(alpha, omega, grid, config)
-    if not diag.converged:
-        raise ParameterError(f"no converged wave at alpha={alpha}, omega={omega}")
-    u0 = ComplexField(grid, (1.0 + perturbation_size) * profile.values.astype(complex))
-    check_field(u0, alpha, config.dispersion_beta)
-
-    traj = run(u0, alpha, dt, t_final, n_samples,
-               {"distance": lambda u: orbital_distance(u, profile)}, config.dispersion_beta)
-    return ExperimentResult(
-        times=traj.times,
-        distances=traj.series["distance"],
-        blew_up=traj.blow_up_time is not None,
-        blow_up_time=traj.blow_up_time,
-    )

@@ -37,8 +37,8 @@ class SpectralGrid:
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
             raise ParameterError(f"n_points must be a power of two, got {n}")
-        if not self.half_width > 0:
-            raise ParameterError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ParameterError(f"half_width must be positive and finite, got {self.half_width}")
         L = float(self.half_width)
         dx = 2.0 * L / n
         object.__setattr__(self, "dx", dx)

@@ -9,9 +9,10 @@ chi form decides every region cell and both thresholds, whose roots Brent's
 method finds: alpha0, where d''(omega0(alpha)) changes sign, at the
 closed-form wave with no nonlinear solve; omega_c, where d''(omega) changes
 sign at fixed alpha, inside a bracket that the coarse branch's forward
-differences give.  The forward difference of the trapezoid-rule mass
-(``d_second``, ``d_second_at``, ``d_second_at_omega0``) stays as the
-independent estimate that ``dmap`` writes and the cross-checks compare with.
+differences give.  The forward difference of the trapezoid-rule mass along a
+branch (``d_second``) stays as the independent estimate that ``dmap`` writes
+and the cross-checks compare with; at a single omega it is the difference of
+the two-point branch to omega + h.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .explicit import explicit_params, phi_exact
 from .grid import RealProfile, SpectralGrid
 from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
 from .spectra import negative_direction_scalar
-
-# forward-difference step for pointwise d'' evaluations
-DEFAULT_OMEGA_DELTA = 2e-3
 
 
 @dataclass
@@ -155,28 +153,6 @@ def sample_signs(branch: SolitaryBranch, samples: np.ndarray) -> np.ndarray:
     return classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omegas)], omegas)
 
 
-def d_second_at(
-    alpha: float,
-    omega: float,
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-    delta: float = DEFAULT_OMEGA_DELTA,
-):
-    """Forward-difference d'' at omega, from a two-point sweep to omega + delta.
-
-    Returns (d2, mass, profile) with the wave at omega; a failed solve raises
-    :class:`BranchError` before the next is tried.
-    """
-    omegas = np.array([omega, omega + delta])
-    profiles = []
-    for w, (profile, converged) in zip(omegas, _sweep(alpha, omegas, grid, config)):
-        if not converged:
-            raise BranchError(f"solve at omega={w:g} did not converge")
-        profiles.append(profile)
-    masses = np.array([_mass(p) for p in profiles])
-    return float(_forward_d2(omegas, masses)[0]), float(masses[0]), profiles[0]
-
-
 def _chi_d2(profile: RealProfile, alpha: float, omega: float, beta: float) -> float:
     """d'' = -<chi, phi> at a solved wave, where L- chi = phi."""
     return -negative_direction_scalar(profile, alpha, omega, beta)
@@ -269,11 +245,6 @@ def find_omega_c(
         return _chi_d2(seed, alpha, omega, beta)
 
     return _brent(d2, omegas[i], omegas[i + 1], fa, fb, tol_omega)
-
-
-def d_second_at_omega0(alpha: float, grid: SpectralGrid | None = None) -> float:
-    """Forward-difference d'' on the branch at the explicit-solution frequency."""
-    return d_second_at(alpha, explicit_params(alpha).omega0, grid)[0]
 
 
 def find_alpha0(

@@ -230,19 +230,31 @@ def _one_line_error(capsys):
     return err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("half_width", ["inf", "nan", "-1"])
+def test_unusable_grid_is_usage_error(tmp_path, capsys, half_width):
+    code = main(["solve", "--alpha", "2", "--omega", "0.16", "--grid-n", "1024",
+                 "--grid-l", half_width, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("dt", ["0", "-1e-3"])
-def test_evolve_nonpositive_dt_is_usage_error(tmp_path, capsys, dt):
+def test_evolve_nonpositive_dt_is_usage_error(tmp_path, capsys, solves, dt):
     code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--dt", dt,
                  "--out", str(tmp_path)] + FAST)
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)
+    assert solves == []  # refused before the wave is solved
 
 
 @pytest.mark.parametrize(
     "flags", [["--t-final", "-1"], ["--samples", "0"], ["--samples", "-2"],
-              ["--t-final", "inf"], ["--delta", "nan"], ["--dt", "inf"]],
+              ["--t-final", "inf"], ["--delta", "nan"], ["--dt", "inf"],
+              # t_final / dt steps: 1e300 overflows int64, 5e-324 makes it inf
+              ["--dt", "1e-300", "--t-final", "1"], ["--dt", "5e-324", "--t-final", "1"]],
     ids=["negative-t-final", "zero-samples", "negative-samples", "inf-t-final", "nan-delta",
-         "inf-dt"])
+         "inf-dt", "tiny-dt", "subnormal-dt"])
 def test_evolve_bad_length_is_usage_error(tmp_path, capsys, solves, flags):
     code = main(["evolve", "--alpha", "2", "--omega", "0.16", *flags,
                  "--out", str(tmp_path)] + FAST)

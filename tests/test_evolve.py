@@ -1,6 +1,5 @@
 """Tests for the split-step integrator, conservation, and orbital distance."""
 
-import types
 import warnings
 
 import numpy as np
@@ -18,8 +17,8 @@ from solitonlab.evolve import (
     energy,
     mass,
     orbital_distance,
+    perturbed_run,
     run,
-    stability_experiment,
 )
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
@@ -169,12 +168,10 @@ def test_conservation_audit_refuses_zero_field(grid_mid):
             conservation_audit(zero, 2.0, 1e-3, 0.01, n_samples=2)
 
 
-def test_stability_experiment_refuses_zero_wave(grid_mid, monkeypatch):
+def test_stability_experiment_refuses_zero_wave(grid_mid):
     zero = RealProfile(grid_mid, np.zeros(grid_mid.n_points))
-    monkeypatch.setattr(evolve, "petviashvili_solve",
-                        lambda *args: (zero, types.SimpleNamespace(converged=True)))
     with pytest.raises(ParameterError, match="initial field"):
-        stability_experiment(2.0, OMEGA0_2, 0.0, 1.0, 1e-3, grid_mid, n_samples=4)
+        perturbed_run(zero, 2.0, 0.0, 1e-3, 1.0, 4)
 
 
 @pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2), (np.inf, 4)])
@@ -213,39 +210,25 @@ def test_orbital_distance_amplitude_scaling(grid_mid, standing_wave):
     assert orbital_distance(u, phi) == pytest.approx(expected, rel=1e-6)
 
 
-def test_stability_experiment_validation(grid_mid):
-    with pytest.raises(ParameterError):
-        stability_experiment(2.0, OMEGA0_2, 0.5, 1.0, 1e-3, grid_mid)
+@pytest.fixture(scope="module")
+def wave_2(grid_mid):
+    profile, diag = petviashvili_solve(2.0, OMEGA0_2, grid_mid)
+    assert diag.converged
+    return profile
 
 
-@pytest.mark.parametrize("delta, t_final, dt, n_samples", [
-    (np.nan, 1.0, 1e-3, 4), (0.0, np.inf, 1e-3, 4), (0.0, -1.0, 1e-3, 4), (0.0, 1.0, 0.0, 4),
-    (0.0, 1.0, np.inf, 4), (0.0, 1.0, 1e-3, 0),
-], ids=["nan-delta", "inf-t-final", "negative-t-final", "zero-dt", "inf-dt", "zero-samples"])
-def test_stability_experiment_checks_inputs_before_solving(grid_mid, monkeypatch, delta,
-                                                           t_final, dt, n_samples):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the inputs were checked")
-
-    monkeypatch.setattr(evolve, "petviashvili_solve", no_solve)
-    with pytest.raises(ParameterError):
-        stability_experiment(2.0, OMEGA0_2, delta, t_final, dt, grid_mid, n_samples=n_samples)
+def test_stability_experiment_unperturbed(wave_2):
+    result = perturbed_run(wave_2, 2.0, 0.0, 1e-3, 1.0, 4)
+    assert result.blow_up_time is None
+    assert np.max(result.series["orbital_distance"]) <= 1e-6
 
 
-def test_stability_experiment_unperturbed(grid_mid):
-    result = stability_experiment(2.0, OMEGA0_2, 0.0, 1.0, 1e-3, grid_mid,
-                                  n_samples=4)
-    assert not result.blew_up
-    assert np.max(result.distances) <= 1e-6
-
-
-def test_stability_experiment_stable_bounded(grid_mid):
-    result = stability_experiment(2.0, OMEGA0_2, 0.01, 5.0, 1e-3, grid_mid,
-                                  n_samples=10)
-    assert not result.blew_up
+def test_stability_experiment_stable_bounded(grid_mid, wave_2):
+    result = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 5.0, 10)
+    assert result.blow_up_time is None
     phi = phi_exact(2.0, grid_mid)
     bound = 5 * 0.01 * grid_mid.norm(phi.values, "H2")
-    assert np.max(result.distances) <= bound
+    assert np.max(result.series["orbital_distance"]) <= bound
 
 
 def test_blow_up_signal_carries_time():
@@ -253,12 +236,11 @@ def test_blow_up_signal_carries_time():
     assert exc.time == 3.25
 
 
-def test_stability_experiment_truncates_at_blow_up(grid_mid, blow_up_on_third_interval):
+def test_stability_experiment_truncates_at_blow_up(wave_2, blow_up_on_third_interval):
     # 5 checkpoints of 200 steps; the 3rd interval blows up at t = 0.5
-    result = stability_experiment(2.0, OMEGA0_2, 0.01, 1.0, 1e-3, grid_mid, n_samples=5)
+    result = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 1.0, 5)
     np.testing.assert_allclose(result.times, [0.0, 0.2, 0.4])
-    assert result.distances.size == 3
-    assert result.blew_up
+    assert result.series["orbital_distance"].size == 3
     assert result.blow_up_time == pytest.approx(0.5)
 
 
@@ -273,10 +255,10 @@ def test_conservation_audit_raises_blow_up(standing_wave, blow_up_on_third_inter
 def test_beta_zero_wave_stays_on_its_orbit():
     # the beta = 0 standing wave must be evolved with the beta = 0 propagator
     grid = SpectralGrid(n_points=1024, half_width=100.0)
-    config = SolverConfig(dispersion_beta=0.0)
-    result = stability_experiment(2.0, 0.16, 0.0, 5.0, 1e-3, grid, config, n_samples=5)
-    assert not result.blew_up
-    assert np.max(result.distances) <= 1e-6
+    profile, _ = petviashvili_solve(2.0, 0.16, grid, SolverConfig(dispersion_beta=0.0))
+    result = perturbed_run(profile, 2.0, 0.0, 1e-3, 5.0, 5, beta=0.0)
+    assert result.blow_up_time is None
+    assert np.max(result.series["orbital_distance"]) <= 1e-6
 
 
 def test_conservation_audit_honours_beta():

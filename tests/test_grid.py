@@ -36,6 +36,9 @@ def test_grid_validation():
         SpectralGrid(n_points=1024, half_width=-1.0)
     with pytest.raises(ParameterError):
         SpectralGrid(n_points=1, half_width=100.0)
+    for half_width in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            SpectralGrid(n_points=1024, half_width=half_width)
 
 
 def test_forward_of_constant_is_dc_mode(grid_small):

@@ -24,8 +24,6 @@ from solitonlab.stability import (
     classify_sign,
     continue_branch,
     d_second,
-    d_second_at,
-    d_second_at_omega0,
     find_alpha0,
     find_omega_c,
     region_scan,
@@ -42,6 +40,11 @@ def branch_alpha2(branch_grid):
     return continue_branch(2.0, 0.02, 0.25, 12, branch_grid)
 
 
+def _d2_at(alpha, omega, grid, h=2e-3):
+    """Forward-difference d'' at omega: the two-point branch to omega + h."""
+    return d_second(continue_branch(alpha, omega, omega + h, 2, grid))[0, 1]
+
+
 def test_continue_branch_validation(branch_grid):
     with pytest.raises(ParameterError):
         continue_branch(2.0, 0.25, 0.02, 12, branch_grid)
@@ -56,8 +59,6 @@ def test_width_guard():
     # every solve refuses the wave, not only a branch's first point
     with pytest.raises(ParameterError, match="too wide"):
         petviashvili_solve(2.0, 0.002, narrow)
-    with pytest.raises(ParameterError, match="too wide"):
-        d_second_at(2.0, 0.002, narrow)
     # omega0(4) = 0.094 on a domain of half-width 20
     with pytest.raises(ParameterError, match="too wide"):
         find_alpha0((4.0, 5.5), SpectralGrid(n_points=512, half_width=20.0))
@@ -133,8 +134,8 @@ def test_classify_sign_dead_band():
 
 
 def test_d_second_step_size_robustness(branch_grid):
-    d2_coarse, _, _ = d_second_at(2.0, 0.1, branch_grid, delta=4e-3)
-    d2_fine, _, _ = d_second_at(2.0, 0.1, branch_grid, delta=2e-3)
+    d2_coarse = _d2_at(2.0, 0.1, branch_grid, h=4e-3)
+    d2_fine = _d2_at(2.0, 0.1, branch_grid, h=2e-3)
     assert abs(d2_coarse - d2_fine) <= 0.1 * abs(d2_fine)
 
 
@@ -216,8 +217,8 @@ def test_find_omega_c_none_for_alpha2(branch_grid):
 
 
 def test_d_second_at_omega0_signs(branch_grid):
-    assert d_second_at_omega0(2.0, branch_grid) > 0
-    assert d_second_at_omega0(5.5, branch_grid) < 0
+    assert _d2_at(2.0, explicit_params(2.0).omega0, branch_grid) > 0
+    assert _d2_at(5.5, explicit_params(5.5).omega0, branch_grid) < 0
 
 
 def test_find_alpha0_bracket_error(branch_grid):
@@ -314,17 +315,18 @@ def test_chi_form_is_the_central_difference_limit(branch_grid, alpha, omega, bet
 def test_d_second_at_failed_first_point_solves_once(branch_grid, monkeypatch):
     calls = _degenerate_at(monkeypatch, 0.1)
     with pytest.raises(BranchError):
-        d_second_at(2.0, 0.1, branch_grid)
+        _d2_at(2.0, 0.1, branch_grid)
     assert [omega for omega, _ in calls] == [0.1]
 
 
 def test_d_second_at_is_a_two_point_branch_difference(branch_grid):
-    d2, mass, profile = d_second_at(2.0, 0.1, branch_grid)
-    branch = continue_branch(2.0, 0.1, 0.1 + stability.DEFAULT_OMEGA_DELTA, 2, branch_grid)
-    assert type(d2) is float
-    assert d2 == d_second(branch)[0, 1]
-    assert mass == branch.masses[0]
-    np.testing.assert_array_equal(profile.values, branch.profiles[0].values)
+    # linspace(a, b, 2) is exactly [a, b], so the pointwise d'' is the forward
+    # difference of the trapezoid-rule masses at omega and omega + h
+    h = 2e-3
+    branch = continue_branch(2.0, 0.1, 0.1 + h, 2, branch_grid)
+    assert branch.omegas.tolist() == [0.1, 0.1 + h]
+    m0, m1 = branch.masses
+    assert d_second(branch)[0, 1] == 0.5 * (m1 - m0) / ((0.1 + h) - 0.1)
 
 
 def test_region_scan_small_lattice(branch_grid):

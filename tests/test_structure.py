@@ -1,7 +1,8 @@
 """Structure of the package source: the model is written down once, with no
 copy of it outside its home modules, the threshold layer solves only through
-its one sweep and finds roots with its one root finder, every import is
-used, the program does not load ``scipy.special``, ``scipy.optimize`` or
+its one sweep and finds roots with its one root finder, the evolution has one
+time-stepping loop and d'' one forward difference, every import is used,
+the program does not load ``scipy.special``, ``scipy.optimize`` or
 ``scipy.sparse``, and the eigensolver's dense matrices do not grow with the
 grid and are built once per parity sector."""
 
@@ -51,24 +52,46 @@ def _references(tree, name):
             or isinstance(node, ast.Attribute) and node.attr == name]
 
 
+def _functions(module):
+    """The parsed module and its top-level functions by name."""
+    tree = ast.parse((Path(solitonlab.__file__).parent / module).read_text())
+    return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_stability_solves_only_in_sweep():
     # one site keeps the warm-start policy in one place
-    tree = ast.parse((Path(solitonlab.__file__).parent / "stability.py").read_text())
-    (sweep,) = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
+    tree, functions = _functions("stability.py")
     solves = _references(tree, "petviashvili_solve")
     assert len(solves) == 1, f"petviashvili_solve read at lines {solves}"
-    assert solves == _references(sweep, "petviashvili_solve")
+    assert solves == _references(functions["_sweep"], "petviashvili_solve")
 
 
 def test_stability_has_one_root_finder():
     # Brent's method, called by the two threshold searches only
-    tree = ast.parse((Path(solitonlab.__file__).parent / "stability.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tree, functions = _functions("stability.py")
     assert "_bisect" not in functions and not _references(tree, "_bisect")
     callers = sorted(name for name, node in functions.items() if _references(node, "_brent"))
     assert callers == ["find_alpha0", "find_omega_c"]
     assert len(_references(tree, "_brent")) == 2
+
+
+def test_evolution_runs_only_in_evolve():
+    # one time-stepping loop; the CLI reaches it through the perturbed-wave driver
+    package = Path(solitonlab.__file__).parent
+    outside = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+               if path.name != "evolve.py"
+               for line in _references(ast.parse(path.read_text()), "run")]
+    assert not outside, f"run read outside evolve at {outside}"
+    _, functions = _functions("cli.py")
+    assert _references(functions["cmd_evolve"], "perturbed_run")
+
+
+def test_forward_difference_has_one_caller():
+    # d_second is the one forward-difference d''; a pointwise value is a two-point branch
+    tree, functions = _functions("stability.py")
+    callers = [name for name, node in functions.items() if _references(node, "_forward_d2")]
+    assert callers == ["d_second"]
+    assert len(_references(tree, "_forward_d2")) == 1
 
 
 def _unused_imports(tree):
