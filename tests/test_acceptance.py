@@ -287,11 +287,12 @@ def test_criterion_09_pure_fourth_order(acc_grid, announce):
 
 
 def test_criterion_10_evolution(acc_grid, acc_solves, announce):
-    profile, _, _ = acc_solves[2.0]
+    # both perturbed runs start from converged standing waves
+    profile, diag, _ = acc_solves[2.0]
     field = ComplexField(acc_grid, profile.values.astype(complex))
     audit = conservation_audit(field, 2.0, 1e-3, 20.0, n_samples=20)
     drift_e, drift_f = audit.relative_drifts
-    ok = drift_e <= 1e-7 and drift_f <= 1e-10
+    ok = diag.converged and drift_e <= 1e-7 and drift_f <= 1e-10
 
     stable = perturbed_run(profile, 2.0, 0.01, 1e-3, 50.0, 50)
     stable_distances = stable.series["orbital_distance"]
@@ -299,12 +300,14 @@ def test_criterion_10_evolution(acc_grid, acc_solves, announce):
     stays_close = stable.blow_up_time is None and float(np.max(stable_distances)) <= bound
     ok = ok and stays_close
 
-    profile_6, _ = petviashvili_solve(6.0, explicit_params(6.0).omega0, acc_grid)
+    profile_6, diag_6 = petviashvili_solve(6.0, explicit_params(6.0).omega0, acc_grid)
+    ok = ok and diag_6.converged
     unstable = perturbed_run(profile_6, 6.0, 0.01, 1e-3, 50.0, 50)
     distances = unstable.series["orbital_distance"]
     growth = float(np.max(distances) / distances[0])
     ok = ok and growth >= 10.0
-    announce(10, ok, f"drift E {drift_e:.1e} (tol 1e-7), F {drift_f:.1e} "
+    announce(10, ok, f"converged waves at alpha=2 ({diag.converged}) and alpha=6 "
+                     f"({diag_6.converged}); drift E {drift_e:.1e} (tol 1e-7), F {drift_f:.1e} "
                      f"(tol 1e-10); perturbed alpha=2 max distance "
                      f"{np.max(stable_distances):.3f} <= {bound:.3f}; "
                      f"alpha=6 growth factor {growth:.0f} (>= 10)")

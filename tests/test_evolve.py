@@ -255,7 +255,8 @@ def test_conservation_audit_raises_blow_up(standing_wave, blow_up_on_third_inter
 def test_beta_zero_wave_stays_on_its_orbit():
     # the beta = 0 standing wave must be evolved with the beta = 0 propagator
     grid = SpectralGrid(n_points=1024, half_width=100.0)
-    profile, _ = petviashvili_solve(2.0, 0.16, grid, SolverConfig(dispersion_beta=0.0))
+    profile, diag = petviashvili_solve(2.0, 0.16, grid, SolverConfig(dispersion_beta=0.0))
+    assert diag.converged
     result = perturbed_run(profile, 2.0, 0.0, 1e-3, 5.0, 5, beta=0.0)
     assert result.blow_up_time is None
     assert np.max(result.series["orbital_distance"]) <= 1e-6
