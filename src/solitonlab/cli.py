@@ -53,10 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FMT] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:

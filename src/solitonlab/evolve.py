@@ -18,6 +18,8 @@ from .errors import BlowUpDetected, ParameterError
 from .grid import ComplexField, RealProfile
 from .petviashvili import power, power_from_square, symbol
 
+TINY_ANGLE = 2.0**-27  # the largest phase angle that needs no cos or sin
+
 
 @dataclass
 class Trajectory:
@@ -63,13 +65,19 @@ def advance(field: ComplexField, alpha: float, dt: float, n_steps: int, beta: fl
 
     def rotate(theta):
         """u *= exp(i theta |u|^alpha)."""
-        np.multiply(u.real, u.real, out=square)
-        np.multiply(u.imag, u.imag, out=work)
-        np.add(square, work, out=square)
+        parts = rotation.view(float)  # re^2 and im^2, until the rotation is formed
+        np.multiply(u.view(float), u.view(float), out=parts)
+        np.add(rotation.real, rotation.imag, out=square)
         angle = power_from_square(square, alpha, work)
         angle *= theta
-        np.cos(angle, out=rotation.real)
-        np.sin(angle, out=rotation.imag)
+        # cos(x) = 1 and sin(x) = x to the last bit for 0 <= x <= 2**-27, so
+        # cos and sin run only from the first to the last other angle
+        rotation.real, rotation.imag = 1.0, angle
+        resolvable = np.flatnonzero(~(angle <= TINY_ANGLE))
+        if resolvable.size:
+            window = slice(resolvable[0], resolvable[-1] + 1)
+            np.cos(angle[window], out=rotation.real[window])
+            np.sin(angle[window], out=rotation.imag[window])
         np.multiply(u, rotation, out=u)
 
     def linear():

@@ -19,10 +19,13 @@ over the float view of the half spectrum.  The first iteration, and every
 iterate with |1 - M| > MIX_STAB, takes the plain step and restarts the
 history: far from a solution the mixing's linear model wanders, and its
 large coefficients amplify rounding in the odd (translation) direction,
-which a warm-started branch then carries along.  Each iteration costs 3 real
-transforms and 1 nonlinearity pass.  The diagnostics record, per iteration,
-the sup-norm step of the mixed iterate (``error``), |1 - M| and the sup-norm
-residual, the last two at the iterate the step starts from.
+which a warm-started branch then carries along.  The residual needs no
+transform of its own: the x-space image of denom * c is M^nu N after a plain
+step and the same combination of the last images M^nu N after a mixed one, so
+the loop carries it with c.  Each iteration costs 2 real transforms and 1
+nonlinearity pass, and a solve 2 more.  The diagnostics record, per
+iteration, the sup-norm step of the mixed iterate (``error``), |1 - M| and the
+sup-norm residual, the last two at the iterate the step starts from.
 """
 
 from __future__ import annotations
@@ -210,10 +213,16 @@ def petviashvili_solve(
 
     phi = _initial_guess(alpha, omega, grid, config)
     coeffs = np.fft.rfft(phi)
+    # lin is the x-space image of denom * coeffs: transformed once from the
+    # spectral iterate, where denom * coeffs is exact (a fresh transform of
+    # phi would amplify its rounding by xi^4), then carried along with coeffs
+    lin = np.fft.irfft(denom * coeffs, n)
     # Anderson history in the float view of the half spectrum: differences of
-    # successive residuals f = g - c and images g, with their Gram matrix
+    # successive residuals f = g - c and images g, with their Gram matrix;
+    # and the differences of the images' x-space linear parts M^nu N
     delta_f = np.zeros((ANDERSON_DEPTH, 2 * coeffs.size))
     delta_g = np.zeros_like(delta_f)
+    delta_lin = np.zeros((ANDERSON_DEPTH, n))
     gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
     history = 0  # iterates since the last plain step
     errors, stabs, residuals = [], [], []
@@ -227,11 +236,10 @@ def petviashvili_solve(
         if denominator == 0.0:
             raise DegenerateInputError("nonlinear pairing vanished during iteration")
         m_n = numerator / denominator
-        # residual of the spectral iterate: denom * coeffs is exact in
-        # coefficient space, avoiding the xi^4 noise amplification of a
-        # fresh physical-space transform
-        res = float(np.max(np.abs(np.fft.irfft(denom * coeffs - nl_hat, n))))
-        image = m_n**nu * nl_hat / denom
+        res = float(np.max(np.abs(lin - nl)))
+        gain = m_n**nu
+        image = gain * nl_hat / denom
+        lin_image = gain * nl  # the x-space image of denom * image
         g = image.view(float)
         f = g - coeffs.view(float)
         if abs(1.0 - m_n) > MIX_STAB:
@@ -240,6 +248,7 @@ def petviashvili_solve(
             slot = (history - 1) % ANDERSON_DEPTH
             np.subtract(f, f_prev, out=delta_f[slot])
             np.subtract(g, g_prev, out=delta_g[slot])
+            np.subtract(lin_image, lin_prev, out=delta_lin[slot])
             used = min(history, ANDERSON_DEPTH)
             gram[slot, :used] = gram[:used, slot] = delta_f[:used] @ delta_f[slot]
             rhs = delta_f[:used] @ f
@@ -248,7 +257,10 @@ def petviashvili_solve(
                 raise DivergenceError("iteration produced non-finite values")
             gamma = dgelss(gram[:used, :used], rhs, cond=RANK_CUTOFF)[1]
             image = (g - gamma @ delta_g[:used]).view(complex)
-        f_prev, g_prev = f, g
+            lin = lin_image - gamma @ delta_lin[:used]
+        else:
+            lin = lin_image
+        f_prev, g_prev, lin_prev = f, g, lin_image
         history += 1
         phi_new = np.fft.irfft(image, n)
         # irfft drops Im of the mean and Nyquist modes, which no real iterate has

@@ -65,24 +65,40 @@ def _mass(profile: RealProfile) -> float:
     return float(profile.grid.quadrature(profile.values**2))
 
 
+def _secant_seed(converged: list, omega: float) -> RealProfile:
+    """The secant through the last two converged (omega, profile) pairs, at
+    omega; the last profile alone where there is one or both share an omega."""
+    w1, p1 = converged[-1]
+    if len(converged) < 2 or converged[0][0] == w1:
+        return p1
+    w0, p0 = converged[0]
+    t = (omega - w1) / (w1 - w0)
+    return RealProfile(p1.grid, p1.values + t * (p1.values - p0.values))
+
+
 def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
     """Warm-started Petviashvili solves along omegas, one per item drawn.
 
     Yields (profile, converged) per omega; profile is None where the solve
-    diverged or degenerated.  Each solve seeds from the last converged
-    profile; the first solve after a failure restarts cold.
+    diverged or degenerated.  The first solve starts from ``config``, the
+    next from the last converged profile, and every later one from the
+    secant through the last two; a failure restarts that sequence.
     """
     if config is None:
         config = SolverConfig()
-    seed_config = config
-    for omega in omegas:
+    converged_points = []  # the last one or two consecutive converged (omega, profile)
+    for omega in map(float, omegas):
+        seed_config = config
+        if converged_points:
+            seed = _secant_seed(converged_points, omega)
+            seed_config = dataclasses.replace(config, initial_guess=seed)
         try:
-            profile, diag = petviashvili_solve(alpha, float(omega), grid, seed_config)
+            profile, diag = petviashvili_solve(alpha, omega, grid, seed_config)
             converged = diag.converged
         except (DivergenceError, DegenerateInputError):
             profile, converged = None, False
         yield profile, converged
-        seed_config = dataclasses.replace(config, initial_guess=profile) if converged else config
+        converged_points = [*converged_points[-1:], (omega, profile)] if converged else []
 
 
 def continue_branch(

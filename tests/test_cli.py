@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonlab import cli, stability
 from solitonlab.cli import (
@@ -124,6 +126,29 @@ def test_determinism(tmp_path):
         assert main(["solve", "--alpha", "2", "--omega", "0.16",
                      "--out", str(out)] + FAST) == EXIT_OK
     assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
+
+
+def _per_row_csv(path, header, columns):
+    """The CSV writer as a loop over rows, one join per row."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(cli.FLOAT_FMT % v for v in row) + "\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n_columns=st.integers(1, 4), n_rows=st.integers(0, 40), data=st.data())
+def test_csv_writer_matches_per_row_writer(tmp_path_factory, n_columns, n_rows, data):
+    # any float, NaN (a failed region cell) and infinities included
+    values = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
+        [np.nan, -0.0, 5e-324, 0.1, 1.0, -1.0])
+    columns = [np.array(data.draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype=float)
+               for _ in range(n_columns)]
+    header = [f"c{i}" for i in range(n_columns)]
+    out = tmp_path_factory.mktemp("csv")
+    cli._write_csv(out / "table.csv", header, columns)
+    _per_row_csv(out / "rows.csv", header, columns)
+    assert (out / "table.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 def test_verify_exact(tmp_path, capsys):

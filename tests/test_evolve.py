@@ -86,6 +86,59 @@ def test_advance_matches_allocating_reference(grid_small, alpha, beta):
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, evolve.TINY_ANGLE), min_size=1, max_size=64))
+def test_tiny_angles_need_no_cos_or_sin(angles):
+    # the rotation's shortcut: into a strided output, as the step writes it
+    angle = np.array(angles)
+    rotation = np.empty(angle.size, dtype=complex)
+    np.cos(angle, out=rotation.real)
+    np.sin(angle, out=rotation.imag)
+    assert rotation.real.tolist() == [1.0] * angle.size
+    assert rotation.imag.tolist() == angle.tolist()
+
+
+def _windowed_and_full(field, alpha, dt, n_steps, beta, monkeypatch):
+    """(outcome with the cos/sin window, outcome with cos/sin everywhere),
+    each the field's bytes or the blow-up time."""
+    outcomes = []
+    for tiny in (evolve.TINY_ANGLE, -np.inf):  # no angle is <= -inf
+        monkeypatch.setattr(evolve, "TINY_ANGLE", tiny)
+        with np.errstate(all="ignore"):
+            try:
+                outcomes.append(advance(field, alpha, dt, n_steps, beta).values.tobytes())
+            except BlowUpDetected as exc:
+                outcomes.append(exc.time)
+    return outcomes
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (2.0, 1.0), (6.0, 1.0), (3.0, 0.0)])
+def test_cos_sin_window_is_bit_identical(grid_small, monkeypatch, alpha, beta):
+    # two waves far apart and a noise floor: small angles inside the window
+    # and on both sides of it
+    rng = np.random.default_rng(7)
+    x = grid_small.nodes
+    values = (phi_exact(2.0, grid_small).values * (1.0 + 0.5j)
+              + np.roll(phi_exact(2.0, grid_small).values, 300)
+              + 1e-12 * rng.standard_normal(x.size) * np.exp(0.3j * x))
+    field = ComplexField(grid_small, values)
+    windowed, full = _windowed_and_full(field, alpha, 1e-3, 200, beta, monkeypatch)
+    assert windowed == full
+
+
+@pytest.mark.parametrize("big", [1e155, 1e200])
+@pytest.mark.parametrize("alpha", [2.0, 6.0])
+def test_cos_sin_window_keeps_non_finite_propagation(grid_small, monkeypatch, alpha, big):
+    # an entry far from the wave whose |u|^2 or |u|^alpha overflows gives an
+    # infinite angle; the run blows up at the same time as with cos and sin
+    # everywhere
+    values = phi_exact(2.0, grid_small).values.astype(complex)
+    values[3] = big
+    field = ComplexField(grid_small, values)
+    windowed, full = _windowed_and_full(field, alpha, 1e-3, 5, 1.0, monkeypatch)
+    assert isinstance(windowed, float) and windowed == full
+
+
 def test_advance_leaves_the_input_field_alone(standing_wave):
     _, field = standing_wave
     before = field.values.copy()

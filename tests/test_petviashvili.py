@@ -333,3 +333,72 @@ def test_non_finite_history_is_divergence(grid_small, monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="non-finite"):
         petviashvili_solve(2.0, OMEGA0_2, grid_small)
     assert len(calls) == 4
+
+
+def _count_transforms(monkeypatch):
+    """Count every np.fft.rfft and np.fft.irfft call."""
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("start, max_iter", [("cold", 2000), ("warm", 2000), ("cold", 3)])
+def test_two_transforms_per_iteration(grid_mid, monkeypatch, start, max_iter):
+    # one rfft of the start and one irfft of its linear part per solve; one
+    # rfft of the nonlinearity and one irfft of the new iterate per iteration
+    guess = phi_exact(2.0, grid_mid) if start == "warm" else None
+    config = SolverConfig(max_iter=max_iter, initial_guess=guess)
+    counts = _count_transforms(monkeypatch)
+    _, diag = petviashvili_solve(2.0, 0.17, grid_mid, config)
+    assert diag.iterations >= 3
+    assert counts == {"rfft": diag.iterations + 1, "irfft": diag.iterations + 1}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(0.5, 6.0),
+    omega=st.floats(0.05, 3.0),
+    beta=st.sampled_from([0.0, 1.0]),
+    warm=st.booleans(),
+)
+def test_carried_residual_matches_spectral_residual(alpha, omega, beta, warm):
+    # each recorded residual is max |irfft(denom c_k - rfft(N(phi_k)))| at the
+    # spectral iterate c_k with phi_k = irfft(c_k), recomputed here from c_k.
+    # A fresh rfft(phi_k) in place of c_k is no oracle: its rounding, amplified
+    # by xi^4, reaches 50 times this tolerance at small alpha and large omega.
+    grid = SpectralGrid(n_points=1024, half_width=100.0)
+    config = SolverConfig(max_iter=200, dispersion_beta=beta)
+    if warm:  # from the wave at a 10% larger omega
+        seed, _ = petviashvili_solve(alpha, 1.1 * omega, grid, config)
+        config = SolverConfig(max_iter=200, initial_guess=seed, dispersion_beta=beta)
+    spectral, iterates = {}, []
+    irfft, nonlinearity_ = np.fft.irfft, petviashvili.nonlinearity
+
+    def recording_irfft(coeffs, *args, **kwargs):
+        out = irfft(coeffs, *args, **kwargs)
+        spectral[id(out)] = (out, coeffs.copy())
+        return out
+
+    def recording_nonlinearity(values, a):
+        coeffs = spectral[id(values)][1] if id(values) in spectral else np.fft.rfft(values)
+        iterates.append((values.copy(), coeffs))
+        return nonlinearity_(values, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "irfft", recording_irfft)
+        mp.setattr(petviashvili, "nonlinearity", recording_nonlinearity)
+        _, diag = petviashvili_solve(alpha, omega, grid, config)
+    denom = petviashvili.half_symbol(grid, omega, beta)
+    expected = np.array([
+        np.max(np.abs(irfft(denom * coeffs - np.fft.rfft(nonlinearity(phi, alpha)), grid.n_points)))
+        for phi, coeffs in iterates
+    ])
+    assert expected.size == diag.iterations
+    np.testing.assert_allclose(diag.res_history, expected, rtol=1e-14, atol=1e-12)

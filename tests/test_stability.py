@@ -454,6 +454,59 @@ def test_region_scan_restarts_cold_after_failure(branch_grid, monkeypatch):
     assert warm == [False, True, False, True]
 
 
+def _recording_guesses(monkeypatch):
+    """Record the initial guess of every solve in stability; returns the list."""
+    solve, guesses = stability.petviashvili_solve, []
+
+    def recording(alpha, omega, grid=None, config=None):
+        guesses.append(config.initial_guess)
+        return solve(alpha, omega, grid, config)
+
+    monkeypatch.setattr(stability, "petviashvili_solve", recording)
+    return guesses
+
+
+def _secant(omegas, profiles, omega):
+    (w0, w1), (p0, p1) = omegas, (p.values for p in profiles)
+    return p1 + (omega - w1) / (w1 - w0) * (p1 - p0)
+
+
+def test_sweep_seeds_cold_then_warm_then_secant(branch_grid, monkeypatch):
+    # a failure restarts the sequence: cold, plain-warm, then the secant
+    omegas = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+    calls = _degenerate_at(monkeypatch, 0.15)
+    profiles = [p for p, _ in stability._sweep(2.0, omegas, branch_grid, None)]
+    guesses = [guess for _, guess in calls]
+    assert profiles[2] is None and all(p is not None for i, p in enumerate(profiles) if i != 2)
+    assert guesses[0] is None and guesses[3] is None
+    assert guesses[1] is profiles[0] and guesses[4] is profiles[3]
+    np.testing.assert_array_equal(guesses[2].values,
+                                  _secant(omegas[:2], profiles[:2], omegas[2]))
+    np.testing.assert_array_equal(guesses[5].values,
+                                  _secant(omegas[3:5], profiles[3:5], omegas[5]))
+
+
+def test_sweep_secant_keeps_a_given_first_guess(branch_grid, monkeypatch):
+    # the config's own guess starts the sweep; it is not a converged point
+    start = phi_exact(2.0, branch_grid)
+    guesses = _recording_guesses(monkeypatch)
+    profiles = [p for p, _ in stability._sweep(2.0, [0.17, 0.18, 0.19], branch_grid,
+                                               SolverConfig(initial_guess=start))]
+    assert guesses[0] is start and guesses[1] is profiles[0]
+    np.testing.assert_array_equal(guesses[2].values,
+                                  _secant([0.17, 0.18], profiles[:2], 0.19))
+
+
+def test_sweep_repeated_omega_seeds_the_last_profile(branch_grid, monkeypatch):
+    # region --omega-min 0.1 --omega-max 0.1 --omega-steps 3: no secant
+    # through two points at one omega, so no NaN seed
+    result = region_scan([2.0], np.linspace(0.1, 0.1, 3), branch_grid)
+    np.testing.assert_array_equal(result.sign_matrix, [[1.0, 1.0, 1.0]])
+    guesses = _recording_guesses(monkeypatch)
+    profiles = [p for p, _ in stability._sweep(2.0, [0.1, 0.1, 0.1], branch_grid, None)]
+    assert guesses[0] is None and guesses[1] is profiles[0] and guesses[2] is profiles[1]
+
+
 def test_pure_fourth_order_signs(branch_grid):
     config = SolverConfig(dispersion_beta=0.0)
     pos = continue_branch(4.0, 0.05, 0.25, 8, branch_grid, config)
