@@ -30,6 +30,7 @@ sup-norm residual, the last two at the iterate the step starts from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +209,9 @@ def petviashvili_solve(
 
     check_omega_width(omega, grid)
     denom = half_symbol(grid, omega, beta)
+    # g = M^nu N_hat / denom over the float view: numpy divides a complex by
+    # a real as this reciprocal multiply, bit for bit, at twice the cost
+    inv_denom = np.repeat(1.0 / denom, 2)
     weights = pairing_weights(grid, omega, beta)
     dx, n = grid.dx, grid.n_points
 
@@ -238,9 +242,10 @@ def petviashvili_solve(
         m_n = numerator / denominator
         res = float(np.max(np.abs(lin - nl)))
         gain = m_n**nu
-        image = gain * nl_hat / denom
+        g = gain * nl_hat.view(float)
+        g *= inv_denom
+        image = g.view(complex)
         lin_image = gain * nl  # the x-space image of denom * image
-        g = image.view(float)
         f = g - coeffs.view(float)
         if abs(1.0 - m_n) > MIX_STAB:
             history = 0
@@ -263,14 +268,16 @@ def petviashvili_solve(
         f_prev, g_prev, lin_prev = f, g, lin_image
         history += 1
         phi_new = np.fft.irfft(image, n)
-        # irfft drops Im of the mean and Nyquist modes, which no real iterate has
-        scale = max(float(np.max(np.abs(phi_new))), 1.0)
-        if (abs(image[0].imag) + abs(image[-1].imag)) / n > IMAG_RESIDUE_TOL * scale:
+        # irfft drops Im of the mean and Nyquist modes, which no real iterate
+        # has; the scale max(max|phi_new|, 1) is needed only past the tolerance
+        residue = (abs(image[0].imag) + abs(image[-1].imag)) / n
+        if residue > IMAG_RESIDUE_TOL and residue > IMAG_RESIDUE_TOL * max(
+                float(np.max(np.abs(phi_new))), 1.0):
             raise DivergenceError("iterate acquired a non-negligible imaginary part")
-        if not np.all(np.isfinite(phi_new)):
-            raise DivergenceError("iteration produced non-finite values")
-
+        # phi is finite, so the step is finite exactly when phi_new is
         error = float(np.max(np.abs(phi_new - phi)))
+        if not math.isfinite(error):
+            raise DivergenceError("iteration produced non-finite values")
         errors.append(error)
         stabs.append(abs(1.0 - m_n))
         residuals.append(res)

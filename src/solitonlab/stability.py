@@ -61,6 +61,12 @@ class StabilityMap:
     sign_matrix: np.ndarray
 
 
+# the coarse-grid predictor of each branch point may drop the rfft modes of
+# its seed below COARSE_CUT of their peak, down to COARSE_MIN_POINTS points
+COARSE_CUT = 1e-15
+COARSE_MIN_POINTS = 64
+
+
 def _mass(profile: RealProfile) -> float:
     return float(profile.grid.quadrature(profile.values**2))
 
@@ -76,6 +82,46 @@ def _secant_seed(converged: list, omega: float) -> RealProfile:
     return RealProfile(p1.grid, p1.values + t * (p1.values - p0.values))
 
 
+def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid | None:
+    """The coarsest grid of grid's half-width, of at least COARSE_MIN_POINTS
+    points, that drops only rfft modes of the seed below COARSE_CUT of their
+    peak; None where not one halving does, or where the seed lives on
+    another grid (which the solve refuses).  A real grid keeps only the
+    cosine of its Nyquist mode, so that mode counts as dropped.  The cold
+    seed is a multiple of exp(-x^2).
+    """
+    if seed is None:
+        values = np.exp(-(grid.nodes**2))
+    elif (seed.grid.n_points, seed.grid.half_width) != (grid.n_points, grid.half_width):
+        return None
+    else:
+        values = seed.values
+    spectrum = np.abs(np.fft.rfft(values))
+    last = int(np.flatnonzero(spectrum >= COARSE_CUT * spectrum.max())[-1])
+    n_points = max(COARSE_MIN_POINTS, 1 << (2 * last).bit_length())  # n_points / 2 > last
+    return SpectralGrid(n_points, grid.half_width) if n_points < grid.n_points else None
+
+
+def _transfer(profile: RealProfile | None, grid: SpectralGrid) -> RealProfile | None:
+    """The profile on another grid of its half-width, f times coarser or
+    finer (f a power of two).  On the coarser grid it is the values at every
+    f-th node, where the nodes coincide; on the finer grid, the
+    trigonometric interpolant: the rfft zero-padded, its Nyquist term
+    halved, since on the finer grid that mode stands for itself and its
+    conjugate.  None, the cold start, stays None: the Gaussian on the coarse
+    grid is the fine one's samples.
+    """
+    if profile is None:
+        return None
+    n, m = profile.grid.n_points, grid.n_points
+    if m < n:
+        return RealProfile(grid, profile.values[:: n // m])
+    coeffs = np.zeros(m // 2 + 1, dtype=complex)
+    coeffs[: n // 2 + 1] = np.fft.rfft(profile.values)
+    coeffs[n // 2] *= 0.5
+    return RealProfile(grid, np.fft.irfft(coeffs, m) * (m // n))
+
+
 def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
     """Warm-started Petviashvili solves along omegas, one per item drawn.
 
@@ -83,20 +129,33 @@ def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig
     diverged or degenerated.  The first solve starts from ``config``, the
     next from the last converged profile, and every later one from the
     secant through the last two; a failure restarts that sequence.
+
+    Each point is a nested iteration.  Where the seed's spectrum allows
+    (``_coarse_grid``), it is first solved on a coarse grid of the same
+    half-width from the seed's samples there, and the requested grid's
+    solve starts from the coarse wave's interpolant; where the coarse solve
+    fails, it starts from the seed.  The requested grid's solve gives the
+    point's profile and verdict.
     """
+    if grid is None:
+        grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
     converged_points = []  # the last one or two consecutive converged (omega, profile)
     for omega in map(float, omegas):
-        seed_config = config
-        if converged_points:
-            seed = _secant_seed(converged_points, omega)
-            seed_config = dataclasses.replace(config, initial_guess=seed)
-        try:
-            profile, diag = petviashvili_solve(alpha, omega, grid, seed_config)
-            converged = diag.converged
-        except (DivergenceError, DegenerateInputError):
-            profile, converged = None, False
+        seed = _secant_seed(converged_points, omega) if converged_points else config.initial_guess
+        coarse = _coarse_grid(seed, grid)
+        start = seed  # of the requested grid's solve
+        for stage in (grid,) if coarse is None else (coarse, grid):
+            guess = start if stage is grid else _transfer(seed, stage)
+            try:
+                profile, diag = petviashvili_solve(
+                    alpha, omega, stage, dataclasses.replace(config, initial_guess=guess))
+                converged = diag.converged
+            except (DivergenceError, DegenerateInputError):
+                profile, converged = None, False
+            if converged and stage is coarse:
+                start = _transfer(profile, grid)
         yield profile, converged
         converged_points = [*converged_points[-1:], (omega, profile)] if converged else []
 
@@ -119,8 +178,6 @@ def continue_branch(
         raise ParameterError("need 0 < omega_start < omega_end")
     if n_steps < 2:
         raise ParameterError("n_steps must be >= 2")
-    if grid is None:
-        grid = SpectralGrid()
 
     omegas = np.linspace(omega_start, omega_end, n_steps)
     profiles, masses, flags = [], [], []

@@ -1,9 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 These run on the production grid (half_width 200, 8192 points) and pin the
-tolerances of the package's headline claims.  Expect a total runtime of
-about two minutes on two cores, most of it in the criterion-10 evolutions;
-the matrix-free eigensolves of criterion 5 take about 11 s.
+tolerances of the package's headline claims.  The module takes about 40 s
+on a 2-vCPU host: the criterion-10 evolutions about 32 s, the criterion-4
+Gamma-function cross-check about 6 s, the criterion-5 spectra about 0.4 s
+and everything else under 1 s.  Every test carries the ``acceptance``
+marker, so ``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """
 
 import time
@@ -35,6 +37,8 @@ from solitonlab.stability import (
     d_second,
     find_alpha0,
 )
+
+pytestmark = pytest.mark.acceptance
 
 ALPHAS = (1.0, 2.0, 4.0)
 

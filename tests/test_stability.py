@@ -1,5 +1,7 @@
 """Tests for branch continuation, d''(omega), and threshold detection."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab import stability
+from solitonlab import petviashvili, stability
 from solitonlab.errors import (
     BracketError,
     BranchError,
     DegenerateInputError,
+    DivergenceError,
     InsufficientDataError,
     ParameterError,
 )
@@ -312,13 +315,6 @@ def test_chi_form_is_the_central_difference_limit(branch_grid, alpha, omega, bet
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
 
-def test_d_second_at_failed_first_point_solves_once(branch_grid, monkeypatch):
-    calls = _degenerate_at(monkeypatch, 0.1)
-    with pytest.raises(BranchError):
-        _d2_at(2.0, 0.1, branch_grid)
-    assert [omega for omega, _ in calls] == [0.1]
-
-
 def test_d_second_at_is_a_two_point_branch_difference(branch_grid):
     # linspace(a, b, 2) is exactly [a, b], so the pointwise d'' is the forward
     # difference of the trapezoid-rule masses at omega and omega + h
@@ -413,57 +409,100 @@ def test_region_scan_decreasing_lattice(branch_grid):
     assert np.all(result.sign_matrix[1] == -1)
 
 
-def _degenerate_at(monkeypatch, bad_omega):
-    """Make the solver raise DegenerateInputError at bad_omega; returns the
-    (omega, initial guess) of every solve."""
-    solve = stability.petviashvili_solve
-    calls = []
+Solve = collections.namedtuple("Solve", "omega grid guess profile")
 
-    def failing(alpha, omega, grid=None, config=None):
-        calls.append((omega, config.initial_guess))
+
+def _recording_solves(monkeypatch, bad_omega=None):
+    """Record every solve in stability as a Solve (profile None where it
+    raised); the solver raises DegenerateInputError at bad_omega."""
+    solve, calls = stability.petviashvili_solve, []
+
+    def recording(alpha, omega, grid=None, config=None):
+        calls.append(Solve(omega, grid, config.initial_guess, None))
         if omega == bad_omega:
             raise DegenerateInputError("nonlinear pairing vanishes for this profile")
-        return solve(alpha, omega, grid, config)
+        profile, diag = solve(alpha, omega, grid, config)
+        calls[-1] = calls[-1]._replace(profile=profile)
+        return profile, diag
 
-    monkeypatch.setattr(stability, "petviashvili_solve", failing)
+    monkeypatch.setattr(stability, "petviashvili_solve", recording)
     return calls
+
+
+def _interpolant(profile, grid):
+    """The trigonometric interpolant of profile at grid's nodes, from its full
+    complex spectrum zero-padded in the middle, its Nyquist term split
+    between the two modes it stands for."""
+    n, m = profile.grid.n_points, grid.n_points
+    coeffs = np.fft.fft(profile.values)
+    padded = np.zeros(m, dtype=complex)
+    padded[: n // 2] = coeffs[: n // 2]
+    padded[m - n // 2 + 1:] = coeffs[n // 2 + 1:]
+    padded[n // 2] = padded[m - n // 2] = 0.5 * coeffs[n // 2]
+    return np.fft.ifft(padded).real * (m / n)
+
+
+def _assert_nested(calls, seeds, grid):
+    """Each point made two solves: one on a coarser grid of grid's half-width,
+    whose nodes are every f-th of grid's, from the seed's values there (None,
+    the cold start, stays None); then one on grid, from the coarse wave's
+    interpolant, or from the seed itself where the coarse solve raised."""
+    assert len(calls) == 2 * len(seeds)
+    for coarse, fine, seed in zip(calls[::2], calls[1::2], seeds):
+        assert coarse.omega == fine.omega
+        f = grid.n_points // coarse.grid.n_points
+        assert f > 1 and coarse.grid.half_width == grid.half_width
+        np.testing.assert_array_equal(coarse.grid.nodes, grid.nodes[::f])
+        assert (fine.grid.n_points, fine.grid.half_width) == (grid.n_points, grid.half_width)
+        if seed is None:
+            assert coarse.guess is None
+        else:
+            np.testing.assert_array_equal(coarse.guess.values, seed[::f])
+        if coarse.profile is not None:
+            expected = _interpolant(coarse.profile, grid)
+            np.testing.assert_allclose(fine.guess.values, expected, rtol=0,
+                                       atol=1e-14 * np.abs(expected).max())
+        elif seed is None:
+            assert fine.guess is None
+        else:
+            np.testing.assert_array_equal(fine.guess.values, seed)
+
+
+def test_d_second_at_failed_first_point_solves_once(branch_grid, monkeypatch):
+    calls = _recording_solves(monkeypatch, 0.1)
+    with pytest.raises(BranchError):
+        _d2_at(2.0, 0.1, branch_grid)
+    # the first point's two stages, both cold, and no solve at omega + h
+    _assert_nested(calls, [None], branch_grid)
 
 
 def test_branch_truncates_at_degenerate_point(branch_grid, monkeypatch):
     omegas = np.linspace(0.05, 0.25, 6)
-    calls = _degenerate_at(monkeypatch, omegas[2])
+    calls = _recording_solves(monkeypatch, omegas[2])
     branch = continue_branch(2.0, 0.05, 0.25, 6, branch_grid)
     np.testing.assert_array_equal(branch.converged_flags, [True, True, False])
     assert branch.profiles[2] is None
     assert np.isnan(branch.masses[2])
     # the branch stops solving at the failed point
-    assert [omega for omega, _ in calls] == list(omegas[:3])
+    assert [call.omega for call in calls] == list(np.repeat(omegas[:3], 2))
+    _assert_nested(calls, [None, branch.profiles[0].values,
+                           _secant(omegas[:2], branch.profiles[:2], omegas[2])], branch_grid)
 
 
 def test_branch_degenerate_first_point_is_branch_error(branch_grid, monkeypatch):
-    _degenerate_at(monkeypatch, 0.05)
+    calls = _recording_solves(monkeypatch, 0.05)
     with pytest.raises(BranchError):
         continue_branch(2.0, 0.05, 0.25, 6, branch_grid)
+    _assert_nested(calls, [None], branch_grid)
 
 
 def test_region_scan_restarts_cold_after_failure(branch_grid, monkeypatch):
-    calls = _degenerate_at(monkeypatch, 0.10)
+    calls = _recording_solves(monkeypatch, 0.10)
     region_scan([2.0], [0.05, 0.10, 0.15, 0.20], branch_grid)
-    warm = [isinstance(guess, RealProfile) for _, guess in calls]
     # 0.05 cold, 0.10 warm and failing, 0.15 cold, 0.20 warm
-    assert warm == [False, True, False, True]
-
-
-def _recording_guesses(monkeypatch):
-    """Record the initial guess of every solve in stability; returns the list."""
-    solve, guesses = stability.petviashvili_solve, []
-
-    def recording(alpha, omega, grid=None, config=None):
-        guesses.append(config.initial_guess)
-        return solve(alpha, omega, grid, config)
-
-    monkeypatch.setattr(stability, "petviashvili_solve", recording)
-    return guesses
+    fine = calls[1::2]
+    _assert_nested(calls, [None, fine[0].profile.values, None, fine[2].profile.values],
+                   branch_grid)
 
 
 def _secant(omegas, profiles, omega):
@@ -474,27 +513,23 @@ def _secant(omegas, profiles, omega):
 def test_sweep_seeds_cold_then_warm_then_secant(branch_grid, monkeypatch):
     # a failure restarts the sequence: cold, plain-warm, then the secant
     omegas = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
-    calls = _degenerate_at(monkeypatch, 0.15)
+    calls = _recording_solves(monkeypatch, 0.15)
     profiles = [p for p, _ in stability._sweep(2.0, omegas, branch_grid, None)]
-    guesses = [guess for _, guess in calls]
     assert profiles[2] is None and all(p is not None for i, p in enumerate(profiles) if i != 2)
-    assert guesses[0] is None and guesses[3] is None
-    assert guesses[1] is profiles[0] and guesses[4] is profiles[3]
-    np.testing.assert_array_equal(guesses[2].values,
-                                  _secant(omegas[:2], profiles[:2], omegas[2]))
-    np.testing.assert_array_equal(guesses[5].values,
-                                  _secant(omegas[3:5], profiles[3:5], omegas[5]))
+    assert [call.profile for call in calls[1::2]] == profiles
+    _assert_nested(calls, [None, profiles[0].values, _secant(omegas[:2], profiles[:2], omegas[2]),
+                           None, profiles[3].values, _secant(omegas[3:5], profiles[3:5], omegas[5])],
+                   branch_grid)
 
 
 def test_sweep_secant_keeps_a_given_first_guess(branch_grid, monkeypatch):
     # the config's own guess starts the sweep; it is not a converged point
     start = phi_exact(2.0, branch_grid)
-    guesses = _recording_guesses(monkeypatch)
+    calls = _recording_solves(monkeypatch)
     profiles = [p for p, _ in stability._sweep(2.0, [0.17, 0.18, 0.19], branch_grid,
                                                SolverConfig(initial_guess=start))]
-    assert guesses[0] is start and guesses[1] is profiles[0]
-    np.testing.assert_array_equal(guesses[2].values,
-                                  _secant([0.17, 0.18], profiles[:2], 0.19))
+    _assert_nested(calls, [start.values, profiles[0].values,
+                           _secant([0.17, 0.18], profiles[:2], 0.19)], branch_grid)
 
 
 def test_sweep_repeated_omega_seeds_the_last_profile(branch_grid, monkeypatch):
@@ -502,9 +537,151 @@ def test_sweep_repeated_omega_seeds_the_last_profile(branch_grid, monkeypatch):
     # through two points at one omega, so no NaN seed
     result = region_scan([2.0], np.linspace(0.1, 0.1, 3), branch_grid)
     np.testing.assert_array_equal(result.sign_matrix, [[1.0, 1.0, 1.0]])
-    guesses = _recording_guesses(monkeypatch)
+    calls = _recording_solves(monkeypatch)
     profiles = [p for p, _ in stability._sweep(2.0, [0.1, 0.1, 0.1], branch_grid, None)]
-    assert guesses[0] is None and guesses[1] is profiles[0] and guesses[2] is profiles[1]
+    _assert_nested(calls, [None, profiles[0].values, profiles[1].values], branch_grid)
+
+
+def test_sweep_falls_back_to_the_seed_after_a_failed_coarse_solve(branch_grid, monkeypatch):
+    # a coarse solve that raises or does not converge costs the point nothing:
+    # the requested grid's solve starts from the seed, as with no coarse stage
+    solve, calls = stability.petviashvili_solve, []
+
+    def coarse_fails(alpha, omega, grid=None, config=None):
+        calls.append(Solve(omega, grid, config.initial_guess, None))
+        if grid.n_points < branch_grid.n_points:
+            if omega == 0.10:
+                raise DivergenceError("iteration produced non-finite values")
+            profile, diag = solve(alpha, omega, grid, dataclasses.replace(config, max_iter=1))
+            return profile, diag
+        return solve(alpha, omega, grid, config)
+
+    monkeypatch.setattr(stability, "petviashvili_solve", coarse_fails)
+    nested = [p for p, _ in stability._sweep(2.0, [0.05, 0.10], branch_grid, None)]
+    assert [call.grid.n_points < branch_grid.n_points for call in calls] == [True, False] * 2
+    assert calls[1].guess is None and calls[3].guess is nested[0]
+    monkeypatch.setattr(stability, "_coarse_grid", lambda seed, grid: None)
+    plain = [p for p, _ in stability._sweep(2.0, [0.05, 0.10], branch_grid, None)]
+    for a, b in zip(nested, plain):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_coarse_grid_of_the_cold_seed(branch_grid):
+    # exp(-x^2) is below 1e-15 of its peak past xi = 12 (mode 382 on L = 100),
+    # so 1024 points keep it and 512 would not
+    coarse = stability._coarse_grid(None, branch_grid)
+    assert (coarse.n_points, coarse.half_width) == (1024, 100.0)
+    assert stability._coarse_grid(None, SpectralGrid(1024, 100.0)) is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    widths=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3),
+    amplitude=st.floats(1e-3, 1e3),
+    shift=st.floats(-10.0, 10.0),
+    grid=st.sampled_from([(1024, 100.0), (2048, 100.0), (8192, 200.0), (128, 10.0)]),
+)
+def test_coarse_grid_drops_no_mode_above_the_cut(widths, amplitude, shift, grid):
+    # the coarse grid drops (its Nyquist mode included) only modes below
+    # COARSE_CUT of the seed's peak, and halving it once more would not
+    grid = SpectralGrid(*grid)
+    x = grid.nodes - shift
+    values = amplitude * sum(np.exp(-((x / w) ** 2)) * np.cos(x / w) for w in widths)
+    seed = RealProfile(grid, values)
+    spectrum = np.abs(np.fft.rfft(values))
+    cut = stability.COARSE_CUT * spectrum.max()
+    coarse = stability._coarse_grid(seed, grid)
+    n = grid.n_points if coarse is None else coarse.n_points
+    assert np.all(spectrum[n // 2:] < cut) or coarse is None
+    assert n == stability.COARSE_MIN_POINTS or np.any(spectrum[n // 4:] >= cut)
+    if coarse is not None:
+        assert coarse.half_width == grid.half_width and n < grid.n_points
+
+
+def test_sign_changing_wave_gets_no_coarse_stage(branch_grid, monkeypatch):
+    # at beta = 0 the wave changes sign, and |phi|^alpha phi with alpha = 1.5
+    # has an algebraic Fourier tail, so the wave's spectrum never falls
+    # below the cut and its branch solves on the requested grid alone
+    config = SolverConfig(dispersion_beta=0.0)
+    wave, diag = petviashvili_solve(1.5, 0.2, branch_grid, config)
+    assert diag.converged and wave.values.min() < -1e-3 * wave.values.max()
+    spectrum = np.abs(np.fft.rfft(wave.values))
+    assert spectrum[branch_grid.n_points // 4:].max() >= stability.COARSE_CUT * spectrum.max()
+    assert stability._coarse_grid(wave, branch_grid) is None
+    calls = _recording_solves(monkeypatch)
+    list(stability._sweep(1.5, [0.21, 0.22], branch_grid,
+                          dataclasses.replace(config, initial_guess=wave)))
+    assert [call.grid for call in calls] == [branch_grid, branch_grid]
+
+
+def test_wrong_grid_seed_is_refused_as_before(branch_grid):
+    # a given guess on another grid gets no coarse stage; the solve refuses it
+    other = phi_exact(2.0, SpectralGrid(1024, 100.0))
+    assert stability._coarse_grid(other, branch_grid) is None
+    with pytest.raises(ParameterError, match="different grid"):
+        list(stability._sweep(2.0, [0.16], branch_grid, SolverConfig(initial_guess=other)))
+
+
+@pytest.mark.parametrize("n_coarse, n_fine", [(64, 1024), (256, 2048), (1024, 8192)])
+def test_transfer_samples_and_interpolates(n_coarse, n_fine):
+    # sampling is exact at the shared nodes; the interpolant reproduces a
+    # trigonometric polynomial of the coarse grid, Nyquist term included,
+    # and samples back to the coarse values
+    fine, coarse = SpectralGrid(n_fine, 50.0), SpectralGrid(n_coarse, 50.0)
+    k = np.pi / 50.0
+    def poly(x):
+        return 1.0 + np.cos(3 * k * x) - 0.5 * np.sin(7 * k * x) + 0.25 * np.cos(n_coarse / 2 * k * x)
+    restricted = stability._transfer(RealProfile(fine, poly(fine.nodes)), coarse)
+    np.testing.assert_array_equal(restricted.values, poly(fine.nodes)[:: n_fine // n_coarse])
+    prolonged = stability._transfer(RealProfile(coarse, poly(coarse.nodes)), fine)
+    np.testing.assert_allclose(prolonged.values, poly(fine.nodes), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(prolonged.values[:: n_fine // n_coarse], poly(coarse.nodes),
+                               rtol=0, atol=1e-13)
+    assert stability._transfer(None, coarse) is None
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(0.5, 6.0),
+    beta=st.sampled_from([0.0, 1.0]),
+    grid=st.sampled_from([(1024, 100.0), (2048, 100.0), (8192, 200.0)]),
+    omega=st.floats(0.05, 0.3),
+)
+def test_nested_sweep_matches_sweep_without_coarse_stage(alpha, beta, grid, omega):
+    # the oracle is the same sweep with no coarse stage: identical flags and
+    # d'' signs, and masses that agree to 1e-13 beyond what the stop rule
+    # leaves open.  |1 - M| <= TOL_STAB bounds each solve's amplitude error by
+    # TOL_STAB / alpha, so its mass error by 2 TOL_STAB / alpha, per side
+    grid = SpectralGrid(*grid)
+    config = SolverConfig(dispersion_beta=beta)
+    nested = continue_branch(alpha, omega, 1.5 * omega, 5, grid, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "_coarse_grid", lambda seed, grid: None)
+        plain = continue_branch(alpha, omega, 1.5 * omega, 5, grid, config)
+    np.testing.assert_array_equal(nested.converged_flags, plain.converged_flags)
+    np.testing.assert_array_equal(np.sign(d_second(nested)[:, 1]), np.sign(d_second(plain)[:, 1]))
+    np.testing.assert_allclose(nested.masses, plain.masses, atol=0,
+                               rtol=1e-13 + 4 * petviashvili.TOL_STAB / alpha)
+
+
+def test_branch_polishes_each_point_in_at_most_two_iterations(monkeypatch):
+    # the 24-point alpha = 3.2 branch of the CLI defaults: every point is
+    # solved on a coarse grid, then in at most 2 iterations on the requested one
+    grid = SpectralGrid(8192, 200.0)
+    solve, iterations = stability.petviashvili_solve, []
+
+    def recording(alpha, omega, stage=None, config=None):
+        profile, diag = solve(alpha, omega, stage, config)
+        iterations.append((stage.n_points, diag.iterations))
+        return profile, diag
+
+    monkeypatch.setattr(stability, "petviashvili_solve", recording)
+    branch = continue_branch(3.2, 0.02, 0.25, 24, grid)
+    assert branch.converged_flags.all() and branch.omegas.size == 24
+    coarse, fine = iterations[::2], iterations[1::2]
+    assert len(fine) == 24 and all(n == 8192 for n, _ in fine)
+    assert all(n < 8192 for n, _ in coarse)
+    assert max(count for _, count in fine) <= 2
 
 
 def test_pure_fourth_order_signs(branch_grid):
