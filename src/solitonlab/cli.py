@@ -121,8 +121,8 @@ def cmd_spectrum(args, grid, config, out) -> int:
         "n_composite": n_comp,
         "z_composite": z_comp,
         "ground_state_single_signed": spectra.ground_state_positivity(rep["minus"]),
-        "smallest_minus": [float(v) for v in rep["minus"].smallest_eigenvalues],
-        "smallest_plus": [float(v) for v in rep["plus"].smallest_eigenvalues],
+        "smallest_minus": [float(v) for v in rep["minus"].eigenvalues[:6]],
+        "smallest_plus": [float(v) for v in rep["plus"].eigenvalues[:6]],
     }
     _write_json(out / "spectrum.json", payload)
     return EXIT_OK
@@ -157,6 +157,8 @@ def cmd_region(args, grid, config, out) -> int:
     for flag, steps in (("--alpha-steps", args.alpha_steps), ("--omega-steps", args.omega_steps)):
         if steps < 1:
             raise UsageError(f"{flag} must be >= 1, got {steps}")
+    if not np.isfinite([args.alpha_min, args.alpha_max, args.omega_min, args.omega_max]).all():
+        raise UsageError("the lattice's ends must be finite")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     result = stability.region_scan(alphas, omegas, grid, config, jobs=args.jobs)
@@ -164,8 +166,7 @@ def cmd_region(args, grid, config, out) -> int:
     _write_csv(
         out / "region.csv",
         ["alpha", "omega", "sign"],
-        [np.repeat(result.alpha_grid, omegas.size), np.tile(result.omega_grid, alphas.size),
-         result.sign_matrix.ravel()],
+        [np.repeat(alphas, omegas.size), np.tile(omegas, alphas.size), result.sign_matrix.ravel()],
     )
     return EXIT_OK
 

@@ -9,10 +9,6 @@ class ParameterError(ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
-class DomainError(ValueError):
-    """A closed-form expression was evaluated outside its usable range."""
-
-
 class DegenerateInputError(ValueError):
     """An input makes a required denominator vanish."""
 

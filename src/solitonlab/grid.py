@@ -1,9 +1,8 @@
-"""Uniform periodic spectral grid with FFT transforms, quadrature, and norms.
+"""Uniform periodic spectral grid: nodes, wavenumbers, Fourier multipliers,
+quadrature and the H2 norm.
 
-The transform convention is continuum-consistent: coefficients are
-``dx * sum_j f(x_j) exp(-i xi_k x_j)`` so that the coefficient at ``xi = 0``
-approximates the integral of ``f`` over the domain.  Wavenumbers are stored
-in standard FFT order (``0, ..., n/2-1, -n/2, ..., -1`` times ``pi / L``).
+Wavenumbers are stored in standard FFT order (``0, ..., n/2-1, -n/2, ..., -1``
+times ``pi / L``).
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class SpectralGrid:
         xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
         object.__setattr__(self, "wavenumbers", xi)
         object.__setattr__(self, "h2_weight", 1.0 + xi**2 + xi**4)
-        # phase (-1)^k accounts for the x = -L origin of the node set
-        k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-        object.__setattr__(self, "_phase", np.where(k % 2 == 0, 1.0, -1.0))
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -57,18 +53,6 @@ class SpectralGrid:
                 f"expected array of shape ({self.n_points},), got {values.shape}"
             )
         return values
-
-    # -- transforms ---------------------------------------------------------
-
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Discrete Fourier coefficients aligned with `wavenumbers`."""
-        values = self._check(values)
-        return self.dx * self._phase * np.fft.fft(values)
-
-    def inverse(self, coefficients: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward`."""
-        coefficients = self._check(coefficients)
-        return np.fft.ifft(coefficients * self._phase) / self.dx
 
     def apply_symbol(self, values: np.ndarray, symbol) -> np.ndarray:
         """Apply a Fourier multiplier ``symbol(xi)`` to sampled values.
@@ -86,28 +70,18 @@ class SpectralGrid:
             return out.real
         return out
 
-    # -- quadrature and norms ----------------------------------------------
-
     def quadrature(self, values: np.ndarray):
         """Trapezoid rule on the periodic grid (= rectangle rule)."""
         return self.dx * self._check(values).sum()
 
-    def norm(self, values: np.ndarray, kind: str = "L2", p: float | None = None) -> float:
-        values = self._check(values)
-        if kind == "L2":
-            return float(np.sqrt(self.dx * np.sum(np.abs(values) ** 2)))
-        if kind == "Linf":
-            return float(np.max(np.abs(values)))
-        if kind == "Lp":
-            if p is None or p < 1:
-                raise ParameterError(f"Lp norm requires p >= 1, got {p}")
-            return float((self.dx * np.sum(np.abs(values) ** p)) ** (1.0 / p))
-        if kind == "H2":
-            coeffs = np.fft.fft(values)
-            return float(
-                np.sqrt(self.dx / self.n_points * np.sum(self.h2_weight * np.abs(coeffs) ** 2))
-            )
-        raise ParameterError(f"unknown norm kind {kind!r}")
+    def norm(self, values: np.ndarray, kind: str) -> float:
+        """The H2 norm, by Parseval with the weight 1 + xi^2 + xi^4; the only kind."""
+        if kind != "H2":
+            raise ParameterError(f"unknown norm kind {kind!r}")
+        coeffs = np.fft.fft(self._check(values))
+        return float(
+            np.sqrt(self.dx / self.n_points * np.sum(self.h2_weight * np.abs(coeffs) ** 2))
+        )
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """The model, written down once, and the stabilized fixed-point iteration for it.
 
 The profile equation is phi'''' - beta phi'' + omega phi = |phi|^alpha phi on
-the periodic grid, its time-dependent form is i u_t + beta u_xx - u_xxxx +
-|u|^alpha u = 0, and its constrained functional is B_omega / tau.  This module
-is their one home: ``symbol`` (xi^4 + beta xi^2 + omega), ``power`` (|u|^p),
-``power_from_square`` (|u|^p from |u|^2, for the integrator's in-place step)
-and ``half_weights`` (the Parseval weights of an rfft half spectrum) build the
-nonlinearity, the quadratic form and the residual here, and everything that
-``spectra`` and ``evolve`` use of the model.
+the periodic grid, and its time-dependent form is i u_t + beta u_xx - u_xxxx +
+|u|^alpha u = 0.  This module is their one home: ``symbol`` (xi^4 + beta xi^2
++ omega), ``power`` (|u|^p), ``power_from_square`` (|u|^p from |u|^2, for the
+integrator's in-place step) and ``half_weights`` (the Parseval weights of an
+rfft half spectrum) build the solver's nonlinearity, quadratic form and
+residual here, and everything that ``spectra`` and ``evolve`` use of the
+model.
 
 The solver's map is the stabilized (Petviashvili) step c -> g(c) = M^nu
 N(c) / (xi^4 + beta xi^2 + omega) on rfft half spectra c, with the
-stabilizing factor M raised to the exponent nu = (alpha+2)/(alpha+1).  The
+stabilizing factor M = int phi (d^4 - beta d^2 + omega) phi / int |phi|^alpha
+phi^2 (1 at a solution) raised to the exponent nu = (alpha+2)/(alpha+1).  The
 loop Anderson-mixes it with depth ANDERSON_DEPTH = 5: at each iterate it
 measures M, the spectral residual and g, and takes the combination of the
 last images g that least-squares minimizes the combined residual f = g - c
@@ -69,8 +70,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.dispersion_beta < 0:
-            raise ParameterError("dispersion_beta must be >= 0")
+        if not 0 <= self.dispersion_beta < np.inf:
+            raise ParameterError(
+                f"dispersion_beta must be finite and >= 0, got {self.dispersion_beta}")
 
 
 @dataclass
@@ -140,37 +142,6 @@ def check_omega_width(omega: float, grid: SpectralGrid) -> None:
         )
 
 
-def constrained_functional(
-    profile: RealProfile, alpha: float, omega: float, beta: float = 1.0
-) -> tuple[float, float]:
-    """Quadratic part B_omega(u) = (1/2) int u (d^4 - beta d^2 + omega) u and the
-    nonlinear constraint tau = int |u|^(alpha+2).
-
-    For the explicit wave at omega0 the identity B = tau / 2 holds.
-    """
-    coeffs = np.fft.rfft(profile.values)
-    b_value = 0.5 * float(np.sum(pairing_weights(profile.grid, omega, beta) * np.abs(coeffs) ** 2))
-    tau = float(profile.grid.quadrature(power(profile.values, alpha + 2)))
-    return b_value, tau
-
-
-def stabilizing_factor(
-    profile: RealProfile, alpha: float, omega: float, beta: float = 1.0
-) -> float:
-    """Ratio 2B / tau of the linear quadratic form to the nonlinear pairing; 1 at a solution."""
-    b_value, tau = constrained_functional(profile, alpha, omega, beta)
-    if tau == 0.0:
-        raise DegenerateInputError("nonlinear pairing vanishes for this profile")
-    return 2.0 * b_value / tau
-
-
-def residual(profile: RealProfile, alpha: float, omega: float, beta: float = 1.0) -> float:
-    """Sup-norm of phi'''' - beta phi'' + omega phi - |phi|^alpha phi."""
-    g, v = profile.grid, profile.values
-    linear = np.fft.irfft(half_symbol(g, omega, beta) * np.fft.rfft(v), g.n_points)
-    return float(np.max(np.abs(linear - nonlinearity(v, alpha))))
-
-
 def _initial_guess(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfig):
     guess = config.initial_guess
     if guess is None:
@@ -198,8 +169,8 @@ def petviashvili_solve(
     ``diagnostics.converged`` rather than an exception; non-finite iterates
     raise :class:`DivergenceError`.
     """
-    if not alpha > 0 or not omega > 0:
-        raise ParameterError("alpha and omega must be positive")
+    if not (0 < alpha < np.inf and 0 < omega < np.inf):
+        raise ParameterError(f"alpha and omega must be positive and finite, got {alpha}, {omega}")
     if grid is None:
         grid = SpectralGrid()
     if config is None:

@@ -10,9 +10,10 @@ the even and odd sectors, so that the odd kernel phi' is split off by
 symmetry, the low spectrum comes from one dense eigensolve of the sector
 compressed to the Fourier modes whose coupling entries reach its residual
 target, certified by each pair's residual on the full sector (more modes are
-taken only if that certificate fails); linear solves use preconditioned
-MINRES.  Counts of negative and zero eigenvalues certify the spectral
-propositions.
+taken only if that certificate fails); the chi solve L- chi = phi behind
+d'' uses preconditioned MINRES in the even sector.  Counts of negative and
+zero eigenvalues, zero meaning within ZERO_BAND (omega + 1), certify the
+spectral propositions.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ SECTOR_RESIDUAL = 1e-10
 # residual needs entries down to 9.5e-16 (alpha 1, Lminus), and rfft rounds
 # them to about 3e-18 at N = 8192
 COUPLING_FRACTION = 1e-6
+# eigen_report counts the eigenvalues within ZERO_BAND (omega + 1) of 0 as
+# zero, from a window of at least WINDOW of the lowest
+ZERO_BAND = 1e-6
+WINDOW = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +50,6 @@ class LinearizedOperator:
 
     symbol: np.ndarray
     potential: np.ndarray
-    which: str
     omega: float
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -58,18 +62,13 @@ class EigenReport:
     """Low-lying spectrum of a linearized operator.
 
     ``eigenvalues``/``eigenvectors`` hold the computed smallest part of the
-    spectrum (enough to contain everything below ``tol_zero``).
+    spectrum (enough to contain everything below the zero band).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     n_negative: int
     n_zero: int
-    tol_zero: float
-
-    @property
-    def smallest_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[:6]
 
 
 def build_operator(
@@ -84,7 +83,7 @@ def build_operator(
         raise ParameterError(f"which must be 'Lminus' or 'Lplus', got {which!r}")
     factor = alpha + 1.0 if which == "Lminus" else 1.0
     potential = -factor * power(profile.values, alpha)
-    return LinearizedOperator(half_symbol(profile.grid, omega, beta), potential, which, omega)
+    return LinearizedOperator(half_symbol(profile.grid, omega, beta), potential, omega)
 
 
 class _Sector:
@@ -205,27 +204,21 @@ class _Sector:
         raise DeflationSolveError(f"MINRES did not converge in {10 * rhs.size} iterations")
 
 
-def default_tol_zero(omega: float) -> float:
-    return 1e-6 * (omega + 1.0)
-
-
-def eigen_report(
-    op: LinearizedOperator, tol_zero: float | None = None, n_small: int = 8
-) -> EigenReport:
+def eigen_report(op: LinearizedOperator) -> EigenReport:
     """Count negative and (numerically) zero eigenvalues.
 
-    Computes the ``n_small`` smallest eigenpairs of each parity sector (a
-    dense eigensolve of the sector on its resolved Fourier modes, see
-    ``_Sector.lowest``), keeps the smallest ``n_small`` of both, and doubles
-    the window until the largest kept eigenvalue clears ``tol_zero``, so the
-    counts are complete.  Raises :class:`DeflationSolveError` if a returned
-    pair misses its residual bound on the full operator.
+    Computes the WINDOW smallest eigenpairs of each parity sector (a dense
+    eigensolve of the sector on its resolved Fourier modes, see
+    ``_Sector.lowest``), keeps the smallest WINDOW of both, and doubles the
+    window until the largest kept eigenvalue clears the zero band
+    ZERO_BAND (omega + 1), so the counts are complete.  Raises
+    :class:`DeflationSolveError` if a returned pair misses its residual bound
+    on the full operator.
     """
     if op.potential.size < 8:
         raise ParameterError("the sector eigensolver needs at least 8 grid points")
-    if tol_zero is None:
-        tol_zero = default_tol_zero(op.omega)
-    k = n_small
+    tol_zero = ZERO_BAND * (op.omega + 1.0)
+    k = WINDOW
     while True:
         pairs = [_Sector(op, sign).lowest(k) for sign in (1, -1)]
         vals, vecs = (np.concatenate(parts, axis=-1) for parts in zip(*pairs))
@@ -239,7 +232,7 @@ def eigen_report(
     if residual > 1e-12 * scale:
         raise DeflationSolveError(f"eigenpair residual too large ({residual:.2e})")
     return EigenReport(vals, vecs, n_negative=int(np.sum(vals < -tol_zero)),
-                       n_zero=int(np.sum(np.abs(vals) <= tol_zero)), tol_zero=float(tol_zero))
+                       n_zero=int(np.sum(np.abs(vals) <= tol_zero)))
 
 
 def composite_counts(report_minus: EigenReport, report_plus: EigenReport):

@@ -56,11 +56,13 @@ class StabilityMap:
     threshold, NaN for failed solves.
     """
 
-    alpha_grid: np.ndarray
-    omega_grid: np.ndarray
     sign_matrix: np.ndarray
 
 
+# find_omega_c brackets its root on an N_COARSE-point branch and finds it to
+# within TOL_OMEGA
+N_COARSE = 16
+TOL_OMEGA = 1e-10
 # the coarse-grid predictor of each branch point may drop the rfft modes of
 # its seed below COARSE_CUT of their peak, down to COARSE_MIN_POINTS points
 COARSE_CUT = 1e-15
@@ -174,8 +176,8 @@ def continue_branch(
     failure (not converged, diverged or degenerate) truncates the branch at
     the failed point, which is flagged not-converged.
     """
-    if not (0 < omega_start < omega_end):
-        raise ParameterError("need 0 < omega_start < omega_end")
+    if not (0 < omega_start < omega_end < np.inf):
+        raise ParameterError("need 0 < omega_start < omega_end < inf")
     if n_steps < 2:
         raise ParameterError("n_steps must be >= 2")
 
@@ -274,12 +276,10 @@ def find_omega_c(
     omega_range: tuple[float, float],
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
-    tol_omega: float = 1e-10,
-    n_coarse: int = 16,
 ):
     """Frequency where d'' changes sign; None if the coarse branch shows no change.
 
-    The first change of the forward-difference signs along an n_coarse-point
+    The first change of the forward-difference signs along an N_COARSE-point
     branch brackets the root between branch points; Brent's method then
     finds the root of the chi form of d'' there, each solve seeded from the
     last.  The chi form at the branch's own profiles gives the bracket's
@@ -290,7 +290,7 @@ def find_omega_c(
     lo, hi = omega_range
     if config is None:
         config = SolverConfig()
-    branch = continue_branch(alpha, lo, hi, n_coarse, grid, config)
+    branch = continue_branch(alpha, lo, hi, N_COARSE, grid, config)
     samples = d_second(branch)
     signs = sample_signs(branch, samples)
     changes = np.flatnonzero(signs[:-1] * signs[1:] < 0)  # resolved signs that differ
@@ -317,7 +317,7 @@ def find_omega_c(
             raise BranchError(f"solve at omega={omega:g} did not converge")
         return _chi_d2(seed, alpha, omega, beta)
 
-    return _brent(d2, omegas[i], omegas[i + 1], fa, fb, tol_omega)
+    return _brent(d2, omegas[i], omegas[i + 1], fa, fb, TOL_OMEGA)
 
 
 def find_alpha0(
@@ -389,8 +389,4 @@ def region_scan(
             rows = list(pool.map(_scan_row, tasks))
     else:
         rows = [_scan_row(t) for t in tasks]
-    return StabilityMap(
-        alpha_grid=alpha_grid,
-        omega_grid=omega_grid,
-        sign_matrix=np.vstack(rows),
-    )
+    return StabilityMap(sign_matrix=np.vstack(rows))

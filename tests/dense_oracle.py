@@ -55,7 +55,6 @@ def dense_report(matrix, tol_zero=None, n_small=8):
         eigenvectors=vecs,
         n_negative=int(np.sum(vals < -tol_zero)),
         n_zero=int(np.sum(np.abs(vals) <= tol_zero)),
-        tol_zero=float(tol_zero),
     )
 
 

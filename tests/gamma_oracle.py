@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from solitonlab.errors import DomainError
+from model_oracle import DomainError
 from solitonlab.explicit import explicit_params
 
 

@@ -6,7 +6,7 @@ lives here rather than in ``solitonlab.spectra``.
 
 import numpy as np
 
-from solitonlab.errors import DomainError
+from model_oracle import DomainError
 
 
 def check_pf2_logconcavity(samples: np.ndarray) -> bool:

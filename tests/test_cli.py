@@ -411,3 +411,36 @@ def test_evolve_honours_beta(tmp_path):
     assert code == EXIT_OK
     data = read_csv(tmp_path / "evolution.csv")
     assert np.max(data["orbital_distance"]) <= 1e-6
+
+
+VALID = {
+    "solve": ["--alpha", "2", "--omega", "0.16"],
+    "verify-exact": ["--alpha", "2"],
+    "spectrum": ["--alpha", "2", "--omega", "0.16"],
+    "branch": ["--alpha", "2", "--steps", "4"],
+    "dmap": ["--alpha", "2", "--steps", "4"],
+    "region": ["--alpha-steps", "2", "--omega-steps", "2"],
+    "evolve": ["--alpha", "2", "--omega", "0.16", "--t-final", "0.01"],
+}
+
+
+def _with(argv, flag, value):
+    """argv with flag set to value, replaced where it is given and appended otherwise."""
+    if flag not in argv:
+        return [*argv, flag, value]
+    i = argv.index(flag) + 1
+    return [*argv[:i], value, *argv[i + 1:]]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in VALID for flag in PARSER[command]
+    if flag in ("--beta", "--alpha", "--omega", "--alpha-min", "--alpha-max",
+                "--omega-min", "--omega-max")])
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys, command, flag, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main([command, "--out", str(tmp_path)] + FAST + _with(VALID[command], flag, value))
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not any(tmp_path.iterdir())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_oracle import constrained_functional
 from reference_evolve import reference_advance
 from solitonlab import evolve
 from solitonlab.errors import BlowUpDetected, ParameterError
@@ -22,7 +23,7 @@ from solitonlab.evolve import (
 )
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
-from solitonlab.petviashvili import SolverConfig, constrained_functional, petviashvili_solve
+from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 
 OMEGA0_2 = 4.0 / 25.0
 

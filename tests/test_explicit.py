@@ -1,4 +1,5 @@
-"""Tests for the closed-form wave, its transforms, and the d'' formulas."""
+"""Tests for the closed-form wave, and for the oracles of its transforms, its
+functional and the beta = 0 d'' formula."""
 
 from fractions import Fraction
 
@@ -6,16 +7,16 @@ import numpy as np
 import pytest
 
 from gamma_oracle import phi_hat_exact
-from solitonlab.errors import DomainError, ParameterError
-from solitonlab.explicit import (
-    d2_closed_nls,
+from model_oracle import (
+    DomainError,
+    constrained_functional,
     d2_closed_pure4nls,
-    explicit_params,
-    nls_sech_solution,
-    phi_exact,
+    forward,
     phi_pow_alpha_hat_exact,
+    residual,
 )
-from solitonlab.petviashvili import constrained_functional, residual
+from solitonlab.errors import ParameterError
+from solitonlab.explicit import explicit_params, phi_exact
 
 
 def omega0_rational(alpha):
@@ -73,7 +74,7 @@ def test_phi_hat_positive_and_even():
 
 def test_phi_hat_matches_fft(grid_mid):
     for alpha in (1.0, 2.0, 4.0):
-        coeffs = grid_mid.forward(phi_exact(alpha, grid_mid).values).real
+        coeffs = forward(grid_mid, phi_exact(alpha, grid_mid).values).real
         sel = np.abs(grid_mid.wavenumbers) <= 2.0
         predicted = phi_hat_exact(alpha, grid_mid.wavenumbers[sel])
         c = coeffs[grid_mid.wavenumbers == 0.0][0] / phi_hat_exact(alpha, 0.0)
@@ -104,7 +105,7 @@ def test_phi_pow_alpha_hat_positive_even():
 def test_phi_pow_alpha_hat_matches_fft(grid_mid):
     for alpha in (1.0, 2.0, 4.0):
         samples = np.abs(phi_exact(alpha, grid_mid).values) ** alpha
-        coeffs = grid_mid.forward(samples).real
+        coeffs = forward(grid_mid, samples).real
         sel = np.abs(grid_mid.wavenumbers) <= 2.0
         predicted = phi_pow_alpha_hat_exact(alpha, grid_mid.wavenumbers[sel])
         c = coeffs[grid_mid.wavenumbers == 0.0][0] / phi_pow_alpha_hat_exact(alpha, 0.0)
@@ -112,32 +113,15 @@ def test_phi_pow_alpha_hat_matches_fft(grid_mid):
         assert np.max(rel) < 1e-6
 
 
-def test_nls_sech_solution(grid_mid):
-    prof = nls_sech_solution(2.0, 1.0, grid_mid)
-    center = grid_mid.n_points // 2
-    assert prof.values[center] == pytest.approx(np.sqrt(2.0), rel=1e-14)
-    # second-order model: -phi'' + omega phi - phi^(alpha+1) = 0
-    linear = grid_mid.apply_symbol(prof.values, lambda xi: xi**2 + 1.0)
-    res = np.max(np.abs(linear - prof.values**3))
-    assert res <= 1e-8
-    with pytest.raises(ParameterError):
-        nls_sech_solution(2.0, -1.0, grid_mid)
-
-
 def test_d2_closed_formulas():
-    assert d2_closed_nls(4.0, 1.0, 1.0) == 0.0
-    assert d2_closed_nls(2.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
-    assert d2_closed_nls(5.0, 0.3, 2.0) < 0
     assert d2_closed_pure4nls(8.0, 1.0, 1.0) == 0.0
     assert d2_closed_pure4nls(4.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
     assert d2_closed_pure4nls(10.0, 0.3, 2.0) < 0
     with pytest.raises(ParameterError):
-        d2_closed_nls(2.0, 1.0, -1.0)
+        d2_closed_pure4nls(2.0, 1.0, -1.0)
 
 
 def test_d2_sign_change_locations():
-    for alpha in (3.9, 4.1):
-        assert np.sign(d2_closed_nls(alpha, 1.0, 1.0)) == np.sign(4.0 - alpha)
     for alpha in (7.9, 8.1):
         assert np.sign(d2_closed_pure4nls(alpha, 1.0, 1.0)) == np.sign(8.0 - alpha)
 

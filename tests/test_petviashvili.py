@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_oracle import residual
 from reference_petviashvili import reference_solve
 from solitonlab import petviashvili
 from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterError
@@ -17,8 +18,6 @@ from solitonlab.petviashvili import (
     petviashvili_solve,
     power,
     power_from_square,
-    residual,
-    stabilizing_factor,
 )
 
 OMEGA0_2 = 4.0 / 25.0
@@ -27,8 +26,9 @@ OMEGA0_2 = 4.0 / 25.0
 def test_config_validation():
     with pytest.raises(ParameterError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ParameterError):
-        SolverConfig(dispersion_beta=-0.5)
+    for beta in (-0.5, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            SolverConfig(dispersion_beta=beta)
 
 
 def test_nonlinearity_handles_signs():
@@ -38,36 +38,33 @@ def test_nonlinearity_handles_signs():
     assert out[0] == pytest.approx(-(1.5 ** 1.5), rel=1e-14)
 
 
+def _stabilizing_gap(profile, alpha, omega):
+    """|1 - M| for the solver's stabilizing factor M at the profile it starts from."""
+    config = SolverConfig(max_iter=1, initial_guess=profile)
+    return petviashvili_solve(alpha, omega, profile.grid, config)[1].stab_history[0]
+
+
 def test_stabilizing_factor_at_exact_wave(grid_mid):
-    phi = phi_exact(2.0, grid_mid)
-    assert stabilizing_factor(phi, 2.0, OMEGA0_2) == pytest.approx(1.0, abs=1e-8)
+    assert _stabilizing_gap(phi_exact(2.0, grid_mid), 2.0, OMEGA0_2) <= 1e-8
 
 
 def test_stabilizing_factor_scaling(grid_mid):
-    phi = phi_exact(2.0, grid_mid)
-    m1 = stabilizing_factor(phi, 2.0, OMEGA0_2)
-    scaled = RealProfile(grid_mid, 2.0 * phi.values)
-    m2 = stabilizing_factor(scaled, 2.0, OMEGA0_2)
-    assert m2 == pytest.approx(m1 * 2.0 ** (-2.0), rel=1e-12)
+    # M is quadratic over a power alpha + 2 of the profile: M(2 phi) = M(phi) / 4
+    doubled = RealProfile(grid_mid, 2.0 * phi_exact(2.0, grid_mid).values)
+    assert _stabilizing_gap(doubled, 2.0, OMEGA0_2) == pytest.approx(0.75, abs=1e-8)
 
 
 def test_stabilizing_factor_gaussian_oracle(grid_mid):
     g = grid_mid
     values = np.exp(-g.nodes**2)
-    profile = RealProfile(g, values)
     # direct quadrature of both pairings using spectral derivatives
     num = g.dx * np.sum(
         g.apply_symbol(values, lambda xi: xi**4 + xi**2 + 0.16) * values)
     den = g.dx * np.sum(values**4)
     expected = num / den
-    assert stabilizing_factor(profile, 2.0, 0.16) == pytest.approx(expected, rel=1e-10)
+    assert _stabilizing_gap(RealProfile(g, values), 2.0, 0.16) == pytest.approx(
+        abs(1.0 - expected), rel=1e-10)
     assert expected != pytest.approx(1.0, rel=0.1)
-
-
-def test_stabilizing_factor_zero_profile(grid_small):
-    zero = RealProfile(grid_small, np.zeros(grid_small.n_points))
-    with pytest.raises(DegenerateInputError):
-        stabilizing_factor(zero, 2.0, 0.16)
 
 
 def test_residual_of_exact_wave(grid_mid):
@@ -105,10 +102,10 @@ def test_solve_diagnostics_consistency(grid_mid, solve_cache):
 
 
 def test_solve_validation(grid_small):
-    with pytest.raises(ParameterError):
-        petviashvili_solve(-1.0, 0.16, grid_small)
-    with pytest.raises(ParameterError):
-        petviashvili_solve(2.0, 0.0, grid_small)
+    for alpha, omega in ((-1.0, 0.16), (2.0, 0.0), (np.nan, 0.16), (np.inf, 0.16),
+                         (2.0, np.nan), (2.0, np.inf)):
+        with pytest.raises(ParameterError):
+            petviashvili_solve(alpha, omega, grid_small)
 
 
 def test_fixed_point_property(grid_mid, solve_cache):

@@ -15,13 +15,10 @@ from dense_oracle import (
     operator_matrix,
     restrict_even_sector,
 )
+from model_oracle import DomainError, phi_pow_alpha_hat_exact
 from pf2_oracle import check_pf2_logconcavity
-from solitonlab.errors import DeflationSolveError, DomainError, ParameterError
-from solitonlab.explicit import (
-    explicit_params,
-    phi_exact,
-    phi_pow_alpha_hat_exact,
-)
+from solitonlab.errors import DeflationSolveError, ParameterError
+from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 from solitonlab.spectra import (
@@ -151,24 +148,27 @@ def test_eigen_report_synthetic_operator(op_grid):
     xi = op_grid.wavenumbers[: op_grid.n_points // 2 + 1]
     symbol = xi**4 + xi**2
     s = symbol[1]
-    op = LinearizedOperator(symbol, np.full(op_grid.n_points, -s), "Lplus", 0.0)
-    rep = eigen_report(op, tol_zero=1e-8)
+    op = LinearizedOperator(symbol, np.full(op_grid.n_points, -s), 0.0)
+    rep = eigen_report(op)
     assert (rep.n_negative, rep.n_zero) == (1, 2)
     expected = np.sort(np.concatenate([symbol, symbol[1:-1]]))[:8] - s
     np.testing.assert_allclose(rep.eigenvalues, expected, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("n_small", [1, 8])
-def test_eigen_report_synthetic_operator_negative_beta(op_grid, n_small):
-    # xi^4 - xi^2 is least near xi = 0.71, mode 22, beyond the first 2 n_small
+@pytest.mark.parametrize("k", [1, 8])
+def test_eigen_report_synthetic_operator_negative_beta(op_grid, k):
+    # xi^4 - xi^2 is least near xi = 0.71, mode 22, beyond the first 2 k
     # modes that a constant potential would keep: no discarded mode may bound
-    # an eigenvalue below the kept ones
+    # an eigenvalue below the kept ones, in either sector's k lowest or in the
+    # report's window of 8
     xi = op_grid.wavenumbers[: op_grid.n_points // 2 + 1]
     symbol = xi**4 - xi**2
-    op = LinearizedOperator(symbol, np.full(op_grid.n_points, 0.5), "Lplus", 0.0)
-    rep = eigen_report(op, n_small=n_small)
-    expected = np.sort(np.concatenate([symbol, symbol[1:-1]]))[:n_small] + 0.5
-    np.testing.assert_allclose(rep.eigenvalues, expected, rtol=0, atol=1e-12)
+    op = LinearizedOperator(symbol, np.full(op_grid.n_points, 0.5), 0.0)
+    for sign, modes in ((1, symbol), (-1, symbol[1:-1])):
+        np.testing.assert_allclose(_Sector(op, sign).lowest(k)[0], np.sort(modes)[:k] + 0.5,
+                                   rtol=0, atol=1e-12)
+    expected = np.sort(np.concatenate([symbol, symbol[1:-1]]))[:8] + 0.5
+    np.testing.assert_allclose(eigen_report(op).eigenvalues, expected, rtol=0, atol=1e-12)
 
 
 def test_eigen_report_rejects_tiny_grid():
@@ -430,7 +430,7 @@ def test_minres_iteration_limit_is_deflation_error(monkeypatch):
     op = build_operator(RealProfile(grid, np.zeros(16)), 2.0, 1.0)
     potential = op.potential.copy()
     potential[3] = np.nan
-    sector = _Sector(LinearizedOperator(op.symbol, potential, "Lminus", 1.0), 1)
+    sector = _Sector(LinearizedOperator(op.symbol, potential, 1.0), 1)
     calls = _counting_apply(monkeypatch)
     with pytest.raises(DeflationSolveError):
         sector.solve(sector.coords(np.cos(grid.nodes)))

@@ -2,9 +2,11 @@
 copy of it outside its home modules, the threshold layer solves only through
 its one sweep and finds roots with its one root finder, the evolution has one
 time-stepping loop and d'' one forward difference, every import is used,
-the program does not load ``scipy.special``, ``scipy.optimize`` or
-``scipy.sparse``, and the eigensolver's dense matrices do not grow with the
-grid and are built once per parity sector."""
+every function, class and method has a reader in the program or the
+benchmark, the program does not load ``scipy.special``, ``scipy.optimize``
+or ``scipy.sparse``, and the eigensolver's dense matrices do not grow with
+the grid and are built once per parity sector.  The tests' own Hypothesis
+properties are derandomized."""
 
 import ast
 import os
@@ -130,6 +132,52 @@ def test_unused_import_guard_catches_an_unused_name():
                      "from a import b, c\n"
                      "__all__ = ['c']\nsystem.exit(os)\n")
     assert _unused_imports(tree) == {"b": 4}
+
+
+def _definitions(tree):
+    """(name, line) of the top-level functions and classes and of those
+    classes' methods, dunders excluded."""
+    nodes = [node for top in tree.body if isinstance(top, ast.ClassDef)
+             for node in top.body if isinstance(node, ast.FunctionDef)]
+    nodes += [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return [(node.name, node.lineno) for node in nodes if not node.name.startswith("__")]
+
+
+def _reads(tree):
+    """Every name read in tree, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_definition_is_read_by_the_program_or_the_benchmark():
+    # what only the tests call belongs with the tests, as an oracle
+    package = Path(solitonlab.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()),
+                       *(_reads(ast.parse(path.read_text())) for path in perfbench.glob("*.py")))
+    unread = [f"{name}:{line}: {definition}" for name, tree in trees.items()
+              for definition, line in _definitions(tree) if definition not in read]
+    assert not unread, "defined but never read outside the tests:\n" + "\n".join(unread)
+
+
+def test_unread_definition_guard_catches_an_unread_method():
+    tree = ast.parse("class A:\n    def __init__(self): pass\n    def m(self): pass\n"
+                     "    def n(self): self.m()\n"
+                     "def f(): pass\nf()\n")
+    assert [name for name, _ in _definitions(tree) if name not in _reads(tree)] == ["n", "A"]
+
+
+def test_every_hypothesis_property_is_derandomized():
+    # Tier-1 draws the same examples on every run
+    loose = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "settings"
+             and not any(kw.arg == "derandomize" and getattr(kw.value, "value", None) is True
+                         for kw in node.keywords)]
+    assert not loose, f"@settings without derandomize=True at {loose}"
 
 
 def _loaded_by_cli(module):
