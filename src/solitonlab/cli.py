@@ -154,13 +154,10 @@ def cmd_dmap(args, grid, config, out) -> int:
 
 
 def cmd_region(args, grid, config, out) -> int:
-    for flag, steps in (("--alpha-steps", args.alpha_steps), ("--omega-steps", args.omega_steps)):
-        if steps < 1:
-            raise UsageError(f"{flag} must be >= 1, got {steps}")
     if not np.isfinite([args.alpha_min, args.alpha_max, args.omega_min, args.omega_max]).all():
         raise UsageError("the lattice's ends must be finite")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+    alphas = stability.lattice(args.alpha_min, args.alpha_max, args.alpha_steps, "--alpha-steps")
+    omegas = stability.lattice(args.omega_min, args.omega_max, args.omega_steps, "--omega-steps")
     result = stability.region_scan(alphas, omegas, grid, config, jobs=args.jobs)
     # alpha-major rows, one per lattice cell
     _write_csv(

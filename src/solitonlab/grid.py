@@ -8,6 +8,7 @@ times ``pi / L``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,12 @@ class SpectralGrid:
         object.__setattr__(self, "nodes", -L + dx * np.arange(n))
         xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
         object.__setattr__(self, "wavenumbers", xi)
-        object.__setattr__(self, "h2_weight", 1.0 + xi**2 + xi**4)
+
+    @cached_property
+    def h2_weight(self) -> np.ndarray:
+        """1 + xi^2 + xi^4, on first use (xi**4 is slow on negative xi)."""
+        xi = self.wavenumbers
+        return 1.0 + xi**2 + xi**4
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)

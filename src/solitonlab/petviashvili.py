@@ -24,9 +24,12 @@ which a warm-started branch then carries along.  The residual needs no
 transform of its own: the x-space image of denom * c is M^nu N after a plain
 step and the same combination of the last images M^nu N after a mixed one, so
 the loop carries it with c.  Each iteration costs 2 real transforms and 1
-nonlinearity pass, and a solve 2 more.  The diagnostics record, per
-iteration, the sup-norm step of the mixed iterate (``error``), |1 - M| and the
-sup-norm residual, the last two at the iterate the step starts from.
+nonlinearity pass, and a solve 2 more.  A start on a coarser grid enters as
+its zero-padded rfft, exactly: a transform of its interpolant's samples would
+add rounding that xi^4 amplifies into the first residual.  The diagnostics
+record, per iteration, the sup-norm step of the mixed iterate (``error``),
+|1 - M| and the sup-norm residual, the last two at the iterate the step
+starts from.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ MIX_STAB = 0.5
 class SolverConfig:
     """Iteration controls.
 
-    ``initial_guess`` is a :class:`RealProfile` on the solve's grid to
-    continue from, or None for the Gaussian (2 omega)^(1/alpha) exp(-x^2).
+    ``initial_guess`` is None for the Gaussian (2 omega)^(1/alpha) exp(-x^2),
+    or a :class:`RealProfile` to continue from, on the solve's grid or on one
+    of its half-width f times coarser, read there as its interpolant: its
+    rfft zero-padded, the Nyquist term halved (it stands for 2 modes), times f.
     ``dispersion_beta`` is the coefficient of ``-d^2/dx^2``: 1 for the
     mixed-dispersion equation, 0 for the pure fourth-order one.
     """
@@ -143,12 +148,20 @@ def check_omega_width(omega: float, grid: SpectralGrid) -> None:
 
 
 def _initial_guess(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfig):
+    """The first iterate and its rfft half spectrum (see ``SolverConfig``)."""
     guess = config.initial_guess
     if guess is None:
-        return (2.0 * omega) ** (1.0 / alpha) * np.exp(-(grid.nodes**2))
-    if (guess.grid.n_points, guess.grid.half_width) != (grid.n_points, grid.half_width):
+        phi = (2.0 * omega) ** (1.0 / alpha) * np.exp(-(grid.nodes**2))
+    elif guess.grid.half_width != grid.half_width or guess.grid.n_points > grid.n_points:
         raise ParameterError("provided initial profile lives on a different grid")
-    return guess.values.copy()
+    elif guess.grid.n_points == grid.n_points:
+        phi = guess.values
+    else:
+        n, m = guess.grid.n_points, grid.n_points
+        coeffs = (m // n) * np.pad(np.fft.rfft(guess.values), (0, (m - n) // 2))
+        coeffs[n // 2] *= 0.5
+        return np.fft.irfft(coeffs, m), coeffs
+    return phi, np.fft.rfft(phi)
 
 
 def _recenter(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -186,19 +199,19 @@ def petviashvili_solve(
     weights = pairing_weights(grid, omega, beta)
     dx, n = grid.dx, grid.n_points
 
-    phi = _initial_guess(alpha, omega, grid, config)
-    coeffs = np.fft.rfft(phi)
+    phi, coeffs = _initial_guess(alpha, omega, grid, config)
     # lin is the x-space image of denom * coeffs: transformed once from the
     # spectral iterate, where denom * coeffs is exact (a fresh transform of
     # phi would amplify its rounding by xi^4), then carried along with coeffs
     lin = np.fft.irfft(denom * coeffs, n)
     # Anderson history in the float view of the half spectrum: differences of
     # successive residuals f = g - c and images g, with their Gram matrix;
-    # and the differences of the images' x-space linear parts M^nu N
-    delta_f = np.zeros((ANDERSON_DEPTH, 2 * coeffs.size))
-    delta_g = np.zeros_like(delta_f)
-    delta_lin = np.zeros((ANDERSON_DEPTH, n))
-    gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    # and the differences of the images' x-space linear parts M^nu N.  Every
+    # row and entry the mixing reads is written first, so none is zeroed
+    delta_f = np.empty((ANDERSON_DEPTH, 2 * coeffs.size))
+    delta_g = np.empty_like(delta_f)
+    delta_lin = np.empty((ANDERSON_DEPTH, n))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     history = 0  # iterates since the last plain step
     errors, stabs, residuals = [], [], []
     converged = False

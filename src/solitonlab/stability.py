@@ -17,6 +17,7 @@ the two-point branch to omega + h.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +70,15 @@ COARSE_CUT = 1e-15
 COARSE_MIN_POINTS = 64
 
 
+def lattice(start: float, stop: float, num: int, name: str) -> np.ndarray:
+    """np.linspace(start, stop, num), refusing num < 1 and counts numpy cannot
+    allocate (from 2**60 floats on it raises ValueError or IndexError)."""
+    with contextlib.suppress(MemoryError):
+        if 1 <= num < 2**60:
+            return np.linspace(start, stop, num)
+    raise ParameterError(f"{name} must be >= 1 and fit in memory, got {num}")
+
+
 def _mass(profile: RealProfile) -> float:
     return float(profile.grid.quadrature(profile.values**2))
 
@@ -88,9 +98,9 @@ def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid |
     """The coarsest grid of grid's half-width, of at least COARSE_MIN_POINTS
     points, that drops only rfft modes of the seed below COARSE_CUT of their
     peak; None where not one halving does, or where the seed lives on
-    another grid (which the solve refuses).  A real grid keeps only the
-    cosine of its Nyquist mode, so that mode counts as dropped.  The cold
-    seed is a multiple of exp(-x^2).
+    another grid (the solve reads a coarser one as its interpolant).  A real
+    grid keeps only the cosine of its Nyquist mode, so that mode counts as
+    dropped.  The cold seed is a multiple of exp(-x^2).
     """
     if seed is None:
         values = np.exp(-(grid.nodes**2))
@@ -104,26 +114,6 @@ def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid |
     return SpectralGrid(n_points, grid.half_width) if n_points < grid.n_points else None
 
 
-def _transfer(profile: RealProfile | None, grid: SpectralGrid) -> RealProfile | None:
-    """The profile on another grid of its half-width, f times coarser or
-    finer (f a power of two).  On the coarser grid it is the values at every
-    f-th node, where the nodes coincide; on the finer grid, the
-    trigonometric interpolant: the rfft zero-padded, its Nyquist term
-    halved, since on the finer grid that mode stands for itself and its
-    conjugate.  None, the cold start, stays None: the Gaussian on the coarse
-    grid is the fine one's samples.
-    """
-    if profile is None:
-        return None
-    n, m = profile.grid.n_points, grid.n_points
-    if m < n:
-        return RealProfile(grid, profile.values[:: n // m])
-    coeffs = np.zeros(m // 2 + 1, dtype=complex)
-    coeffs[: n // 2 + 1] = np.fft.rfft(profile.values)
-    coeffs[n // 2] *= 0.5
-    return RealProfile(grid, np.fft.irfft(coeffs, m) * (m // n))
-
-
 def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
     """Warm-started Petviashvili solves along omegas, one per item drawn.
 
@@ -135,9 +125,9 @@ def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig
     Each point is a nested iteration.  Where the seed's spectrum allows
     (``_coarse_grid``), it is first solved on a coarse grid of the same
     half-width from the seed's samples there, and the requested grid's
-    solve starts from the coarse wave's interpolant; where the coarse solve
-    fails, it starts from the seed.  The requested grid's solve gives the
-    point's profile and verdict.
+    solve starts from the coarse wave itself, which the solver reads as its
+    exact interpolant; where the coarse solve fails, it starts from the
+    seed.  The requested grid's solve gives the point's profile and verdict.
     """
     if grid is None:
         grid = SpectralGrid()
@@ -149,7 +139,9 @@ def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig
         coarse = _coarse_grid(seed, grid)
         start = seed  # of the requested grid's solve
         for stage in (grid,) if coarse is None else (coarse, grid):
-            guess = start if stage is grid else _transfer(seed, stage)
+            # coarse: the seed's values at the shared nodes (None, cold, stays None)
+            guess = start if stage is grid or seed is None else RealProfile(
+                stage, seed.values[:: grid.n_points // stage.n_points])
             try:
                 profile, diag = petviashvili_solve(
                     alpha, omega, stage, dataclasses.replace(config, initial_guess=guess))
@@ -157,7 +149,7 @@ def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig
             except (DivergenceError, DegenerateInputError):
                 profile, converged = None, False
             if converged and stage is coarse:
-                start = _transfer(profile, grid)
+                start = profile
         yield profile, converged
         converged_points = [*converged_points[-1:], (omega, profile)] if converged else []
 
@@ -181,7 +173,7 @@ def continue_branch(
     if n_steps < 2:
         raise ParameterError("n_steps must be >= 2")
 
-    omegas = np.linspace(omega_start, omega_end, n_steps)
+    omegas = lattice(omega_start, omega_end, n_steps, "n_steps")
     profiles, masses, flags = [], [], []
     for profile, converged in _sweep(alpha, omegas, grid, config):
         if not profiles and not converged:

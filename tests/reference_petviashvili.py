@@ -41,7 +41,7 @@ def reference_solve(alpha, omega, grid=None, config=None):
     denom = xi**4 + beta * xi**2 + omega
     dx, n = grid.dx, grid.n_points
 
-    phi = _initial_guess(alpha, omega, grid, config)
+    phi = _initial_guess(alpha, omega, grid, config)[0]
     errors, stabs, residuals = [], [], []
     converged = False
 

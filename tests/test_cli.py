@@ -444,3 +444,17 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, command, flag, va
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("steps", [str(10**20), str(2**63), str(2**59)],
+                         ids=["1e20", "2^63", "2^59"])
+@pytest.mark.parametrize("command, flag", [("branch", "--steps"), ("dmap", "--steps"),
+                                           ("region", "--alpha-steps"),
+                                           ("region", "--omega-steps")])
+def test_huge_step_count_is_usage_error(tmp_path, capsys, command, flag, steps):
+    # numpy refuses the first two counts as sizes and cannot allocate the
+    # third (4.6e18 bytes), so none of them allocates anything
+    code = main([command, "--out", str(tmp_path)] + FAST + _with(VALID[command], flag, steps))
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not any(tmp_path.iterdir())

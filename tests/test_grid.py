@@ -3,6 +3,8 @@ continuum transform the tests use."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamma_oracle import phi_hat_exact
 from model_oracle import forward
@@ -132,6 +134,26 @@ def test_parseval(grid_small, rng):
         physical = np.sqrt(g.quadrature(f**2 + np.abs(fx) ** 2 + fxx**2))
         spectral = g.norm(f, "H2")
         assert abs(physical - spectral) / physical < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 512, 1024, 2048, 4096, 8192]),
+    half_width=st.floats(1.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_h2_weight_is_built_on_first_use_bit_for_bit(n, half_width, seed):
+    # the weight is not built with the grid; once read it is 1 + xi^2 + xi^4
+    # to the last bit, and the norm is the one it always gave
+    g = SpectralGrid(n, half_width)
+    assert "h2_weight" not in vars(g)
+    xi = g.wavenumbers
+    assert g.h2_weight.tobytes() == (1.0 + xi**2 + xi**4).tobytes()
+    assert g.h2_weight is g.h2_weight
+    f = np.random.default_rng(seed).standard_normal(n)
+    coeffs = np.fft.fft(f)
+    expected = float(np.sqrt(g.dx / n * np.sum((1.0 + xi**2 + xi**4) * np.abs(coeffs) ** 2)))
+    assert g.norm(f, "H2") == expected
 
 
 def test_symbol_agrees_with_finite_differences(grid_small):

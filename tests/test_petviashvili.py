@@ -158,14 +158,92 @@ def test_non_convergence_is_reported_not_raised(grid_mid):
 
 
 def test_initial_guess_on_wrong_grid(grid_small, grid_mid):
-    guess = RealProfile(grid_small, np.exp(-grid_small.nodes**2))
-    with pytest.raises(ParameterError):
-        petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=guess))
-    # same number of nodes, but on a wider domain
-    wide = SpectralGrid(grid_mid.n_points, 2.0 * grid_mid.half_width)
-    guess = RealProfile(wide, np.exp(-wide.nodes**2))
-    with pytest.raises(ParameterError):
-        petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=guess))
+    # a guess on a coarser grid of the same half-width is read as its
+    # interpolant; exp(-x^2) is band-limited to rounding on both grids, so
+    # the solve matches the one from its samples on the solve's own grid
+    coarse = RealProfile(grid_small, np.exp(-grid_small.nodes**2))
+    same = RealProfile(grid_mid, np.exp(-grid_mid.nodes**2))
+    read, diag = petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=coarse))
+    direct, direct_diag = petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=same))
+    assert diag.converged and direct_diag.converged
+    assert np.max(np.abs(read.values - direct.values)) <= 1e-12
+    # a finer grid, the same number of nodes on a wider domain, and a
+    # coarser grid on a wider domain are refused
+    for other in (SpectralGrid(2 * grid_mid.n_points, grid_mid.half_width),
+                  SpectralGrid(grid_mid.n_points, 2.0 * grid_mid.half_width),
+                  SpectralGrid(grid_small.n_points, 2.0 * grid_mid.half_width)):
+        guess = RealProfile(other, np.exp(-other.nodes**2))
+        with pytest.raises(ParameterError, match="different grid"):
+            petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=guess))
+
+
+def _interpolant(profile, grid):
+    """The trigonometric interpolant of profile at grid's nodes, from its full
+    complex spectrum zero-padded in the middle, its Nyquist term split
+    between the two modes it stands for."""
+    n, m = profile.grid.n_points, grid.n_points
+    coeffs = np.fft.fft(profile.values)
+    padded = np.zeros(m, dtype=complex)
+    padded[: n // 2] = coeffs[: n // 2]
+    padded[m - n // 2 + 1:] = coeffs[n // 2 + 1:]
+    padded[n // 2] = padded[m - n // 2] = 0.5 * coeffs[n // 2]
+    return np.fft.ifft(padded).real * (m / n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([4, 64, 256, 1024]),
+    f=st.sampled_from([2, 4, 8]),
+    half_width=st.floats(1.0, 300.0),
+    decay=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coarse_seed_is_its_zero_padded_half_spectrum(n, f, half_width, decay, seed):
+    # a random profile band-limited to the coarse grid (real mean and Nyquist
+    # terms, modes decaying like exp(-decay k)): the solver's first iterate
+    # has the zero-padded rfft, Nyquist term halved, times f, as its half
+    # spectrum, is the full-spectrum interpolant and samples back to the
+    # coarse values
+    coarse, fine = SpectralGrid(n, half_width), SpectralGrid(f * n, half_width)
+    rng = np.random.default_rng(seed)
+    modes = np.arange(n // 2 + 1)
+    spectrum = (rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size))
+    spectrum *= np.exp(-decay * modes)
+    spectrum[[0, -1]] = spectrum[[0, -1]].real
+    values = np.fft.irfft(spectrum, n)
+    values /= np.abs(values).max()
+    phi, coeffs = petviashvili._initial_guess(
+        1.0, 1.0, fine, SolverConfig(initial_guess=RealProfile(coarse, values)))
+    expected = np.zeros(f * n // 2 + 1, dtype=complex)
+    expected[: n // 2 + 1] = np.fft.rfft(values)
+    expected[n // 2] *= 0.5
+    np.testing.assert_array_equal(coeffs, f * expected)
+    np.testing.assert_array_equal(phi, np.fft.irfft(coeffs, f * n))
+    np.testing.assert_allclose(phi[::f], values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(phi, _interpolant(RealProfile(coarse, values), fine),
+                               rtol=0, atol=1e-13)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(0.7, 6.0),
+    omega=st.floats(0.05, 0.3),
+    beta=st.sampled_from([0.0, 1.0]),
+    f=st.sampled_from([2, 4]),
+)
+def test_solve_from_coarse_seed_matches_solve_from_its_interpolant(alpha, omega, beta, f):
+    # the coarse wave as a seed, and its explicit interpolant on the solve's
+    # grid: the same verdict and the same profile to 1e-13
+    fine, coarse = SpectralGrid(2048, 100.0), SpectralGrid(2048 // f, 100.0)
+    config = SolverConfig(dispersion_beta=beta)
+    wave, diag = petviashvili_solve(alpha, omega, coarse, config)
+    assert diag.converged
+    from_seed = petviashvili_solve(alpha, omega, fine, SolverConfig(
+        initial_guess=wave, dispersion_beta=beta))
+    from_interpolant = petviashvili_solve(alpha, omega, fine, SolverConfig(
+        initial_guess=RealProfile(fine, _interpolant(wave, fine)), dispersion_beta=beta))
+    assert from_seed[1].converged == from_interpolant[1].converged
+    assert np.max(np.abs(from_seed[0].values - from_interpolant[0].values)) <= 1e-13
 
 
 def test_pure_fourth_order_solve(grid_mid):
@@ -346,16 +424,21 @@ def _count_transforms(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("start, max_iter", [("cold", 2000), ("warm", 2000), ("cold", 3)])
-def test_two_transforms_per_iteration(grid_mid, monkeypatch, start, max_iter):
+@pytest.mark.parametrize("start, max_iter", [("cold", 2000), ("warm", 2000), ("cold", 3),
+                                             ("coarse", 2000)])
+def test_two_transforms_per_iteration(grid_mid, grid_small, monkeypatch, start, max_iter):
     # one rfft of the start and one irfft of its linear part per solve; one
-    # rfft of the nonlinearity and one irfft of the new iterate per iteration
-    guess = phi_exact(2.0, grid_mid) if start == "warm" else None
+    # rfft of the nonlinearity and one irfft of the new iterate per iteration.
+    # A start on a coarser grid is an rfft there and an irfft of its
+    # zero-padded spectrum, which is the iterate's own
+    guess = {"cold": None, "warm": phi_exact(2.0, grid_mid),
+             "coarse": phi_exact(2.0, grid_small)}[start]
     config = SolverConfig(max_iter=max_iter, initial_guess=guess)
     counts = _count_transforms(monkeypatch)
     _, diag = petviashvili_solve(2.0, 0.17, grid_mid, config)
     assert diag.iterations >= 3
-    assert counts == {"rfft": diag.iterations + 1, "irfft": diag.iterations + 1}
+    assert counts == {"rfft": diag.iterations + 1,
+                      "irfft": diag.iterations + 1 + (start == "coarse")}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

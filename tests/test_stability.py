@@ -449,24 +449,12 @@ def _recording_solves(monkeypatch, bad_omega=None):
     return calls
 
 
-def _interpolant(profile, grid):
-    """The trigonometric interpolant of profile at grid's nodes, from its full
-    complex spectrum zero-padded in the middle, its Nyquist term split
-    between the two modes it stands for."""
-    n, m = profile.grid.n_points, grid.n_points
-    coeffs = np.fft.fft(profile.values)
-    padded = np.zeros(m, dtype=complex)
-    padded[: n // 2] = coeffs[: n // 2]
-    padded[m - n // 2 + 1:] = coeffs[n // 2 + 1:]
-    padded[n // 2] = padded[m - n // 2] = 0.5 * coeffs[n // 2]
-    return np.fft.ifft(padded).real * (m / n)
-
-
 def _assert_nested(calls, seeds, grid):
     """Each point made two solves: one on a coarser grid of grid's half-width,
     whose nodes are every f-th of grid's, from the seed's values there (None,
-    the cold start, stays None); then one on grid, from the coarse wave's
-    interpolant, or from the seed itself where the coarse solve raised."""
+    the cold start, stays None); then one on grid, from the coarse wave
+    itself (which the solver reads as its interpolant), or from the seed
+    where the coarse solve raised."""
     assert len(calls) == 2 * len(seeds)
     for coarse, fine, seed in zip(calls[::2], calls[1::2], seeds):
         assert coarse.omega == fine.omega
@@ -479,9 +467,7 @@ def _assert_nested(calls, seeds, grid):
         else:
             np.testing.assert_array_equal(coarse.guess.values, seed[::f])
         if coarse.profile is not None:
-            expected = _interpolant(coarse.profile, grid)
-            np.testing.assert_allclose(fine.guess.values, expected, rtol=0,
-                                       atol=1e-14 * np.abs(expected).max())
+            assert fine.guess is coarse.profile
         elif seed is None:
             assert fine.guess is None
         else:
@@ -634,30 +620,43 @@ def test_sign_changing_wave_gets_no_coarse_stage(branch_grid, monkeypatch):
     assert [call.grid for call in calls] == [branch_grid, branch_grid]
 
 
-def test_wrong_grid_seed_is_refused_as_before(branch_grid):
-    # a given guess on another grid gets no coarse stage; the solve refuses it
-    other = phi_exact(2.0, SpectralGrid(1024, 100.0))
-    assert stability._coarse_grid(other, branch_grid) is None
-    with pytest.raises(ParameterError, match="different grid"):
-        list(stability._sweep(2.0, [0.16], branch_grid, SolverConfig(initial_guess=other)))
+def test_seed_on_another_grid_is_read_or_refused(branch_grid, monkeypatch):
+    # a given guess on another grid gets no coarse stage.  The solve reads one
+    # on a coarser grid of the same half-width as its interpolant, here the
+    # closed-form wave's samples on the finer grid to rounding, and refuses
+    # one on a finer grid or on a wider domain
+    coarse = phi_exact(2.0, SpectralGrid(1024, 100.0))
+    assert stability._coarse_grid(coarse, branch_grid) is None
+    calls = _recording_solves(monkeypatch)
+    ((read, converged),) = stability._sweep(2.0, [0.16], branch_grid,
+                                            SolverConfig(initial_guess=coarse))
+    assert converged and [(c.grid, c.guess) for c in calls] == [(branch_grid, coarse)]
+    ((fine, _),) = stability._sweep(2.0, [0.16], branch_grid,
+                                    SolverConfig(initial_guess=phi_exact(2.0, branch_grid)))
+    assert np.max(np.abs(read.values - fine.values)) <= 1e-12
+    for other in (SpectralGrid(4096, 100.0), SpectralGrid(2048, 200.0), SpectralGrid(1024, 200.0)):
+        assert stability._coarse_grid(phi_exact(2.0, other), branch_grid) is None
+        with pytest.raises(ParameterError, match="different grid"):
+            list(stability._sweep(2.0, [0.16], branch_grid,
+                                  SolverConfig(initial_guess=phi_exact(2.0, other))))
 
 
 @pytest.mark.parametrize("n_coarse, n_fine", [(64, 1024), (256, 2048), (1024, 8192)])
 def test_transfer_samples_and_interpolates(n_coarse, n_fine):
-    # sampling is exact at the shared nodes; the interpolant reproduces a
-    # trigonometric polynomial of the coarse grid, Nyquist term included,
-    # and samples back to the coarse values
+    # the solver reads a coarse seed as its trigonometric interpolant, which
+    # reproduces a trigonometric polynomial of the coarse grid, Nyquist term
+    # included, and samples back to the coarse values.  The sweep's
+    # restriction to the coarse grid, exact sampling at the shared nodes, is
+    # checked on every point of the sweeps above (_assert_nested)
     fine, coarse = SpectralGrid(n_fine, 50.0), SpectralGrid(n_coarse, 50.0)
     k = np.pi / 50.0
     def poly(x):
         return 1.0 + np.cos(3 * k * x) - 0.5 * np.sin(7 * k * x) + 0.25 * np.cos(n_coarse / 2 * k * x)
-    restricted = stability._transfer(RealProfile(fine, poly(fine.nodes)), coarse)
-    np.testing.assert_array_equal(restricted.values, poly(fine.nodes)[:: n_fine // n_coarse])
-    prolonged = stability._transfer(RealProfile(coarse, poly(coarse.nodes)), fine)
-    np.testing.assert_allclose(prolonged.values, poly(fine.nodes), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(prolonged.values[:: n_fine // n_coarse], poly(coarse.nodes),
+    seed = SolverConfig(initial_guess=RealProfile(coarse, poly(coarse.nodes)))
+    prolonged, _ = petviashvili._initial_guess(1.0, 1.0, fine, seed)
+    np.testing.assert_allclose(prolonged, poly(fine.nodes), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(prolonged[:: n_fine // n_coarse], poly(coarse.nodes),
                                rtol=0, atol=1e-13)
-    assert stability._transfer(None, coarse) is None
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -684,24 +683,32 @@ def test_nested_sweep_matches_sweep_without_coarse_stage(alpha, beta, grid, omeg
                                rtol=1e-13 + 4 * petviashvili.TOL_STAB / alpha)
 
 
-def test_branch_polishes_each_point_in_at_most_two_iterations(monkeypatch):
-    # the 24-point alpha = 3.2 branch of the CLI defaults: every point is
-    # solved on a coarse grid, then in at most 2 iterations on the requested one
+def test_branch_polishes_each_point_in_one_iteration(monkeypatch):
+    # the branch runs of the CLI defaults (N = 8192, L = 200): 24 points from
+    # omega 0.02 to 0.25 at alpha 3.2, 5 and 6 with beta = 1, and 8 points
+    # from 0.05 at alpha 4 with beta = 0.  Every point is solved on a coarse
+    # grid, then polished on the requested one in exactly 1 iteration, whose
+    # recorded residual is within the tolerance
     grid = SpectralGrid(8192, 200.0)
-    solve, iterations = stability.petviashvili_solve, []
+    solve, solves = stability.petviashvili_solve, []
 
     def recording(alpha, omega, stage=None, config=None):
         profile, diag = solve(alpha, omega, stage, config)
-        iterations.append((stage.n_points, diag.iterations))
+        solves.append((stage.n_points, diag))
         return profile, diag
 
     monkeypatch.setattr(stability, "petviashvili_solve", recording)
-    branch = continue_branch(3.2, 0.02, 0.25, 24, grid)
-    assert branch.converged_flags.all() and branch.omegas.size == 24
-    coarse, fine = iterations[::2], iterations[1::2]
-    assert len(fine) == 24 and all(n == 8192 for n, _ in fine)
-    assert all(n < 8192 for n, _ in coarse)
-    assert max(count for _, count in fine) <= 2
+    for alpha, beta, omega_start, steps in ((3.2, 1.0, 0.02, 24), (5.0, 1.0, 0.02, 24),
+                                            (6.0, 1.0, 0.02, 24), (4.0, 0.0, 0.05, 8)):
+        solves.clear()
+        branch = continue_branch(alpha, omega_start, 0.25, steps, grid,
+                                 SolverConfig(dispersion_beta=beta))
+        assert branch.converged_flags.all() and branch.omegas.size == steps
+        coarse, fine = solves[::2], solves[1::2]
+        assert len(fine) == steps and all(n == 8192 for n, _ in fine)
+        assert all(n < 8192 for n, _ in coarse)
+        assert all(diag.iterations == 1 for _, diag in fine)
+        assert all(diag.res_history.max() <= petviashvili.TOL_RES for _, diag in fine)
 
 
 def test_pure_fourth_order_signs(branch_grid):
