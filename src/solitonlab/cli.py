@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .explicit import explicit_params, phi_exact
-from .grid import SpectralGrid
+from .grid import SpectralGrid, lattice
 from .petviashvili import SolverConfig, petviashvili_solve
 
 EXIT_OK = 0
@@ -156,8 +156,8 @@ def cmd_dmap(args, grid, config, out) -> int:
 def cmd_region(args, grid, config, out) -> int:
     if not np.isfinite([args.alpha_min, args.alpha_max, args.omega_min, args.omega_max]).all():
         raise UsageError("the lattice's ends must be finite")
-    alphas = stability.lattice(args.alpha_min, args.alpha_max, args.alpha_steps, "--alpha-steps")
-    omegas = stability.lattice(args.omega_min, args.omega_max, args.omega_steps, "--omega-steps")
+    alphas = lattice(args.alpha_min, args.alpha_max, args.alpha_steps, "--alpha-steps")
+    omegas = lattice(args.omega_min, args.omega_max, args.omega_steps, "--omega-steps")
     result = stability.region_scan(alphas, omegas, grid, config, jobs=args.jobs)
     # alpha-major rows, one per lattice cell
     _write_csv(

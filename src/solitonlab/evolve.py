@@ -152,6 +152,7 @@ def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples:
     """
     check_run(dt, t_final, n_samples)
     total_steps = int(round(t_final / dt))
+    n_samples = min(n_samples, total_steps)  # whole steps: more checkpoints add none
     checkpoints = np.unique(np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int))
     time = 0.0
     times = [time]

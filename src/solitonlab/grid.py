@@ -7,6 +7,7 @@ times ``pi / L``).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +17,15 @@ from .errors import ParameterError, ShapeError
 
 DEFAULT_HALF_WIDTH = 200.0
 DEFAULT_N_POINTS = 8192
+
+
+def lattice(start: float, stop: float, num: int, name: str) -> np.ndarray:
+    """np.linspace(start, stop, num), refusing num < 1 and counts numpy cannot
+    allocate (from 2**60 floats on it raises ValueError or IndexError)."""
+    with contextlib.suppress(MemoryError):
+        if 1 <= num < 2**60:
+            return np.linspace(start, stop, num)
+    raise ParameterError(f"{name} must be >= 1 and fit in memory, got {num}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +52,7 @@ class SpectralGrid:
         L = float(self.half_width)
         dx = 2.0 * L / n
         object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "nodes", -L + dx * np.arange(n))
+        object.__setattr__(self, "nodes", -L + dx * lattice(0, n - 1, n, "n_points"))
         xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
         object.__setattr__(self, "wavenumbers", xi)
 

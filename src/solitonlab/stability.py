@@ -8,16 +8,15 @@ L- chi = phi: one even-sector MINRES solve at the wave
 chi form decides every region cell and both thresholds, whose roots Brent's
 method finds: alpha0, where d''(omega0(alpha)) changes sign, at the
 closed-form wave with no nonlinear solve; omega_c, where d''(omega) changes
-sign at fixed alpha, inside a bracket that the coarse branch's forward
-differences give.  The forward difference of the trapezoid-rule mass along a
-branch (``d_second``) stays as the independent estimate that ``dmap`` writes
-and the cross-checks compare with; at a single omega it is the difference of
-the two-point branch to omega + h.
+sign at fixed alpha, between the ends of the omega range it is given.  The
+forward difference of the trapezoid-rule mass along a branch (``d_second``)
+stays as the independent estimate that ``dmap`` writes and the cross-checks
+compare with; at a single omega it is the difference of the two-point branch
+to omega + h.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,7 @@ from .errors import (
     ParameterError,
 )
 from .explicit import explicit_params, phi_exact
-from .grid import RealProfile, SpectralGrid
+from .grid import RealProfile, SpectralGrid, lattice
 from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
 from .spectra import negative_direction_scalar
 
@@ -60,23 +59,12 @@ class StabilityMap:
     sign_matrix: np.ndarray
 
 
-# find_omega_c brackets its root on an N_COARSE-point branch and finds it to
-# within TOL_OMEGA
-N_COARSE = 16
+# find_omega_c finds its root to within TOL_OMEGA
 TOL_OMEGA = 1e-10
 # the coarse-grid predictor of each branch point may drop the rfft modes of
 # its seed below COARSE_CUT of their peak, down to COARSE_MIN_POINTS points
 COARSE_CUT = 1e-15
 COARSE_MIN_POINTS = 64
-
-
-def lattice(start: float, stop: float, num: int, name: str) -> np.ndarray:
-    """np.linspace(start, stop, num), refusing num < 1 and counts numpy cannot
-    allocate (from 2**60 floats on it raises ValueError or IndexError)."""
-    with contextlib.suppress(MemoryError):
-        if 1 <= num < 2**60:
-            return np.linspace(start, stop, num)
-    raise ParameterError(f"{name} must be >= 1 and fit in memory, got {num}")
 
 
 def _mass(profile: RealProfile) -> float:
@@ -269,47 +257,30 @@ def find_omega_c(
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
 ):
-    """Frequency where d'' changes sign; None if the coarse branch shows no change.
-
-    The first change of the forward-difference signs along an N_COARSE-point
-    branch brackets the root between branch points; Brent's method then
-    finds the root of the chi form of d'' there, each solve seeded from the
-    last.  The chi form at the branch's own profiles gives the bracket's
-    ends.  The forward differences are attributed to their left point, so
-    the root may lie one interval further right, where the bracket then
-    moves.
-    """
+    """Frequency in omega_range where d'' changes sign, by Brent's method on
+    the chi form between the ends of the range, each solve seeded from the
+    one before it, the first from ``config``; None where d'' has one sign at
+    both ends.  Where the range holds more than one crossing, Brent returns
+    one of them; d'' crosses once for alpha in (4, 8)."""
     lo, hi = omega_range
+    if not (0 < lo < hi < np.inf):
+        raise ParameterError("need 0 < omega_start < omega_end < inf")
     if config is None:
         config = SolverConfig()
-    branch = continue_branch(alpha, lo, hi, N_COARSE, grid, config)
-    samples = d_second(branch)
-    signs = sample_signs(branch, samples)
-    changes = np.flatnonzero(signs[:-1] * signs[1:] < 0)  # resolved signs that differ
-    if changes.size == 0:
-        return None
-    i = int(np.searchsorted(branch.omegas, samples[changes[0], 0]))
-    omegas, profiles = branch.omegas, branch.profiles
-    beta = config.dispersion_beta
-    fa = _chi_d2(profiles[i], alpha, omegas[i], beta)
-    fb = _chi_d2(profiles[i + 1], alpha, omegas[i + 1], beta)
-    if fa * fb > 0:
-        i, fa = i + 1, fb
-        fb = _chi_d2(profiles[i + 1], alpha, omegas[i + 1], beta)
-        if fa * fb > 0:
-            raise BracketError(f"d'' does not change sign over [{omegas[i - 1]:g},"
-                               f" {omegas[i + 1]:g}] (values {fa:.3e}, {fb:.3e})")
-    seed = profiles[i]
+    seed = config.initial_guess
 
-    def d2(omega):  # each solve seeds from the last, the first from the bracket's left end
+    def d2(omega):
         nonlocal seed
         warm = dataclasses.replace(config, initial_guess=seed)
         ((seed, converged),) = _sweep(alpha, [omega], grid, warm)
         if not converged:
             raise BranchError(f"solve at omega={omega:g} did not converge")
-        return _chi_d2(seed, alpha, omega, beta)
+        return _chi_d2(seed, alpha, omega, config.dispersion_beta)
 
-    return _brent(d2, omegas[i], omegas[i + 1], fa, fb, TOL_OMEGA)
+    f_lo, f_hi = d2(lo), d2(hi)
+    if f_lo * f_hi > 0:
+        return None
+    return _brent(d2, lo, hi, f_lo, f_hi, TOL_OMEGA)
 
 
 def find_alpha0(

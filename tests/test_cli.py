@@ -289,6 +289,20 @@ def test_evolve_bad_length_is_usage_error(tmp_path, capsys, solves, flags):
     assert solves == []  # refused before the wave is solved
 
 
+@pytest.mark.parametrize("samples", [str(10**20), str(2**63)], ids=["1e20", "2^63"])
+def test_evolve_more_samples_than_steps_checkpoints_every_step(tmp_path, samples):
+    # checkpoints are whole steps, so past the 2 steps to t = 0.002 a larger
+    # count adds none, and numpy is not asked for that many
+    written = []
+    for count in ("2", samples):
+        out = tmp_path / count
+        code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--t-final", "0.002",
+                     "--samples", count, "--out", str(out)] + FAST)
+        assert code == EXIT_OK
+        written.append((out / "evolution.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize(
     "flags", [["--alpha", "6", "--omega", "0.5", "--delta", "3e51", "--grid-n", "2048",
                "--grid-l", "100"],
@@ -446,14 +460,16 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, command, flag, va
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("steps", [str(10**20), str(2**63), str(2**59)],
-                         ids=["1e20", "2^63", "2^59"])
+@pytest.mark.parametrize("steps", [str(10**20), str(2**63), str(2**59), str(2**62)],
+                         ids=["1e20", "2^63", "2^59", "2^62"])
 @pytest.mark.parametrize("command, flag", [("branch", "--steps"), ("dmap", "--steps"),
                                            ("region", "--alpha-steps"),
-                                           ("region", "--omega-steps")])
+                                           ("region", "--omega-steps"),
+                                           *((command, "--grid-n") for command in VALID)])
 def test_huge_step_count_is_usage_error(tmp_path, capsys, command, flag, steps):
-    # numpy refuses the first two counts as sizes and cannot allocate the
-    # third (4.6e18 bytes), so none of them allocates anything
+    # counts from 2**60 on are refused by their size, 10**20 is no power of two
+    # for --grid-n, and numpy cannot allocate 2**59 floats (4.6e18 bytes), so
+    # none of them allocates anything
     code = main([command, "--out", str(tmp_path)] + FAST + _with(VALID[command], flag, steps))
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)

@@ -183,41 +183,69 @@ def _recording_sweeps(monkeypatch):
     return sweeps
 
 
-def test_find_omega_c_seeds_from_bracket_left_end(branch_grid, monkeypatch):
+def test_find_omega_c_seeds_each_solve_from_the_last(branch_grid, monkeypatch):
+    # [lo] first from the configured guess, then [hi] from lo's wave, then
+    # Brent's solves inside the range, each from the solve before it
     sweeps = _recording_sweeps(monkeypatch)
-    omega_c = find_omega_c(5.0, (0.02, 0.25), branch_grid)
-    (omegas, _, profiles), *solves = sweeps
-    assert len(omegas) == 16 and len(solves) >= 2
-    # the first interior solve seeds from the bracket's left end, the branch
-    # point just below it; each later one from the solve before it
-    (first_mid,), first_seed, _ = solves[0]
-    k = next(i for i, p in enumerate(profiles) if p is first_seed)
-    assert omegas[k] < first_mid < omegas[k + 1]
-    for (_, _, (before,)), (_, seed, _) in zip(solves, solves[1:]):
+    lo, hi = 0.02, 0.25
+    guess = phi_exact(5.0, branch_grid)
+    omega_c = find_omega_c(5.0, (lo, hi), branch_grid, SolverConfig(initial_guess=guess))
+    (first, first_seed, _), (second, _, _), *brent = sweeps
+    assert (first, second) == ([lo], [hi]) and first_seed is guess and brent
+    for (_, _, (before,)), (_, seed, _) in zip(sweeps, sweeps[1:]):
         assert seed is before
+    assert all(lo < omega < hi for (omega,), _, _ in brent)
     assert omega_c == pytest.approx(0.1118831293, abs=1e-8)
 
 
-def test_find_omega_c_moves_bracket_past_left_attribution(branch_grid, monkeypatch):
-    # branch points 1.525e-2 apart with one at 0.1115, just left of omega_c: the
-    # forward differences change sign between the samples left of and at that
-    # point, but the chi form is negative at both ends of the left interval
-    sweeps = _recording_sweeps(monkeypatch)
-    omega_c = find_omega_c(5.0, (0.02, 0.02 + 15 * 0.01525), branch_grid)
-    (omegas, _, _), *solves = sweeps
-    assert omegas[6] == pytest.approx(0.1115, abs=1e-15)
-    assert all(omegas[6] < mid < omegas[7] for (mid,), _, _ in solves)
-    assert omega_c == pytest.approx(0.1118831293, abs=1e-8)
+@pytest.mark.parametrize("omega_range", [(0.02, 0.25), (0.02, 0.02 + 15 * 0.01525), (0.05, 2.0)],
+                         ids=["default", "root-near-a-coarse-point", "wide"])
+def test_find_omega_c_root_does_not_depend_on_the_range(branch_grid, omega_range):
+    # the second range's 16-point lattice has a point at 0.1115, just left of
+    # omega_c
+    assert find_omega_c(5.0, omega_range, branch_grid) == pytest.approx(0.1118831293, abs=1e-8)
 
 
-def test_find_omega_c_without_chi_sign_change_is_bracket_error(branch_grid, monkeypatch):
+def test_find_omega_c_without_chi_sign_change_is_none(branch_grid, monkeypatch):
     monkeypatch.setattr(stability, "_chi_d2", lambda *args: 1.0)
-    with pytest.raises(BracketError):
-        find_omega_c(5.0, (0.02, 0.25), branch_grid)
+    sweeps = _recording_sweeps(monkeypatch)
+    assert find_omega_c(5.0, (0.02, 0.25), branch_grid) is None
+    assert [omegas for omegas, _, _ in sweeps] == [[0.02], [0.25]]
 
 
-def test_find_omega_c_none_for_alpha2(branch_grid):
-    assert find_omega_c(2.0, (0.02, 0.25), branch_grid) is None
+def test_find_omega_c_none_for_alpha2(branch_grid, monkeypatch):
+    # d'' > 0 at alpha 2 and < 0 at alpha 6 over the whole range: the ends decide
+    sweeps = _recording_sweeps(monkeypatch)
+    for alpha in (2.0, 6.0):
+        sweeps.clear()
+        assert find_omega_c(alpha, (0.02, 0.25), branch_grid) is None
+        assert len(sweeps) == 2
+
+
+@pytest.mark.parametrize("omega_range", [(0.25, 0.02), (0.0, 0.25), (-0.1, 0.25),
+                                         (0.02, math.inf), (math.nan, 0.25)],
+                         ids=["reversed", "zero", "negative", "infinite", "nan"])
+def test_find_omega_c_refuses_a_bad_range_before_any_solve(branch_grid, monkeypatch,
+                                                           omega_range):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("find_omega_c solved a wave")
+
+    monkeypatch.setattr(stability, "petviashvili_solve", no_solve)
+    with pytest.raises(ParameterError, match="need 0 < omega_start < omega_end < inf"):
+        find_omega_c(5.0, omega_range, branch_grid)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_find_omega_c_scales_with_beta_squared(beta):
+    # phi_beta(x) = beta^(2/alpha) psi(sqrt(beta) x), with psi the beta = 1 wave
+    # at omega / beta^2: on the half-width L / sqrt(beta) the discrete problems
+    # are the same, so omega_c(alpha; beta) = beta^2 omega_c(alpha; 1) to within
+    # the root's tolerance
+    reference = find_omega_c(5.0, (0.05, 0.25), SpectralGrid(2048, 100.0))
+    scaled = find_omega_c(5.0, (beta**2 * 0.05, beta**2 * 0.25),
+                          SpectralGrid(2048, 100.0 / math.sqrt(beta)),
+                          SolverConfig(dispersion_beta=beta))
+    assert abs(scaled / beta**2 - reference) <= stability.TOL_OMEGA
 
 
 def test_d_second_at_omega0_signs(branch_grid):

@@ -1,12 +1,12 @@
 """Structure of the package source: the model is written down once, with no
 copy of it outside its home modules, the threshold layer solves only through
 its one sweep and finds roots with its one root finder, the evolution has one
-time-stepping loop and d'' one forward difference, every import is used,
-every function, class and method has a reader in the program or the
-benchmark, the program does not load ``scipy.special``, ``scipy.optimize``
-or ``scipy.sparse``, and the eigensolver's dense matrices do not grow with
-the grid and are built once per parity sector.  The tests' own Hypothesis
-properties are derandomized."""
+time-stepping loop and d'' one forward difference, which serves ``dmap``
+alone, every import is used, every function, class and method has a reader
+in the program or the benchmark, the program does not load
+``scipy.special``, ``scipy.optimize`` or ``scipy.sparse``, and the
+eigensolver's dense matrices do not grow with the grid and are built once per
+parity sector.  The tests' own Hypothesis properties are derandomized."""
 
 import ast
 import os
@@ -77,6 +77,20 @@ def test_stability_has_one_root_finder():
     assert len(_references(tree, "_brent")) == 2
 
 
+def test_find_omega_c_brackets_by_its_range_alone():
+    # the chi form at the ends of the range decides; no branch, no forward difference
+    _, functions = _functions("stability.py")
+    for name in ("continue_branch", "d_second", "sample_signs"):
+        assert not _references(functions["find_omega_c"], name), name
+    # the forward difference and its signs are what dmap writes
+    package = Path(solitonlab.__file__).parent
+    for name in ("d_second", "sample_signs"):
+        readers = [f"{path.name}:{node.name}" for path in sorted(package.glob("*.py"))
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and _references(node, name)]
+        assert readers == ["cli.py:cmd_dmap"], f"{name} read by {readers}"
+
+
 def test_evolution_runs_only_in_evolve():
     # one time-stepping loop; the CLI reaches it through the perturbed-wave driver
     package = Path(solitonlab.__file__).parent
@@ -143,11 +157,52 @@ def _definitions(tree):
     return [(node.name, node.lineno) for node in nodes if not node.name.startswith("__")]
 
 
+def _external_names(tree):
+    """Names that an import from outside solitonlab binds (np, math, scipy, ...)."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.level == 0
+            for alias in node.names
+            if not (alias.name if isinstance(node, ast.Import) else node.module)
+            .startswith("solitonlab")}
+
+
+def _base(node):
+    """The innermost value of an attribute chain: np for np.linalg.norm."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _local_loads(tree):
+    """The bare-name loads inside each function of a name that the function
+    binds, as an argument or by assignment: they read a local."""
+    local = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.Lambda)):
+            nodes = list(ast.walk(function))
+            bound = {node.arg for node in nodes if isinstance(node, ast.arg)} | {
+                node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            local |= {node for node in nodes if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load) and node.id in bound}
+    return local
+
+
 def _reads(tree):
-    """Every name read in tree, bare or as an attribute."""
+    """Every name read in tree, bare or as an attribute; a function's local
+    (a variable named residual) and an attribute of a name imported from
+    outside solitonlab (np.linalg.norm) read no definition of ours."""
+    external, local = _external_names(tree), _local_loads(tree)
     return ({node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node not in local}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and not (isinstance(base := _base(node), ast.Name) and base.id in external)})
+
+
+# methods that a base class outside the package calls for us, with why
+CALLED_FOR_US = {"error": "argparse calls _Parser.error on a bad flag"}
 
 
 def test_every_definition_is_read_by_the_program_or_the_benchmark():
@@ -155,7 +210,7 @@ def test_every_definition_is_read_by_the_program_or_the_benchmark():
     package = Path(solitonlab.__file__).parent
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    read = set().union(*map(_reads, trees.values()),
+    read = set().union(CALLED_FOR_US, *map(_reads, trees.values()),
                        *(_reads(ast.parse(path.read_text())) for path in perfbench.glob("*.py")))
     unread = [f"{name}:{line}: {definition}" for name, tree in trees.items()
               for definition, line in _definitions(tree) if definition not in read]
@@ -167,6 +222,26 @@ def test_unread_definition_guard_catches_an_unread_method():
                      "    def n(self): self.m()\n"
                      "def f(): pass\nf()\n")
     assert [name for name, _ in _definitions(tree) if name not in _reads(tree)] == ["n", "A"]
+
+
+def test_unread_definition_guard_sees_through_outside_modules():
+    # np.linalg.norm reads numpy's norm, not a norm of ours; grid.norm does
+    source = ("import numpy as np\nfrom scipy import linalg\n"
+              "class Grid:\n    def norm(self): pass\n"
+              "np.linalg.norm(1)\nlinalg.norm(1)\ngrid = Grid()\n")
+    tree = ast.parse(source)
+    assert [name for name, _ in _definitions(tree) if name not in _reads(tree)] == ["norm"]
+    assert "norm" in _reads(ast.parse(source + "grid.norm()\n"))
+
+
+def test_unread_definition_guard_sees_through_locals():
+    # a variable named after a function reads the variable, not the function
+    source = ("def residual(): pass\n"
+              "def solve(error):\n    residual = error\n    return residual\n"
+              "solve(lambda residual: residual)\n")
+    tree = ast.parse(source)
+    assert [name for name, _ in _definitions(tree) if name not in _reads(tree)] == ["residual"]
+    assert "residual" in _reads(ast.parse(source + "solve(residual)\n"))
 
 
 def test_every_hypothesis_property_is_derandomized():
