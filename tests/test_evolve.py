@@ -23,7 +23,7 @@ from solitonlab.evolve import (
 )
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
-from solitonlab.petviashvili import SolverConfig, petviashvili_solve
+from solitonlab.petviashvili import SolverConfig, petviashvili_solve, power, symbol
 
 OMEGA0_2 = 4.0 / 25.0
 
@@ -79,12 +79,82 @@ def test_second_order_convergence(standing_wave):
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 6.0])
 def test_advance_matches_allocating_reference(grid_small, alpha, beta):
     # a perturbed, boosted explicit wave: a 1-ulp change of it moves the
-    # reference itself by about 6e-15 after 1000 steps
-    values = 1.01 * phi_exact(alpha, grid_small).values * np.exp(0.2j * grid_small.nodes)
-    field = ComplexField(grid_small, values)
-    out = advance(field, alpha, 1e-3, 1000, beta).values
-    expected = reference_advance(field, alpha, 1e-3, 1000, beta).values
-    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # reference itself by about 6e-15 after 1000 steps; the four-step
+    # transform rounds differently from the 1-D one and reads 5-8e-14.
+    # Views of 32 x 32 and 64 x 128
+    for grid in (grid_small, SpectralGrid()):
+        values = 1.01 * phi_exact(alpha, grid).values * np.exp(0.2j * grid.nodes)
+        field = ComplexField(grid, values)
+        out = advance(field, alpha, 1e-3, 1000, beta).values
+        expected = reference_advance(field, alpha, 1e-3, 1000, beta).values
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("log2n", range(1, 14))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(dt=st.floats(1e-4, 1.0), beta=st.floats(0.0, 4.0), half_width=st.floats(1.0, 400.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_four_step_substep_is_the_1d_propagator(log2n, dt, beta, half_width, seed):
+    # n1 = 1 (n = 2) and n1 = 2 (n = 4, 8) included
+    grid = SpectralGrid(2**log2n, half_width)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    lin = np.exp(-1j * symbol(grid.wavenumbers, 0.0, beta) * dt)
+    expected = np.fft.ifft(lin * np.fft.fft(u))
+    tables = evolve._step_tables(grid, beta, dt)
+    evolve._linear_substep(u, tables, np.empty(tables[1].shape, dtype=complex))
+    assert np.max(np.abs(u - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _record_transforms(monkeypatch):
+    """(name, shape, axis) of every np.fft.fft and np.fft.ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def recorded(a, *args, _name=name, _transform=transform, **kwargs):
+            calls.append((_name, np.shape(a), kwargs.get("axis")))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n, shape", [(2, (1, 2)), (8, (2, 4)), (1024, (32, 32)),
+                                      (8192, (64, 128))])
+def test_one_step_is_four_transforms_of_the_n1_by_n2_view(monkeypatch, n, shape):
+    grid = SpectralGrid(n, 100.0)
+    field = ComplexField(grid, np.exp(-grid.nodes**2) + 0j)
+    calls = _record_transforms(monkeypatch)
+    advance(field, 2.0, 1e-3, 1)
+    assert calls == [("fft", shape, 0), ("fft", shape, 1), ("ifft", shape, 1), ("ifft", shape, 0)]
+    calls.clear()
+    advance(field, 2.0, 1e-3, 3)
+    assert calls == 3 * [("fft", shape, 0), ("fft", shape, 1), ("ifft", shape, 1),
+                         ("ifft", shape, 0)]
+
+
+def test_a_run_builds_its_tables_once(monkeypatch, wave_2):
+    # the symbol for energy and propagator, the propagator and the twiddles:
+    # once for 20 checkpoints, not once per checkpoint
+    builds = []
+    monkeypatch.setattr(evolve, "symbol", lambda *args: builds.append(args) or symbol(*args))
+    evolve._symbol.cache_clear()
+    evolve._step_tables.cache_clear()
+    result = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 0.2, 20)
+    assert result.times.size == 21
+    assert len(builds) == 1
+    assert evolve._step_tables.cache_info().misses == 1
+    assert evolve._step_tables.cache_info().hits == 19
+
+
+@pytest.mark.parametrize("n_steps", [-1, -5])
+def test_advance_refuses_a_negative_step_count(standing_wave, n_steps):
+    _, field = standing_wave
+    before = field.values.copy()
+    with pytest.raises(ParameterError, match="n_steps"):
+        advance(field, 2.0, 1e-3, n_steps)
+    np.testing.assert_array_equal(field.values, before)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -335,6 +405,26 @@ def test_energy_uses_beta(standing_wave):
     assert energy(field, 2.0, 0.5) - energy(field, 2.0, 0.0) == pytest.approx(
         0.25 * gradient, rel=1e-10)
     assert energy(field, 2.0) == energy(field, 2.0, 1.0)
+
+
+def _inline_energy(field, alpha, beta):
+    """The energy with its symbol built on every call, as it was before the
+    symbol was cached."""
+    g = field.grid
+    coeffs = np.fft.fft(field.values)
+    quadratic = g.dx / g.n_points * float(
+        np.sum(symbol(g.wavenumbers, 0.0, beta) * np.abs(coeffs) ** 2))
+    nonlinear = float(g.quadrature(power(field.values, alpha + 2)).real)
+    return 0.5 * quadratic - nonlinear / (alpha + 2.0)
+
+
+def test_energy_on_the_cached_symbol_is_bit_identical(grid_small, grid_mid):
+    # betas and grids interleaved, so the cache misses and hits
+    fields = [ComplexField(g, phi_exact(2.0, g).values * np.exp(0.3j * g.nodes))
+              for g in (grid_small, grid_mid)]
+    for beta in (1.0, 1.0, 0.0, 0.5, 1.0, 0.0):
+        for field in fields + fields[:1]:
+            assert energy(field, 2.0, beta) == _inline_energy(field, 2.0, beta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
