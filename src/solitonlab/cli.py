@@ -231,7 +231,9 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha-max", type=float, default=7.0)
     p.add_argument("--alpha-steps", type=int, default=25)
     p.add_argument("--omega-steps", type=int, default=24)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes that scan the alpha rows, this one included"
+                        " (at most one per row)")
 
     p = command("evolve", cmd_evolve, "split-step evolution of a perturbed wave",
                 [alpha, omega, common])

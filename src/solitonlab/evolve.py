@@ -222,14 +222,16 @@ def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples:
 def perturbed_run(profile: RealProfile, alpha: float, delta: float, dt: float, t_final: float,
                   n_samples: int, beta: float = 1.0) -> Trajectory:
     """Evolve u0 = (1 + delta) phi, observing its energy, mass and orbital
-    distance to phi; refuses an unusable u0 (``check_field``)."""
+    distance to phi (whose transform and H2 norm are built once); refuses an
+    unusable u0 (``check_field``)."""
     with np.errstate(all="ignore"):
         u0 = ComplexField(profile.grid, (1.0 + delta) * profile.values.astype(complex))
     check_field(u0, alpha, beta)
+    reference = orbit_reference(profile)
     return run(u0, alpha, dt, t_final, n_samples, {
         "energy": lambda u: energy(u, alpha, beta),
         "mass": mass,
-        "orbital_distance": lambda u: orbital_distance(u, profile),
+        "orbital_distance": lambda u: orbital_distance(u, reference),
     }, beta)
 
 
@@ -251,8 +253,27 @@ def conservation_audit(
     )
 
 
-def orbital_distance(field: ComplexField, reference: RealProfile) -> float:
-    """H2 distance to the orbit of the reference under rotation/translation.
+@dataclass(frozen=True, eq=False)
+class OrbitReference:
+    """What ``orbital_distance`` reads of its reference wave: the conjugate of
+    its transform and its squared H2 norm, built once per run by
+    ``orbit_reference``."""
+
+    conj_hat: np.ndarray
+    norm_sq: float
+
+
+def orbit_reference(profile: RealProfile) -> OrbitReference:
+    g = profile.grid
+    phi_hat = np.fft.fft(profile.values.astype(complex))
+    norm_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(phi_hat) ** 2))
+    return OrbitReference(np.conj(phi_hat), norm_sq)
+
+
+def orbital_distance(field: ComplexField, reference: RealProfile | OrbitReference) -> float:
+    """H2 distance to the orbit of the reference under rotation/translation;
+    the reference is a profile or its prebuilt ``orbit_reference``, with the
+    same result to the bit.
 
     The rotation minimizer is closed-form for each translation (phase of the
     complex H2 pairing); the translation search runs over whole grid cells
@@ -264,12 +285,12 @@ def orbital_distance(field: ComplexField, reference: RealProfile) -> float:
     Smaller distances, such as that of an unperturbed wave after evolution,
     are not resolved.
     """
+    if isinstance(reference, RealProfile):
+        reference = orbit_reference(reference)
     g = field.grid
     u_hat = np.fft.fft(field.values)
-    phi_hat = np.fft.fft(reference.values.astype(complex))
     norm_u_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(u_hat) ** 2))
-    norm_phi_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(phi_hat) ** 2))
-    pairing = g.dx * np.fft.ifft(g.h2_weight * u_hat * np.conj(phi_hat))
+    pairing = g.dx * np.fft.ifft(g.h2_weight * u_hat * reference.conj_hat)
     best = float(np.max(np.abs(pairing)))
-    dist_sq = max(norm_u_sq + norm_phi_sq - 2.0 * best, 0.0)
+    dist_sq = max(norm_u_sq + reference.norm_sq - 2.0 * best, 0.0)
     return float(np.sqrt(dist_sq))

@@ -1,5 +1,8 @@
 """Uniform periodic spectral grid: nodes, wavenumbers, Fourier multipliers,
-quadrature and the H2 norm.
+quadrature and the H2 norm; and the two maps between grids of one half-width
+that the nested iterations use, ``coarsest_grid`` (the coarsest grid that
+resolves a sampled function) and ``zero_pad`` (the exact prolongation of a
+half spectrum to a finer grid).
 
 Wavenumbers are stored in standard FFT order (``0, ..., n/2-1, -n/2, ..., -1``
 times ``pi / L``).
@@ -17,6 +20,10 @@ from .errors import ParameterError, ShapeError
 
 DEFAULT_HALF_WIDTH = 200.0
 DEFAULT_N_POINTS = 8192
+# coarsest_grid may drop the rfft modes of a function below COARSE_CUT of
+# their peak, down to COARSE_MIN_POINTS points
+COARSE_CUT = 1e-15
+COARSE_MIN_POINTS = 64
 
 
 def lattice(start: float, stop: float, num: int, name: str) -> np.ndarray:
@@ -98,6 +105,32 @@ class SpectralGrid:
         return float(
             np.sqrt(self.dx / self.n_points * np.sum(self.h2_weight * np.abs(coeffs) ** 2))
         )
+
+
+def coarsest_grid(values: np.ndarray, grid: SpectralGrid) -> SpectralGrid:
+    """The coarsest grid of grid's half-width, of at least COARSE_MIN_POINTS
+    points, that drops only rfft modes of values (sampled on grid) below
+    COARSE_CUT of their peak; grid itself where not one halving does.  A real
+    grid keeps only the cosine of its Nyquist mode, so that mode counts as
+    dropped."""
+    spectrum = np.abs(np.fft.rfft(values))
+    last = int(np.flatnonzero(spectrum >= COARSE_CUT * spectrum.max())[-1])
+    n_points = max(COARSE_MIN_POINTS, 1 << (2 * last).bit_length())  # n_points / 2 > last
+    return SpectralGrid(n_points, grid.half_width) if n_points < grid.n_points else grid
+
+
+def zero_pad(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """The rfft half spectrum on n_points points of the interpolant whose half
+    spectrum on n = 2 (coeffs.size - 1) <= n_points points of the same
+    half-width is coeffs: zero-padded, the Nyquist term halved (it stands for
+    2 modes of the finer grid), times n_points / n; coeffs itself where
+    n == n_points."""
+    n = 2 * (coeffs.size - 1)
+    if n == n_points:
+        return coeffs
+    coeffs = (n_points // n) * np.pad(coeffs, (0, (n_points - n) // 2))
+    coeffs[n // 2] *= 0.5
+    return coeffs
 
 
 @dataclass(frozen=True)

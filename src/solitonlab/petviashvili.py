@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dgelss
 
 from .errors import DegenerateInputError, DivergenceError, ParameterError
-from .grid import RealProfile, SpectralGrid
+from .grid import RealProfile, SpectralGrid, zero_pad
 
 IMAG_RESIDUE_TOL = 1e-13
 # convergence: sup-norm step, |1 - M_n| and sup-norm spectral residual
@@ -63,7 +63,8 @@ class SolverConfig:
     ``initial_guess`` is None for the Gaussian (2 omega)^(1/alpha) exp(-x^2),
     or a :class:`RealProfile` to continue from, on the solve's grid or on one
     of its half-width f times coarser, read there as its interpolant: its
-    rfft zero-padded, the Nyquist term halved (it stands for 2 modes), times f.
+    rfft zero-padded, the Nyquist term halved (it stands for 2 modes), times f
+    (``grid.zero_pad``).
     ``dispersion_beta`` is the coefficient of ``-d^2/dx^2``: 1 for the
     mixed-dispersion equation, 0 for the pure fourth-order one.
     """
@@ -157,10 +158,8 @@ def _initial_guess(alpha: float, omega: float, grid: SpectralGrid, config: Solve
     elif guess.grid.n_points == grid.n_points:
         phi = guess.values
     else:
-        n, m = guess.grid.n_points, grid.n_points
-        coeffs = (m // n) * np.pad(np.fft.rfft(guess.values), (0, (m - n) // 2))
-        coeffs[n // 2] *= 0.5
-        return np.fft.irfft(coeffs, m), coeffs
+        coeffs = zero_pad(np.fft.rfft(guess.values), grid.n_points)
+        return np.fft.irfft(coeffs, grid.n_points), coeffs
     return phi, np.fft.rfft(phi)
 
 

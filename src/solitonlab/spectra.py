@@ -11,7 +11,9 @@ symmetry, the low spectrum comes from one dense eigensolve of the sector
 compressed to the Fourier modes whose coupling entries reach its residual
 target, certified by each pair's residual on the full sector (more modes are
 taken only if that certificate fails); the chi solve L- chi = phi behind
-d'' uses preconditioned MINRES in the even sector.  Counts of negative and
+d'' uses preconditioned MINRES in the even sector, on the coarsest grid that
+resolves the potential, and is certified by its residual on the profile's
+grid, where <chi, phi> is taken.  Counts of negative and
 zero eigenvalues, zero meaning within ZERO_BAND (omega + 1), certify the
 spectral propositions.
 """
@@ -26,7 +28,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DeflationSolveError, ParameterError
-from .grid import RealProfile
+from .grid import RealProfile, coarsest_grid, zero_pad
 from .petviashvili import half_symbol, half_weights, power
 
 # every kept eigenpair of a compressed sector has a residual of at most
@@ -103,10 +105,13 @@ class _Sector:
     def coords(self, v: np.ndarray) -> np.ndarray:
         return (np.fft.rfft(v)[self.keep] / self.unit).real * self.weight
 
-    def values(self, y: np.ndarray) -> np.ndarray:
+    def spectrum(self, y: np.ndarray) -> np.ndarray:
         coeffs = np.zeros(self.n // 2 + 1, dtype=complex)
         coeffs[self.keep] = self.unit * y / self.weight
-        return np.fft.irfft(coeffs, self.n)
+        return coeffs
+
+    def values(self, y: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(self.spectrum(y), self.n)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.symbol * y + self.coords(self.op.potential * self.values(y))
@@ -258,13 +263,25 @@ def negative_direction_scalar(
 
     The kernel of Lminus is spanned by phi' (odd), so for an even profile the
     system is solved in the even sector, where Lminus is invertible, by
-    preconditioned MINRES (``_Sector.solve``).  The sign of the result
-    is opposite to the sign of d''(omega).
+    preconditioned MINRES (``_Sector.solve``).  The solve runs on the
+    coarsest grid of the profile's half-width that resolves the potential
+    (``grid.coarsest_grid``), whose band is wider than the profile's, from
+    the potential's and the profile's samples at the shared nodes; chi is
+    its exact zero-padded prolongation (``grid.zero_pad``).  Where the
+    potential's spectrum has an algebraic tail (|phi|^alpha of a wave that
+    changes sign, or at alpha < 1) that grid is the profile's own, and the
+    solve is the full-grid one.  The relative residual of Lminus chi - phi
+    on the profile's grid must be at most 1e-6, or DeflationSolveError, and
+    the product is taken there.  The sign of the result is opposite to the
+    sign of d''(omega).
     """
     op = build_operator(profile, alpha, omega, "Lminus", beta)
-    phi = profile.values
-    even = _Sector(op, 1)
-    chi = even.values(even.solve(even.coords(phi)))
+    phi, n = profile.values, profile.grid.n_points
+    m = coarsest_grid(op.potential, profile.grid).n_points
+    # Lminus at the shared nodes; its symbol is the first m / 2 + 1 of the fine one's
+    even = _Sector(LinearizedOperator(op.symbol[: m // 2 + 1], op.potential[:: n // m], omega), 1)
+    y = even.solve(even.coords(phi[:: n // m]))
+    chi = np.fft.irfft(zero_pad(even.spectrum(y), n), n)
     rel_res = np.linalg.norm(op.apply(chi) - phi) / np.linalg.norm(phi)
     if rel_res > 1e-6:
         raise DeflationSolveError(f"deflated solve residual too large ({rel_res:.2e})")

@@ -4,15 +4,21 @@ d''(omega) is (1/2) d/domega of the squared L2 mass along the solitary
 branch.  Differentiating the profile equation in omega gives
 L- d_omega(phi) = -phi, so d'' = int phi d_omega(phi) = -<chi, phi> with
 L- chi = phi: one even-sector MINRES solve at the wave
-(``spectra.negative_direction_scalar``), exact up to discretization.  This
-chi form decides every region cell and both thresholds, whose roots Brent's
-method finds: alpha0, where d''(omega0(alpha)) changes sign, at the
-closed-form wave with no nonlinear solve; omega_c, where d''(omega) changes
-sign at fixed alpha, between the ends of the omega range it is given.  The
-forward difference of the trapezoid-rule mass along a branch (``d_second``)
-stays as the independent estimate that ``dmap`` writes and the cross-checks
-compare with; at a single omega it is the difference of the two-point branch
-to omega + h.
+(``spectra.negative_direction_scalar``), exact up to discretization, run on
+the coarsest grid that resolves the wave's potential and certified on the
+wave's own grid.  This chi form decides every region cell and both
+thresholds, whose roots Brent's method finds: alpha0, where d''(omega0(alpha))
+changes sign, at the closed-form wave with no nonlinear solve; omega_c, where
+d''(omega) changes sign at fixed alpha, between the ends of the omega range
+it is given.  The forward difference of the trapezoid-rule mass along a
+branch (``d_second``) stays as the independent estimate that ``dmap`` writes
+and the cross-checks compare with; at a single omega it is the difference of
+the two-point branch to omega + h.
+
+Both the chi solve and each branch point are nested iterations on one
+helper, ``grid.coarsest_grid``: a branch point is solved on the coarsest grid
+that resolves its seed and polished on the requested one.  ``region_scan``
+runs its alpha rows in up to ``jobs`` processes, the calling one included.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     ParameterError,
 )
 from .explicit import explicit_params, phi_exact
-from .grid import RealProfile, SpectralGrid, lattice
+from .grid import RealProfile, SpectralGrid, coarsest_grid, lattice
 from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
 from .spectra import negative_direction_scalar
 
@@ -61,10 +67,6 @@ class StabilityMap:
 
 # find_omega_c finds its root to within TOL_OMEGA
 TOL_OMEGA = 1e-10
-# the coarse-grid predictor of each branch point may drop the rfft modes of
-# its seed below COARSE_CUT of their peak, down to COARSE_MIN_POINTS points
-COARSE_CUT = 1e-15
-COARSE_MIN_POINTS = 64
 
 
 def _mass(profile: RealProfile) -> float:
@@ -83,12 +85,10 @@ def _secant_seed(converged: list, omega: float) -> RealProfile:
 
 
 def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid | None:
-    """The coarsest grid of grid's half-width, of at least COARSE_MIN_POINTS
-    points, that drops only rfft modes of the seed below COARSE_CUT of their
-    peak; None where not one halving does, or where the seed lives on
-    another grid (the solve reads a coarser one as its interpolant).  A real
-    grid keeps only the cosine of its Nyquist mode, so that mode counts as
-    dropped.  The cold seed is a multiple of exp(-x^2).
+    """The coarsest grid that resolves the seed (``grid.coarsest_grid``); None
+    where that is grid itself, or where the seed lives on another grid (the
+    solve reads a coarser one as its interpolant).  The cold seed is a
+    multiple of exp(-x^2).
     """
     if seed is None:
         values = np.exp(-(grid.nodes**2))
@@ -96,10 +96,8 @@ def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid |
         return None
     else:
         values = seed.values
-    spectrum = np.abs(np.fft.rfft(values))
-    last = int(np.flatnonzero(spectrum >= COARSE_CUT * spectrum.max())[-1])
-    n_points = max(COARSE_MIN_POINTS, 1 << (2 * last).bit_length())  # n_points / 2 > last
-    return SpectralGrid(n_points, grid.half_width) if n_points < grid.n_points else None
+    coarse = coarsest_grid(values, grid)
+    return None if coarse is grid else coarse
 
 
 def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
@@ -320,6 +318,11 @@ def _scan_row(args):
     return classify_sign(d2, masses, omegas)
 
 
+def _scan_rows(tasks) -> list:
+    """_scan_row of each task, in order: one worker's stripe of the lattice."""
+    return [_scan_row(t) for t in tasks]
+
+
 def region_scan(
     alpha_grid,
     omega_grid,
@@ -328,7 +331,9 @@ def region_scan(
     jobs: int = 1,
 ) -> StabilityMap:
     """Sign of d'' on the (alpha, omega) lattice, each cell from its own
-    wave; a cell whose solve fails becomes NaN."""
+    wave; a cell whose solve fails becomes NaN.  The rows run in
+    w = min(jobs, rows) processes, the calling one included: process i scans
+    rows i, i + w, ..."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if alpha_grid.size == 0 or omega_grid.size == 0:
@@ -346,10 +351,17 @@ def region_scan(
         (float(a), omega_grid, grid.n_points, grid.half_width, config)
         for a in alpha_grid
     ]
-    workers = min(jobs, len(tasks))  # the pool starts every worker at once
+    # the parent is one of the workers: it scans stripe 0 while a pool of
+    # workers - 1 processes scans the others (the pool starts them all at once)
+    workers = min(jobs, len(tasks))
+    stripes = [tasks[i::workers] for i in range(workers)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, tasks))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            pooled = pool.map(_scan_rows, stripes[1:])
+            scanned = [_scan_rows(stripes[0]), *pooled]
     else:
-        rows = [_scan_row(t) for t in tasks]
+        scanned = [_scan_rows(stripes[0])]
+    rows = [None] * len(tasks)
+    for i, stripe in enumerate(scanned):
+        rows[i::workers] = stripe
     return StabilityMap(sign_matrix=np.vstack(rows))

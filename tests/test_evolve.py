@@ -18,6 +18,7 @@ from solitonlab.evolve import (
     energy,
     mass,
     orbital_distance,
+    orbit_reference,
     perturbed_run,
     run,
 )
@@ -332,6 +333,37 @@ def test_orbital_distance_amplitude_scaling(grid_mid, standing_wave):
     u = ComplexField(grid_mid, 1.01 * phi.values.astype(complex))
     expected = 0.01 * grid_mid.norm(phi.values, "H2")
     assert orbital_distance(u, phi) == pytest.approx(expected, rel=1e-6)
+
+
+def _distance_per_call(field, reference):
+    """The orbital distance with the reference's transform and H2 norm taken
+    on every call."""
+    g = field.grid
+    u_hat = np.fft.fft(field.values)
+    phi_hat = np.fft.fft(reference.values.astype(complex))
+    norm_u_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(u_hat) ** 2))
+    norm_phi_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(phi_hat) ** 2))
+    pairing = g.dx * np.fft.ifft(g.h2_weight * u_hat * np.conj(phi_hat))
+    return float(np.sqrt(max(norm_u_sq + norm_phi_sq - 2.0 * float(np.max(np.abs(pairing))),
+                             0.0)))
+
+
+def test_prebuilt_orbit_reference_is_bit_for_bit(grid_mid, standing_wave, rng):
+    # perturbed_run builds the reference once; every checkpoint's distance is
+    # the one recomputed from the profile, to the bit
+    phi, _ = standing_wave
+    reference = orbit_reference(phi)
+    for scale in (1.0, 1.01, 0.5):
+        u = scale * np.roll(phi.values, 7) + 0.01 * rng.standard_normal(grid_mid.n_points)
+        field = ComplexField(grid_mid, u * np.exp(0.3j))
+        expected = _distance_per_call(field, phi)
+        assert orbital_distance(field, reference) == expected
+        assert orbital_distance(field, phi) == expected
+    traj = perturbed_run(phi, 2.0, 0.01, 1e-3, 0.02, 4)
+    oracle = run(ComplexField(grid_mid, 1.01 * phi.values.astype(complex)), 2.0, 1e-3, 0.02, 4,
+                 {"orbital_distance": lambda u: _distance_per_call(u, phi)})
+    np.testing.assert_array_equal(traj.series["orbital_distance"],
+                                  oracle.series["orbital_distance"])
 
 
 @pytest.fixture(scope="module")

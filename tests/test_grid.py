@@ -10,7 +10,7 @@ from gamma_oracle import phi_hat_exact
 from model_oracle import forward
 from solitonlab.errors import ParameterError, ShapeError
 from solitonlab.explicit import explicit_params, phi_exact
-from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
+from solitonlab.grid import ComplexField, RealProfile, SpectralGrid, coarsest_grid, zero_pad
 
 
 def test_grid_geometry(grid_small):
@@ -185,3 +185,23 @@ def test_profile_rejects_non_finite(grid_small):
         RealProfile(grid_small, bad)
     with pytest.raises(ValueError):
         ComplexField(grid_small, bad.astype(complex))
+
+
+def test_coarsest_grid_is_the_grid_itself_where_no_halving_resolves():
+    # the nested iterations test `coarse is grid` to skip their coarse stage
+    grid = SpectralGrid(256, 10.0)
+    assert coarsest_grid(np.abs(grid.nodes), grid) is grid  # a kink: algebraic tail
+    coarse = coarsest_grid(np.exp(-grid.nodes**2), grid)
+    assert coarse is not grid and (coarse.n_points, coarse.half_width) == (128, 10.0)
+
+
+@pytest.mark.parametrize("n_coarse, n_fine", [(64, 64), (64, 1024), (512, 2048)])
+def test_zero_pad_samples_back_to_the_coarse_values(n_coarse, n_fine, rng):
+    # the prolongation of any coarse samples passes through them; on the
+    # same grid it is the spectrum itself
+    values = rng.standard_normal(n_coarse)
+    coeffs = np.fft.rfft(values)
+    padded = zero_pad(coeffs, n_fine)
+    assert (padded is coeffs) == (n_coarse == n_fine)
+    np.testing.assert_allclose(np.fft.irfft(padded, n_fine)[:: n_fine // n_coarse], values,
+                               rtol=0, atol=1e-13)

@@ -19,7 +19,7 @@ from model_oracle import DomainError, phi_pow_alpha_hat_exact
 from pf2_oracle import check_pf2_logconcavity
 from solitonlab.errors import DeflationSolveError, ParameterError
 from solitonlab.explicit import explicit_params, phi_exact
-from solitonlab.grid import RealProfile, SpectralGrid
+from solitonlab.grid import RealProfile, SpectralGrid, coarsest_grid, zero_pad
 from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 from solitonlab.spectra import (
     LinearizedOperator,
@@ -396,17 +396,34 @@ def _counting_apply(monkeypatch):
     return calls
 
 
+def _chi_sector(profile, alpha, omega, beta):
+    """The even sector of Lminus that the chi solve runs in: at the profile's
+    samples on the coarsest grid that resolves the potential; and the
+    stride from that grid to the profile's."""
+    potential = build_operator(profile, alpha, omega, "Lminus", beta).potential
+    coarse = coarsest_grid(potential, profile.grid)
+    stride = profile.grid.n_points // coarse.n_points
+    samples = RealProfile(coarse, profile.values[::stride])
+    return _Sector(build_operator(samples, alpha, omega, "Lminus", beta), 1), stride
+
+
+def _prolonged(sector, y, n):
+    """The vector of sector coordinates y, zero-padded to n points."""
+    return np.fft.irfft(zero_pad(sector.spectrum(y), n), n)
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("alpha, omega", [(1.0, explicit_params(1.0).omega0), (2.0, OMEGA0_2),
                                           (5.0, 0.1118831293),  # omega_c(5) at beta = 1
                                           (6.0, explicit_params(6.0).omega0)])
 def test_minres_matches_scipy_oracle(op_grid, monkeypatch, alpha, omega, beta):
+    # on the grid the chi solve picks: 256-1024 points here
     profile, diag = petviashvili_solve(alpha, omega, op_grid, SolverConfig(dispersion_beta=beta))
     assert diag.converged
-    sector = _Sector(build_operator(profile, alpha, omega, "Lminus", beta), 1)
-    rhs, m = sector.coords(profile.values), sector.symbol.size
+    sector, stride = _chi_sector(profile, alpha, omega, beta)
+    rhs, m = sector.coords(profile.values[::stride]), sector.symbol.size
     calls = _counting_apply(monkeypatch)
-    chi = sector.values(sector.solve(rhs))
+    chi = _prolonged(sector, sector.solve(rhs), op_grid.n_points)
     steps = len(calls)
     calls.clear()
     oracle, info = scipy.sparse.linalg.minres(
@@ -416,12 +433,85 @@ def test_minres_matches_scipy_oracle(op_grid, monkeypatch, alpha, omega, beta):
         rtol=1e-12, maxiter=10 * m)
     assert info == 0
     assert steps == len(calls)
-    expected = sector.values(oracle)
+    expected = _prolonged(sector, oracle, op_grid.n_points)
     # relative to |chi| |phi|: at omega_c(5) the product itself nearly cancels
     scale = op_grid.dx * np.linalg.norm(expected) * np.linalg.norm(profile.values)
     got = op_grid.quadrature(chi * profile.values)
     assert abs(got - op_grid.quadrature(expected * profile.values)) <= 1e-10 * scale
     assert got == negative_direction_scalar(profile, alpha, omega, beta)
+
+
+def _full_grid_scalar(profile, alpha, omega, beta):
+    """<chi, phi> by the even-sector MINRES on the profile's own grid."""
+    sector = _Sector(build_operator(profile, alpha, omega, "Lminus", beta), 1)
+    chi = sector.values(sector.solve(sector.coords(profile.values)))
+    return profile.grid.quadrature(chi * profile.values), chi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(1.0, 6.0),
+    omega=st.floats(0.05, 0.24),
+    beta=st.sampled_from([1.0, 1.0, 0.0]),
+    grid=st.sampled_from([(1024, 50.0), (1024, 100.0), (2048, 100.0), (2048, 200.0)]),
+)
+def test_coarse_chi_solve_matches_the_full_grid_solve(alpha, omega, beta, grid):
+    # both stop at MINRES's 1e-12 relative tests, so they differ by what
+    # those leave open: at most 1.7e-11 |chi| |phi| over 300 draws of this
+    # strategy, 169 of them on a coarser grid; the bound is the scipy
+    # oracle's 1e-10
+    grid = SpectralGrid(*grid)
+    assume(np.sqrt(omega) * grid.half_width >= 10.0)
+    profile, diag = petviashvili_solve(alpha, omega, grid, SolverConfig(dispersion_beta=beta))
+    assume(diag.converged)
+    expected, chi = _full_grid_scalar(profile, alpha, omega, beta)
+    scale = grid.dx * np.linalg.norm(chi) * np.linalg.norm(profile.values)
+    assert abs(negative_direction_scalar(profile, alpha, omega, beta) - expected) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("alpha, omega, beta", [(3.0, 0.6, 1.0),  # omega > 1/4: changes sign
+                                                (0.5, 0.2, 1.0), (0.5, 0.2, 0.0)])
+def test_chi_solve_stays_on_the_requested_grid_where_the_potential_has_a_tail(
+        alpha, omega, beta, monkeypatch):
+    # the potential's spectrum never falls below the cut: the solve is the
+    # full-grid one, bit for bit
+    grid = SpectralGrid(2048, 100.0)
+    profile, diag = petviashvili_solve(alpha, omega, grid, SolverConfig(dispersion_beta=beta))
+    assert diag.converged
+    potential = build_operator(profile, alpha, omega, "Lminus", beta).potential
+    assert coarsest_grid(potential, grid) is grid
+    expected, _ = _full_grid_scalar(profile, alpha, omega, beta)
+    sizes = _sector_sizes(monkeypatch)
+    assert negative_direction_scalar(profile, alpha, omega, beta) == expected
+    assert sizes == [2048]
+
+
+def _sector_sizes(monkeypatch):
+    """The grid size of every _Sector built."""
+    sizes = []
+    init = _Sector.__init__
+
+    def recording(self, op, sign):
+        sizes.append(op.potential.size)
+        init(self, op, sign)
+
+    monkeypatch.setattr(_Sector, "__init__", recording)
+    return sizes
+
+
+def test_chi_residual_is_certified_on_the_requested_grid(monkeypatch):
+    # a coarse solution that misses Lminus chi = phi by 1e-4 on the requested
+    # grid is refused, as a full-grid one is
+    grid = SpectralGrid(8192, 200.0)
+    profile = phi_exact(4.0, grid)
+    omega0 = explicit_params(4.0).omega0
+    sizes = _sector_sizes(monkeypatch)
+    negative_direction_scalar(profile, 4.0, omega0)
+    assert sizes and sizes[-1] < 8192
+    solve = _Sector.solve
+    monkeypatch.setattr(_Sector, "solve", lambda self, rhs: (1.0 + 1e-4) * solve(self, rhs))
+    with pytest.raises(DeflationSolveError, match="residual"):
+        negative_direction_scalar(profile, 4.0, omega0)
 
 
 def test_minres_iteration_limit_is_deflation_error(monkeypatch):

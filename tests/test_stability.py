@@ -20,7 +20,7 @@ from solitonlab.errors import (
     ParameterError,
 )
 from solitonlab.explicit import explicit_params, phi_exact
-from solitonlab.grid import RealProfile, SpectralGrid
+from solitonlab.grid import COARSE_CUT, COARSE_MIN_POINTS, RealProfile, SpectralGrid
 from solitonlab.petviashvili import SolverConfig, petviashvili_solve
 from solitonlab.spectra import negative_direction_scalar
 from solitonlab.stability import (
@@ -373,6 +373,20 @@ def test_d_second_at_is_a_two_point_branch_difference(branch_grid):
     assert d_second(branch)[0, 1] == 0.5 * (m1 - m0) / ((0.1 + h) - 0.1)
 
 
+def test_headline_roots_are_grid_independent():
+    # N = 2048 and 8192, L = 100 and 200: the roots agree to the searches'
+    # 1e-10 tolerance plus rounding; the chi solve picks its own grid on each
+    alphas, omegas = [], []
+    for n in (2048, 8192):
+        for half_width in (100.0, 200.0):
+            grid = SpectralGrid(n, half_width)
+            alphas.append(find_alpha0((4.0, 5.5), grid))
+            omegas.append(find_omega_c(5.0, (0.02, 0.25), grid))
+    for roots in (alphas, omegas):
+        assert max(roots) - min(roots) <= stability.TOL_OMEGA + 8 * np.finfo(float).eps * max(roots)
+    assert 4.6 < alphas[0] < 5.0 and 0.1 < omegas[0] < 0.12
+
+
 def test_region_scan_small_lattice(branch_grid):
     result = region_scan([2.0, 5.5], [0.05, 0.10, 0.15], branch_grid)
     assert result.sign_matrix.shape == (2, 3)
@@ -387,7 +401,10 @@ def test_region_scan_parallel_matches_serial(branch_grid):
 
 
 def test_region_scan_pool_has_at_most_one_worker_per_row(branch_grid, monkeypatch):
-    sizes = []
+    # the calling process is one of the workers: two rows at --jobs 8 take a
+    # pool of 1 process, and three rows at --jobs 2 split into the stripes
+    # (rows 0 and 2 here, row 1 in the pool), which come back in lattice order
+    sizes, stripes = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -400,15 +417,19 @@ def test_region_scan_pool_has_at_most_one_worker_per_row(branch_grid, monkeypatc
             return False
 
         def map(self, fn, tasks):
+            stripes.append([[task[0] for task in stripe] for stripe in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(stability, "ProcessPoolExecutor", SerialPool)
     pooled = region_scan([2.0, 5.5], [0.08, 0.12], branch_grid, jobs=8)
-    assert sizes == [2]
+    assert sizes == [1] and stripes == [[[5.5]]]
     region_scan([2.0], [0.08, 0.12], branch_grid, jobs=8)  # one row runs in-process
-    assert sizes == [2]
+    assert sizes == [1]
     serial = region_scan([2.0, 5.5], [0.08, 0.12], branch_grid)
     np.testing.assert_array_equal(pooled.sign_matrix, serial.sign_matrix)
+    striped = region_scan([2.0, 5.5, 3.0], [0.08, 0.12], branch_grid, jobs=2)
+    assert sizes == [1, 1] and stripes[-1] == [[5.5]]
+    np.testing.assert_array_equal(striped.sign_matrix, [[1, 1], [-1, -1], [1, 1]])
 
 
 def test_region_scan_validation(branch_grid):
@@ -623,11 +644,11 @@ def test_coarse_grid_drops_no_mode_above_the_cut(widths, amplitude, shift, grid)
     values = amplitude * sum(np.exp(-((x / w) ** 2)) * np.cos(x / w) for w in widths)
     seed = RealProfile(grid, values)
     spectrum = np.abs(np.fft.rfft(values))
-    cut = stability.COARSE_CUT * spectrum.max()
+    cut = COARSE_CUT * spectrum.max()
     coarse = stability._coarse_grid(seed, grid)
     n = grid.n_points if coarse is None else coarse.n_points
     assert np.all(spectrum[n // 2:] < cut) or coarse is None
-    assert n == stability.COARSE_MIN_POINTS or np.any(spectrum[n // 4:] >= cut)
+    assert n == COARSE_MIN_POINTS or np.any(spectrum[n // 4:] >= cut)
     if coarse is not None:
         assert coarse.half_width == grid.half_width and n < grid.n_points
 
@@ -640,7 +661,7 @@ def test_sign_changing_wave_gets_no_coarse_stage(branch_grid, monkeypatch):
     wave, diag = petviashvili_solve(1.5, 0.2, branch_grid, config)
     assert diag.converged and wave.values.min() < -1e-3 * wave.values.max()
     spectrum = np.abs(np.fft.rfft(wave.values))
-    assert spectrum[branch_grid.n_points // 4:].max() >= stability.COARSE_CUT * spectrum.max()
+    assert spectrum[branch_grid.n_points // 4:].max() >= COARSE_CUT * spectrum.max()
     assert stability._coarse_grid(wave, branch_grid) is None
     calls = _recording_solves(monkeypatch)
     list(stability._sweep(1.5, [0.21, 0.22], branch_grid,

@@ -110,6 +110,24 @@ def test_forward_difference_has_one_caller():
     assert len(_references(tree, "_forward_d2")) == 1
 
 
+def test_nested_iterations_read_one_resolved_band_helper():
+    # the branch points' coarse stage and the chi solve pick their grid with
+    # grid.coarsest_grid, and prolong with grid.zero_pad; neither has a cut of its own
+    stability_tree, stability_functions = _functions("stability.py")
+    spectra_tree, spectra_functions = _functions("spectra.py")
+    petviashvili_tree, petviashvili_functions = _functions("petviashvili.py")
+    for tree, function in ((stability_tree, stability_functions["_coarse_grid"]),
+                           (spectra_tree, spectra_functions["negative_direction_scalar"])):
+        assert _references(tree, "coarsest_grid") == _references(function, "coarsest_grid")
+        assert len(_references(function, "coarsest_grid")) == 1
+        assert not _references(function, "rfft") and not _references(tree, "COARSE_CUT")
+    for tree, function in ((spectra_tree, spectra_functions["negative_direction_scalar"]),
+                           (petviashvili_tree, petviashvili_functions["_initial_guess"])):
+        assert _references(tree, "zero_pad") == _references(function, "zero_pad")
+        assert len(_references(function, "zero_pad")) == 1
+        assert not _references(function, "pad")
+
+
 def _unused_imports(tree):
     """Names bound by an import and never read, nor listed in __all__."""
     imported = {}
