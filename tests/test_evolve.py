@@ -91,6 +91,68 @@ def test_advance_matches_allocating_reference(grid_small, alpha, beta):
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def _odd_part(values):
+    """max |u - u(-x)| / max |u|, both over real and imaginary parts."""
+    odd = (values - np.roll(values[::-1], 1)).view(float)
+    return float(np.max(np.abs(odd)) / np.max(np.abs(values.view(float))))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [2.0, 6.0])
+def test_advance_of_even_waves_matches_allocating_reference(grid_small, alpha, beta):
+    # solved waves have odd parts of 1-7e-16 and exact waves of 0, so both
+    # step on the half view; after 1000 steps the distance to the reference
+    # read 1.1-1.3e-13 at N = 1024 and 1.9-2.3e-13 at N = 8192, and the odd
+    # part of the output at most 1.4e-16
+    omega = explicit_params(alpha).omega0
+    for grid in (grid_small, SpectralGrid()):
+        solved, diag = petviashvili_solve(alpha, omega, grid, SolverConfig(dispersion_beta=beta))
+        assert diag.converged
+        for wave in (solved, phi_exact(alpha, grid)):
+            field = ComplexField(grid, 1.01 * wave.values + 0j)
+            assert _odd_part(field.values) <= evolve.EVEN_CUT
+            out = advance(field, alpha, 1e-3, 1000, beta).values
+            expected = reference_advance(field, alpha, 1e-3, 1000, beta).values
+            assert np.max(np.abs(out - expected)) <= 4e-13 * np.max(np.abs(expected))
+            assert _odd_part(out) <= evolve.EVEN_CUT / 8
+
+
+@pytest.mark.parametrize("scale, even", [(0.5, True), (2.0, False)])
+def test_the_even_cut_selects_the_path(grid_small, scale, even):
+    # an odd part of half the cut steps as the field's even part, whose free
+    # columns unfold to it bit for bit; twice the cut steps whole
+    x = grid_small.nodes
+    odd = x * np.exp(-x**2)
+    u = np.exp(-x**2) + 0.5j + scale * evolve.EVEN_CUT / (2 * np.max(np.abs(odd))) * odd
+    assert _odd_part(u) == pytest.approx(scale * evolve.EVEN_CUT, rel=1e-3)
+    shape = evolve._view_shape(grid_small.n_points)
+    half = evolve._even_half(u, shape)
+    if even:
+        np.testing.assert_array_equal(evolve._unfold(half, shape),
+                                      0.5 * u + 0.5 * np.roll(u[::-1], 1))
+    else:
+        assert half is None
+
+
+@pytest.mark.parametrize("shape", ["boosted", "odd-noise"])
+def test_non_even_fields_step_on_the_whole_view_bit_for_bit(grid_small, monkeypatch, shape):
+    # the boosted wave above, and an even wave plus odd noise of 1e-12, far
+    # above the cut: the same bytes as with every field stepped whole
+    x = grid_small.nodes
+    wave = 1.01 * phi_exact(2.0, grid_small).values
+    if shape == "boosted":
+        values = wave * np.exp(0.2j * x)
+    else:
+        values = wave + 1e-12 * np.sin(np.pi * x / grid_small.half_width) + 0j
+    field = ComplexField(grid_small, values)
+    assert _odd_part(field.values) > evolve.EVEN_CUT
+    outcomes = []
+    for cut in (evolve.EVEN_CUT, -np.inf):  # no field's odd part is <= -inf
+        monkeypatch.setattr(evolve, "EVEN_CUT", cut)
+        outcomes.append(advance(field, 2.0, 1e-3, 200).values.tobytes())
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("log2n", range(1, 14))
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(dt=st.floats(1e-4, 1.0), beta=st.floats(0.0, 4.0), half_width=st.floats(1.0, 400.0),
@@ -105,6 +167,33 @@ def test_four_step_substep_is_the_1d_propagator(log2n, dt, beta, half_width, see
     tables = evolve._step_tables(grid, beta, dt)
     evolve._linear_substep(u, tables, np.empty(tables[1].shape, dtype=complex))
     assert np.max(np.abs(u - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("log2n", range(1, 14))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(dt=st.floats(1e-4, 1.0), beta=st.floats(0.0, 4.0), half_width=st.floats(1.0, 400.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_substep_is_the_1d_propagator_on_even_fields(log2n, dt, beta, half_width, seed):
+    # n1 = 1 (n = 2) and n1 = 2 (n = 4, 8) included.  xi**4 rounds differently
+    # at -xi, so the 1-D propagator is even only to an ulp of its phase, which
+    # is far from rounding where xi^4 dt is large; the half path reads the
+    # propagator of the modes 0..n/2 at their mirror images too, and so does
+    # the oracle
+    grid = SpectralGrid(2**log2n, half_width)
+    n = grid.n_points
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = 0.5 * u + 0.5 * np.roll(u[::-1], 1)  # u(x) = u(-x) exactly
+    modes = np.arange(n)
+    lin = np.exp(-1j * symbol(grid.wavenumbers, 0.0, beta) * dt)[np.minimum(modes, n - modes)]
+    expected = np.fft.ifft(lin * np.fft.fft(u))
+    shape = n1, n2 = evolve._view_shape(n)
+    half = evolve._even_half(u, shape)
+    evolve._half_substep(half, evolve._half_step_tables(grid, beta, dt),
+                         (np.empty((n1, n2 // 2 + 1), dtype=complex),
+                          np.empty((n1 // 2 + 1, n2), dtype=complex)))
+    out = evolve._unfold(half, shape)
+    assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def _record_transforms(monkeypatch):
@@ -124,29 +213,41 @@ def _record_transforms(monkeypatch):
 @pytest.mark.parametrize("n, shape", [(2, (1, 2)), (8, (2, 4)), (1024, (32, 32)),
                                       (8192, (64, 128))])
 def test_one_step_is_four_transforms_of_the_n1_by_n2_view(monkeypatch, n, shape):
+    # an even field steps on the (n1, n2/2 + 1) free columns of its (n1, n2)
+    # view and the (n1/2 + 1, n2) rows of its spectrum; the same Gaussian
+    # moved by one node is not even (for n >= 4) and steps on the whole view
+    n1, n2 = shape
+    half_step = [("fft", (n1, n2 // 2 + 1), 0), ("fft", (n1 // 2 + 1, n2), 1),
+                 ("ifft", (n1 // 2 + 1, n2), 1), ("ifft", (n1, n2 // 2 + 1), 0)]
+    full_step = [("fft", shape, 0), ("fft", shape, 1), ("ifft", shape, 1), ("ifft", shape, 0)]
     grid = SpectralGrid(n, 100.0)
-    field = ComplexField(grid, np.exp(-grid.nodes**2) + 0j)
+    even = np.exp(-grid.nodes**2) + 0j
     calls = _record_transforms(monkeypatch)
-    advance(field, 2.0, 1e-3, 1)
-    assert calls == [("fft", shape, 0), ("fft", shape, 1), ("ifft", shape, 1), ("ifft", shape, 0)]
-    calls.clear()
-    advance(field, 2.0, 1e-3, 3)
-    assert calls == 3 * [("fft", shape, 0), ("fft", shape, 1), ("ifft", shape, 1),
-                         ("ifft", shape, 0)]
+    for values, step in ((even, half_step), (np.roll(even, 1), full_step)):
+        field = ComplexField(grid, values)
+        calls.clear()
+        advance(field, 2.0, 1e-3, 1)
+        assert calls == step
+        calls.clear()
+        advance(field, 2.0, 1e-3, 3)
+        assert calls == 3 * step
 
 
 def test_a_run_builds_its_tables_once(monkeypatch, wave_2):
     # the symbol for energy and propagator, the propagator and the twiddles:
-    # once for 20 checkpoints, not once per checkpoint
+    # once for 20 checkpoints, not once per checkpoint; the wave is even, so
+    # only the half tables are built
     builds = []
     monkeypatch.setattr(evolve, "symbol", lambda *args: builds.append(args) or symbol(*args))
     evolve._symbol.cache_clear()
     evolve._step_tables.cache_clear()
+    evolve._half_step_tables.cache_clear()
     result = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 0.2, 20)
     assert result.times.size == 21
     assert len(builds) == 1
-    assert evolve._step_tables.cache_info().misses == 1
-    assert evolve._step_tables.cache_info().hits == 19
+    assert evolve._half_step_tables.cache_info().misses == 1
+    assert evolve._half_step_tables.cache_info().hits == 19
+    assert evolve._step_tables.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n_steps", [-1, -5])
@@ -187,15 +288,17 @@ def _windowed_and_full(field, alpha, dt, n_steps, beta, monkeypatch):
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (2.0, 1.0), (6.0, 1.0), (3.0, 0.0)])
 def test_cos_sin_window_is_bit_identical(grid_small, monkeypatch, alpha, beta):
     # two waves far apart and a noise floor: small angles inside the window
-    # and on both sides of it
+    # and on both sides of it; the field steps whole and its even part on
+    # the half view
     rng = np.random.default_rng(7)
     x = grid_small.nodes
     values = (phi_exact(2.0, grid_small).values * (1.0 + 0.5j)
               + np.roll(phi_exact(2.0, grid_small).values, 300)
               + 1e-12 * rng.standard_normal(x.size) * np.exp(0.3j * x))
-    field = ComplexField(grid_small, values)
-    windowed, full = _windowed_and_full(field, alpha, 1e-3, 200, beta, monkeypatch)
-    assert windowed == full
+    for u in (values, 0.5 * values + 0.5 * np.roll(values[::-1], 1)):
+        field = ComplexField(grid_small, u)
+        windowed, full = _windowed_and_full(field, alpha, 1e-3, 200, beta, monkeypatch)
+        assert windowed == full
 
 
 @pytest.mark.parametrize("big", [1e155, 1e200])
@@ -219,14 +322,8 @@ def test_advance_leaves_the_input_field_alone(standing_wave):
     assert not np.shares_memory(out.values, field.values)
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 5])
-@pytest.mark.parametrize("alpha", [2.0, 3.0, 6.0])
-def test_blow_up_time_matches_reference(grid_small, alpha, n_steps):
-    # |u|^alpha = 1e308 on a constant field, which every substep keeps
-    # constant: dt |u|^alpha overflows in the first full rotation (after
-    # step 1) but not in the half rotations, so a run of 2 or more steps turns
-    # non-finite in its second step and a 1-step run never does
-    field = ComplexField(grid_small, np.full(grid_small.n_points, 1e308 ** (1 / alpha) + 0j))
+def _blow_up_times(field, alpha, n_steps):
+    """The blow-up time (or None) of advance and of reference_advance."""
     times = []
     for integrate in (advance, reference_advance):
         with np.errstate(all="ignore"):
@@ -235,6 +332,33 @@ def test_blow_up_time_matches_reference(grid_small, alpha, n_steps):
                 times.append(None)
             except BlowUpDetected as exc:
                 times.append(exc.time)
+    return times
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 6.0])
+def test_blow_up_time_matches_reference(grid_small, alpha, n_steps):
+    # |u|^alpha = 1e308 on a constant field, which every substep keeps
+    # constant: dt |u|^alpha overflows in the first full rotation (after
+    # step 1) but not in the half rotations, so a run of 2 or more steps turns
+    # non-finite in its second step and a 1-step run never does.  A constant
+    # field is even, so it steps on the half view
+    field = ComplexField(grid_small, np.full(grid_small.n_points, 1e308 ** (1 / alpha) + 0j))
+    times = _blow_up_times(field, alpha, n_steps)
+    assert times[0] == times[1] == (None if n_steps == 1 else 0.25 + 2 * 2.4)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 6.0])
+def test_blow_up_time_of_a_non_even_field_matches_reference(grid_small, alpha, n_steps):
+    # the same overflow on the plane wave i**j of mode n/4, which is not even
+    # and steps on the whole view: its entries are c, i c, -c and -i c, so
+    # the half rotation does not make the modulus uneven, and each substep
+    # keeps it constant
+    values = 1e308 ** (1 / alpha) * np.resize([1, 1j, -1, -1j], grid_small.n_points)
+    field = ComplexField(grid_small, values)
+    assert _odd_part(field.values) > evolve.EVEN_CUT
+    times = _blow_up_times(field, alpha, n_steps)
     assert times[0] == times[1] == (None if n_steps == 1 else 0.25 + 2 * 2.4)
 
 
