@@ -7,21 +7,18 @@ linear substep is unitary and the nonlinear substep preserves |u| pointwise,
 so both invariants are conserved up to rounding; energy drift measures the
 genuine splitting error.
 
-The linear substep runs Bailey's four-step FFT (J. Supercomputing 4, 1990) on
-the field's n1 x n2 view: batched transforms of its columns and rows, joined by
-twiddle factors.  Its tables are built once per grid, beta and dt.
-
 Both substeps keep a field even, u(x) = u(-x), and every wave the program
-evolves starts even.  An even field's view has n2/2 + 1 free columns (column
-n2 - j2 is column j2 reversed) and its spectrum n1/2 + 1 free rows, so it
-steps on those alone: the same four batched transforms on about half the
-points, two gathers to fill in the rest, and a rotation and finiteness check
-on the free columns only (Swarztrauber, Math. Comp. 47, 1986).  ``advance``
-takes that path where the field's odd part is at most EVEN_CUT = 2**-48 of the
-field, and evolves the field's even part; solved waves read 1-7e-16 of their
-peak, exact waves 0, and the output of 1000 steps at most 1.4e-16 (N = 1024
-and 8192, alpha 2 and 6), so each checkpoint takes the path again.  Any other
-field, such as a boosted or moved wave, steps on the whole view.
+evolves starts even.  An even field steps on the free lines of its n1 x n2 view
+by Bailey's four-step FFT (J. Supercomputing 4, 1990): the view has n2/2 + 1
+free columns (column n2 - j2 is column j2 reversed) and its spectrum n1/2 + 1
+free rows, so four batched transforms run on about half the points, two gathers
+fill in the rest, and the rotation and finiteness check read the free columns
+only (Swarztrauber, Math. Comp. 47, 1986).  ``advance`` takes that path where
+the field's odd part is at most EVEN_CUT = 2**-48 of the field, and evolves the
+field's even part; solved waves read 1-7e-16 of their peak, exact waves 0, and
+the output of 1000 steps at most 1.4e-16 (N = 1024 and 8192, alpha 2 and 6), so
+each checkpoint takes the path again.  Any other field (a boosted or moved
+wave, which no program evolution makes) steps by the 1-D transform pair.
 """
 
 from __future__ import annotations
@@ -64,25 +61,16 @@ class ConservationAudit:
 
 @lru_cache(maxsize=1)
 def _symbol(grid: SpectralGrid, beta: float) -> np.ndarray:
-    """xi^4 + beta xi^2 on the grid's full spectrum, read-only; energy and the
-    propagator read it."""
+    """xi^4 + beta xi^2 on the grid's full spectrum, read-only; energy and both
+    propagators read it."""
     return _read_only(symbol(grid.wavenumbers, 0.0, beta))
 
 
 @lru_cache(maxsize=1)
-def _step_tables(grid: SpectralGrid, beta: float, dt: float) -> tuple:
-    """(propagator, twiddles, conjugate twiddles) of the four-step linear
-    substep on the (n1, n2) view of a field.
-
-    Entry (k1, k2) of the spectrum in that layout is wavenumber k1 + n1 k2, so
-    the propagator exp(-i symbol dt) / n is permuted to it; the 1/n is the
-    inverse transform's.  The twiddle at (k1, j2) is exp(-2 pi i k1 j2 / n).
-    """
-    n = grid.n_points
-    n1, n2 = _view_shape(n)
-    propagator = (np.exp(-1j * _symbol(grid, beta) * dt) / n).reshape(n2, n1).T.copy()
-    twiddles = np.exp(-2j * np.pi / n * np.outer(np.arange(n1), np.arange(n2)))
-    return tuple(map(_read_only, (propagator, twiddles, twiddles.conj())))
+def _propagator(grid: SpectralGrid, beta: float, dt: float) -> np.ndarray:
+    """exp(-i symbol dt) on the grid's full spectrum, read-only: the linear
+    substep of a field that is not even."""
+    return _read_only(np.exp(-1j * _symbol(grid, beta) * dt))
 
 
 @lru_cache(maxsize=1)
@@ -99,9 +87,9 @@ def _half_step_tables(grid: SpectralGrid, beta: float, dt: float) -> tuple:
     phases 2 undo this after stage 2: row r of the (n1, h2) result is row r or,
     past n1/2, row n1 - r of the (h1, n2) one, column n2 - j2 mod n2, times the
     conjugate twiddle exp(2 pi i s j2 / n) of the signed row s.  The propagator
-    is the full one's rows k1 <= n1/2, each entry read at the one of modes k
-    and n - k not above n/2: xi**4 rounds differently at -xi, so only this
-    makes it exactly even, as the gathers take it to be.
+    is exp(-i symbol dt) / n at mode k = k1 + n1 k2 on rows k1 <= n1/2, read at
+    the one of k and n - k not above n/2: xi**4 rounds differently at -xi, so
+    only this makes it exactly even, as the gathers take it to be.
     """
     n = grid.n_points
     n1, n2 = _view_shape(n)
@@ -128,26 +116,18 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _linear_substep(u: np.ndarray, tables: tuple, scratch: np.ndarray) -> None:
-    """u <- ifft(exp(-i symbol dt) fft(u)) in place, by four batched transforms of
-    u's (n1, n2) view; scratch is an (n1, n2) complex array.  The spectrum stays
-    in the view's (k1, k2) order, so no transpose is needed."""
-    propagator, twiddles, conjugate_twiddles = tables
-    view = u.reshape(scratch.shape)
-    np.fft.fft(view, axis=0, out=scratch)
-    np.multiply(scratch, twiddles, out=scratch)
-    np.fft.fft(scratch, axis=1, out=scratch)
+def _linear_substep(u: np.ndarray, propagator: np.ndarray, scratch: np.ndarray) -> None:
+    """u <- ifft(propagator fft(u)) in place; scratch is an n-length complex array."""
+    np.fft.fft(u, out=scratch)
     np.multiply(scratch, propagator, out=scratch)
-    np.fft.ifft(scratch, axis=1, out=scratch, norm="forward")
-    np.multiply(scratch, conjugate_twiddles, out=scratch)
-    np.fft.ifft(scratch, axis=0, out=view, norm="forward")
+    np.fft.ifft(scratch, out=u)
 
 
 def _half_substep(u: np.ndarray, tables: tuple, scratch: tuple) -> None:
-    """``_linear_substep`` of an even field on its view's (n1, h2) free columns
-    u, in place: stage 1 on those columns, stage 2 on the (h1, n2) rows
-    k1 <= n1/2, the rest by the gathers of ``_half_step_tables``; scratch is an
-    (n1, h2) and an (h1, n2) complex array."""
+    """The linear substep of an even field by the four-step FFT on its view's
+    (n1, h2) free columns u, in place: stage 1 on those columns, stage 2 on the
+    (h1, n2) rows k1 <= n1/2, the rest by the gathers of ``_half_step_tables``;
+    scratch is an (n1, h2) and an (h1, n2) complex array."""
     propagator, gather_1, phases_1, gather_2, phases_2 = tables
     columns, rows = scratch
     view = u.reshape(columns.shape)
@@ -201,9 +181,9 @@ def advance(field: ComplexField, alpha: float, dt: float, n_steps: int, beta: fl
 
     A field whose odd part is at rounding level (``_even_half``) steps as its
     even part on the free columns of its view, by ``_half_substep``; any other
-    field steps whole, by ``_linear_substep``.  Either way the steps work in
-    place on one copy of the field and scratch arrays, on tables built once
-    per grid, beta and dt.
+    field steps whole, by the 1-D pair of ``_linear_substep``.  Either way the
+    steps work in place on one copy of the field and a scratch array or two,
+    on tables built once per grid, beta and dt.
     """
     if not dt > 0:
         raise ParameterError("dt must be positive")
@@ -215,13 +195,11 @@ def advance(field: ComplexField, alpha: float, dt: float, n_steps: int, beta: fl
     u = field.values.astype(complex)  # a copy: the caller's field is not written
     half = _even_half(u, shape)
     if half is None:
-        tables, substep = _step_tables(field.grid, beta, dt), _linear_substep
-        scratch = np.empty(shape, dtype=complex)
+        tables, substep = _propagator(field.grid, beta, dt), _linear_substep
+        scratch = np.empty_like(tables)
     else:
         u, tables, substep = half, _half_step_tables(field.grid, beta, dt), _half_substep
-        n1, n2 = shape
-        scratch = (np.empty((n1, n2 // 2 + 1), dtype=complex),
-                   np.empty((n1 // 2 + 1, n2), dtype=complex))
+        scratch = (np.empty_like(tables[4]), np.empty_like(tables[0]))  # (n1, h2), (h1, n2)
     square, work = np.empty(u.size), np.empty(u.size)
     rotation = np.empty(u.size, dtype=complex)
 
@@ -265,8 +243,7 @@ def _all_finite(u: np.ndarray) -> bool:
 def energy(field: ComplexField, alpha: float, beta: float = 1.0) -> float:
     """E = (1/2) int |u_xx|^2 + beta |u_x|^2 - (2/(alpha+2)) |u|^(alpha+2)."""
     g = field.grid
-    coeffs = np.fft.fft(field.values)
-    quadratic = g.dx / g.n_points * float(np.sum(_symbol(g, beta) * np.abs(coeffs) ** 2))
+    quadratic = g.dx / g.n_points * float(np.sum(_symbol(g, beta) * np.abs(field.spectrum) ** 2))
     nonlinear = float(g.quadrature(power(field.values, alpha + 2)).real)
     return 0.5 * quadratic - nonlinear / (alpha + 2.0)
 
@@ -380,10 +357,9 @@ def orbit_reference(profile: RealProfile) -> OrbitReference:
     return OrbitReference(np.conj(phi_hat), norm_sq)
 
 
-def orbital_distance(field: ComplexField, reference: RealProfile | OrbitReference) -> float:
-    """H2 distance to the orbit of the reference under rotation/translation;
-    the reference is a profile or its prebuilt ``orbit_reference``, with the
-    same result to the bit.
+def orbital_distance(field: ComplexField, reference: OrbitReference) -> float:
+    """H2 distance to the orbit of the reference wave (its ``orbit_reference``)
+    under rotation/translation.
 
     The rotation minimizer is closed-form for each translation (phase of the
     complex H2 pairing); the translation search runs over whole grid cells
@@ -395,10 +371,8 @@ def orbital_distance(field: ComplexField, reference: RealProfile | OrbitReferenc
     Smaller distances, such as that of an unperturbed wave after evolution,
     are not resolved.
     """
-    if isinstance(reference, RealProfile):
-        reference = orbit_reference(reference)
     g = field.grid
-    u_hat = np.fft.fft(field.values)
+    u_hat = field.spectrum
     norm_u_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(u_hat) ** 2))
     pairing = g.dx * np.fft.ifft(g.h2_weight * u_hat * reference.conj_hat)
     best = float(np.max(np.abs(pairing)))

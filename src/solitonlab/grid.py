@@ -167,3 +167,8 @@ class ComplexField:
         if not np.all(np.isfinite(values)):
             raise ParameterError("field contains non-finite values")
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """np.fft.fft(values), taken on first use and kept: values are not written."""
+        return np.fft.fft(self.values)

@@ -65,7 +65,8 @@ class StabilityMap:
     sign_matrix: np.ndarray
 
 
-# find_omega_c finds its root to within TOL_OMEGA
+# the width of find_omega_c's Brent bracket; its roots carry MINRES's 1e-12 stop,
+# and a change of the chi solve's grid or rounding moves them by up to about 5e-11
 TOL_OMEGA = 1e-10
 
 

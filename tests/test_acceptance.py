@@ -17,6 +17,7 @@ from mpmath import mp, mpf, cos, fsum, sech
 
 from gamma_oracle import phi_hat_exact
 from model_oracle import forward, phi_pow_alpha_hat_exact
+from solitonlab import evolve
 from solitonlab.errors import ParameterError
 from solitonlab.evolve import conservation_audit, perturbed_run
 from solitonlab.explicit import explicit_params, phi_exact
@@ -289,6 +290,7 @@ def test_criterion_09_pure_fourth_order(acc_grid, announce):
 
 def test_criterion_10_evolution(acc_grid, acc_solves, announce):
     # both perturbed runs start from converged standing waves
+    evolve._propagator.cache_clear()
     profile, diag, _ = acc_solves[2.0]
     field = ComplexField(acc_grid, profile.values.astype(complex))
     audit = conservation_audit(field, 2.0, 1e-3, 20.0, n_samples=20)
@@ -313,6 +315,9 @@ def test_criterion_10_evolution(acc_grid, acc_solves, announce):
                      f"{np.max(stable_distances):.3f} <= {bound:.3f}; "
                      f"alpha=6 growth factor {growth:.0f} (>= 10)")
     assert ok
+    # every checkpoint of all three runs stepped on the even half path: the
+    # whole field's propagator was never built
+    assert evolve._propagator.cache_info().misses == 0
 
 
 def test_criterion_11_sign_changing_tails(acc_grid, announce):

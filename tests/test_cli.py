@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab import cli, stability
+from solitonlab import cli, evolve, stability
 from solitonlab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
@@ -18,6 +18,7 @@ from solitonlab.cli import (
     main,
 )
 from solitonlab.errors import DegenerateInputError, InsufficientDataError, ShapeError
+from solitonlab.explicit import explicit_params
 
 FAST = ["--grid-n", "1024", "--grid-l", "100"]
 
@@ -226,6 +227,22 @@ def test_evolve(tmp_path):
     assert audit["energy_drift"] <= 1e-7
     assert audit["mass_drift"] <= 1e-10
     assert audit["blew_up"] is False
+
+
+@pytest.mark.parametrize("alpha, omega, delta, t_final, samples", [
+    ("2", "0.16", "0", "2", "20"),
+    ("2", "0.16", "0.01", "2", "20"),
+    ("6", repr(explicit_params(6.0).omega0), "0.01", "3", "30"),
+])
+def test_evolve_steps_on_the_half_path(tmp_path, alpha, omega, delta, t_final, samples):
+    # the benchmark's evolutions on the default grid: every checkpoint starts
+    # from an even field, so the whole field's propagator is never built
+    evolve._propagator.cache_clear()
+    code = main(["evolve", "--alpha", alpha, "--omega", omega, "--delta", delta,
+                 "--t-final", t_final, "--dt", "1e-3", "--samples", samples,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert evolve._propagator.cache_info().misses == 0
 
 
 def test_evolve_blow_up(tmp_path, blow_up_on_third_interval):

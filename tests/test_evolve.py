@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from model_oracle import constrained_functional
@@ -79,10 +79,10 @@ def test_second_order_convergence(standing_wave):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 6.0])
 def test_advance_matches_allocating_reference(grid_small, alpha, beta):
-    # a perturbed, boosted explicit wave: a 1-ulp change of it moves the
-    # reference itself by about 6e-15 after 1000 steps; the four-step
-    # transform rounds differently from the 1-D one and reads 5-8e-14.
-    # Views of 32 x 32 and 64 x 128
+    # a perturbed, boosted explicit wave, which is not even and steps by the
+    # reference's own transform pair: a 1-ulp change of it moves the reference
+    # itself by about 6e-15 after 1000 steps, and the fused rotation's
+    # rounding reads 4.6-6.7e-15 (N = 1024 and 8192)
     for grid in (grid_small, SpectralGrid()):
         values = 1.01 * phi_exact(alpha, grid).values * np.exp(0.2j * grid.nodes)
         field = ComplexField(grid, values)
@@ -157,22 +157,6 @@ def test_non_even_fields_step_on_the_whole_view_bit_for_bit(grid_small, monkeypa
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(dt=st.floats(1e-4, 1.0), beta=st.floats(0.0, 4.0), half_width=st.floats(1.0, 400.0),
        seed=st.integers(0, 2**32 - 1))
-def test_four_step_substep_is_the_1d_propagator(log2n, dt, beta, half_width, seed):
-    # n1 = 1 (n = 2) and n1 = 2 (n = 4, 8) included
-    grid = SpectralGrid(2**log2n, half_width)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    lin = np.exp(-1j * symbol(grid.wavenumbers, 0.0, beta) * dt)
-    expected = np.fft.ifft(lin * np.fft.fft(u))
-    tables = evolve._step_tables(grid, beta, dt)
-    evolve._linear_substep(u, tables, np.empty(tables[1].shape, dtype=complex))
-    assert np.max(np.abs(u - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("log2n", range(1, 14))
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(dt=st.floats(1e-4, 1.0), beta=st.floats(0.0, 4.0), half_width=st.floats(1.0, 400.0),
-       seed=st.integers(0, 2**32 - 1))
 def test_half_substep_is_the_1d_propagator_on_even_fields(log2n, dt, beta, half_width, seed):
     # n1 = 1 (n = 2) and n1 = 2 (n = 4, 8) included.  xi**4 rounds differently
     # at -xi, so the 1-D propagator is even only to an ulp of its phase, which
@@ -215,15 +199,16 @@ def _record_transforms(monkeypatch):
 def test_one_step_is_four_transforms_of_the_n1_by_n2_view(monkeypatch, n, shape):
     # an even field steps on the (n1, n2/2 + 1) free columns of its (n1, n2)
     # view and the (n1/2 + 1, n2) rows of its spectrum; the same Gaussian
-    # moved by one node is not even (for n >= 4) and steps on the whole view
+    # moved by one node is not even (for n >= 4; every field on 2 points is)
+    # and steps by one fft and one ifft of length n
     n1, n2 = shape
     half_step = [("fft", (n1, n2 // 2 + 1), 0), ("fft", (n1 // 2 + 1, n2), 1),
                  ("ifft", (n1 // 2 + 1, n2), 1), ("ifft", (n1, n2 // 2 + 1), 0)]
-    full_step = [("fft", shape, 0), ("fft", shape, 1), ("ifft", shape, 1), ("ifft", shape, 0)]
+    whole_step = [("fft", (n,), None), ("ifft", (n,), None)] if n > 2 else half_step
     grid = SpectralGrid(n, 100.0)
     even = np.exp(-grid.nodes**2) + 0j
     calls = _record_transforms(monkeypatch)
-    for values, step in ((even, half_step), (np.roll(even, 1), full_step)):
+    for values, step in ((even, half_step), (np.roll(even, 1), whole_step)):
         field = ComplexField(grid, values)
         calls.clear()
         advance(field, 2.0, 1e-3, 1)
@@ -234,20 +219,51 @@ def test_one_step_is_four_transforms_of_the_n1_by_n2_view(monkeypatch, n, shape)
 
 
 def test_a_run_builds_its_tables_once(monkeypatch, wave_2):
-    # the symbol for energy and propagator, the propagator and the twiddles:
-    # once for 20 checkpoints, not once per checkpoint; the wave is even, so
-    # only the half tables are built
+    # the symbol for energy and propagator, and the half path's propagator,
+    # gathers and phases: once for 20 checkpoints, not once per checkpoint;
+    # the wave is even, so the whole field's propagator is never built
     builds = []
     monkeypatch.setattr(evolve, "symbol", lambda *args: builds.append(args) or symbol(*args))
     evolve._symbol.cache_clear()
-    evolve._step_tables.cache_clear()
+    evolve._propagator.cache_clear()
     evolve._half_step_tables.cache_clear()
     result = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 0.2, 20)
     assert result.times.size == 21
     assert len(builds) == 1
     assert evolve._half_step_tables.cache_info().misses == 1
     assert evolve._half_step_tables.cache_info().hits == 19
-    assert evolve._step_tables.cache_info().misses == 0
+    assert evolve._propagator.cache_info().misses == 0
+
+
+def test_a_checkpoint_transforms_the_field_once(monkeypatch, wave_2):
+    # energy and orbital distance read the field's one cached spectrum: one
+    # forward fft of length n per checkpoint (the start's taken as
+    # check_field reads u0's energy) and one of the reference, where each
+    # checkpoint took 2; the series are those of a transform per observer
+    n = wave_2.grid.n_points
+    calls = _record_transforms(monkeypatch)
+    traj = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 0.02, 4)
+    assert traj.times.size == 5
+    assert calls.count(("fft", (n,), None)) == traj.times.size + 1
+    oracle = run(ComplexField(wave_2.grid, 1.01 * wave_2.values + 0j), 2.0, 1e-3, 0.02, 4, {
+        "energy": lambda u: _inline_energy(u, 2.0, 1.0),
+        "orbital_distance": lambda u: _distance_per_call(u, wave_2),
+    })
+    for name in ("energy", "orbital_distance"):
+        assert traj.series[name].tobytes() == oracle.series[name].tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(alpha=st.floats(1.5, 7.0), omega=st.floats(0.01, 1.0), beta=st.sampled_from([0.0, 1.0]))
+def test_evolutions_of_solved_waves_take_the_half_path(grid_small, alpha, omega, beta):
+    # omega >= 0.01 keeps the wave inside the width guard on [-100, 100); every
+    # checkpoint of a perturbed solved wave is even to rounding, so no step
+    # transforms the whole field
+    profile, diag = petviashvili_solve(alpha, omega, grid_small, SolverConfig(dispersion_beta=beta))
+    assume(diag.converged)
+    evolve._propagator.cache_clear()
+    perturbed_run(profile, alpha, 0.01, 1e-3, 1.0, 10, beta)
+    assert evolve._propagator.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n_steps", [-1, -5])
@@ -432,23 +448,24 @@ def test_run_refuses_bad_lengths(standing_wave, t_final, n_samples):
 
 def test_orbital_distance_identity(grid_mid, standing_wave):
     phi, field = standing_wave
-    assert orbital_distance(field, phi) <= 1e-12
+    assert orbital_distance(field, orbit_reference(phi)) <= 1e-12
 
 
 def test_orbital_distance_orbit_invariance(grid_mid, standing_wave):
     phi, _ = standing_wave
     moved = np.exp(1j * np.pi / 3.0) * np.roll(phi.values.astype(complex), 5)
-    dist = orbital_distance(ComplexField(grid_mid, moved), phi)
+    dist = orbital_distance(ComplexField(grid_mid, moved), orbit_reference(phi))
     assert dist <= 1e-10
 
 
 def test_orbital_distance_transformation_invariance(grid_mid, standing_wave, rng):
     phi, _ = standing_wave
     u = (phi.values + 0.05 * rng.standard_normal(grid_mid.n_points)).astype(complex)
-    base = orbital_distance(ComplexField(grid_mid, u), phi)
+    reference = orbit_reference(phi)
+    base = orbital_distance(ComplexField(grid_mid, u), reference)
     theta = float(rng.uniform(0, 2 * np.pi))
     shifted = np.exp(1j * theta) * np.roll(u, 123)
-    moved = orbital_distance(ComplexField(grid_mid, shifted), phi)
+    moved = orbital_distance(ComplexField(grid_mid, shifted), reference)
     assert abs(moved - base) <= 1e-10
 
 
@@ -456,7 +473,7 @@ def test_orbital_distance_amplitude_scaling(grid_mid, standing_wave):
     phi, _ = standing_wave
     u = ComplexField(grid_mid, 1.01 * phi.values.astype(complex))
     expected = 0.01 * grid_mid.norm(phi.values, "H2")
-    assert orbital_distance(u, phi) == pytest.approx(expected, rel=1e-6)
+    assert orbital_distance(u, orbit_reference(phi)) == pytest.approx(expected, rel=1e-6)
 
 
 def _distance_per_call(field, reference):
@@ -482,7 +499,6 @@ def test_prebuilt_orbit_reference_is_bit_for_bit(grid_mid, standing_wave, rng):
         field = ComplexField(grid_mid, u * np.exp(0.3j))
         expected = _distance_per_call(field, phi)
         assert orbital_distance(field, reference) == expected
-        assert orbital_distance(field, phi) == expected
     traj = perturbed_run(phi, 2.0, 0.01, 1e-3, 0.02, 4)
     oracle = run(ComplexField(grid_mid, 1.01 * phi.values.astype(complex)), 2.0, 1e-3, 0.02, 4,
                  {"orbital_distance": lambda u: _distance_per_call(u, phi)})
