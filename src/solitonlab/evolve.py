@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BlowUpDetected, ParameterError
-from .grid import ComplexField, RealProfile, SpectralGrid
+from .grid import ComplexField, RealProfile, SpectralGrid, lattice
 from .petviashvili import power, power_from_square, symbol
 
 TINY_ANGLE = 2.0**-27  # the largest phase angle that needs no cos or sin
@@ -243,7 +243,7 @@ def _all_finite(u: np.ndarray) -> bool:
 def energy(field: ComplexField, alpha: float, beta: float = 1.0) -> float:
     """E = (1/2) int |u_xx|^2 + beta |u_x|^2 - (2/(alpha+2)) |u|^(alpha+2)."""
     g = field.grid
-    quadratic = g.dx / g.n_points * float(np.sum(_symbol(g, beta) * np.abs(field.spectrum) ** 2))
+    quadratic = g.parseval(_symbol(g, beta), field.spectrum)
     nonlinear = float(g.quadrature(power(field.values, alpha + 2)).real)
     return 0.5 * quadratic - nonlinear / (alpha + 2.0)
 
@@ -264,29 +264,30 @@ def check_field(field: ComplexField, alpha: float, beta: float = 1.0) -> None:
                              " both must be finite and the mass positive")
 
 
-def check_run(dt: float, t_final: float, n_samples: int) -> None:
-    """Refuse a dt or t_final that is not finite, dt <= 0, t_final < 0, n_samples < 1
-    and a step count of 2**53 or more, which float checkpoints do not hold exactly."""
+def check_run(dt: float, t_final: float, n_samples: int) -> np.ndarray:
+    """The checkpoints' whole step counts, n_samples + 1 evenly spaced from 0 to
+    t_final / dt, duplicates dropped.  Refuses a dt or t_final that is not finite,
+    dt <= 0, t_final < 0, n_samples < 1, 2**53 steps or more (float checkpoints do
+    not hold them exactly) and more checkpoints than fit in memory."""
     if not (0 < dt < np.inf and 0 <= t_final < np.inf and n_samples >= 1):
         raise ParameterError("need a finite dt > 0, a finite t_final >= 0 and n_samples >= 1,"
                              f" got {dt:g}, {t_final:g}, {n_samples}")
     if not np.round(t_final / dt) < 2**53:
         raise ParameterError(f"t_final / dt = {t_final / dt:g} steps; need fewer than 2**53")
+    total_steps = int(round(t_final / dt))  # more checkpoints than whole steps add none
+    steps = lattice(0, total_steps, min(n_samples, total_steps) + 1, "n_samples + 1")
+    return np.unique(np.round(steps).astype(int))
 
 
 def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples: int,
         observers: dict, beta: float = 1.0) -> Trajectory:
     """Advance field from t = 0 to t_final, sampling every observer at the
-    start and at n_samples evenly spaced checkpoints (whole steps, duplicates
-    dropped).
+    start and at the checkpoints of ``check_run``.
 
     ``observers`` maps a name to a function of the field.  Blow-up truncates
     the trajectory instead of raising.
     """
-    check_run(dt, t_final, n_samples)
-    total_steps = int(round(t_final / dt))
-    n_samples = min(n_samples, total_steps)  # whole steps: more checkpoints add none
-    checkpoints = np.unique(np.round(np.linspace(0, total_steps, n_samples + 1)).astype(int))
+    checkpoints = check_run(dt, t_final, n_samples)
     time = 0.0
     times = [time]
     series = {name: [observe(field)] for name, observe in observers.items()}
@@ -309,12 +310,12 @@ def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples:
 def perturbed_run(profile: RealProfile, alpha: float, delta: float, dt: float, t_final: float,
                   n_samples: int, beta: float = 1.0) -> Trajectory:
     """Evolve u0 = (1 + delta) phi, observing its energy, mass and orbital
-    distance to phi (whose transform and H2 norm are built once); refuses an
-    unusable u0 (``check_field``)."""
+    distance to phi, a ComplexField whose transform and H2 norm are taken once;
+    refuses an unusable u0 (``check_field``)."""
     with np.errstate(all="ignore"):
         u0 = ComplexField(profile.grid, (1.0 + delta) * profile.values.astype(complex))
     check_field(u0, alpha, beta)
-    reference = orbit_reference(profile)
+    reference = ComplexField(profile.grid, profile.values)
     return run(u0, alpha, dt, t_final, n_samples, {
         "energy": lambda u: energy(u, alpha, beta),
         "mass": mass,
@@ -340,26 +341,9 @@ def conservation_audit(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitReference:
-    """What ``orbital_distance`` reads of its reference wave: the conjugate of
-    its transform and its squared H2 norm, built once per run by
-    ``orbit_reference``."""
-
-    conj_hat: np.ndarray
-    norm_sq: float
-
-
-def orbit_reference(profile: RealProfile) -> OrbitReference:
-    g = profile.grid
-    phi_hat = np.fft.fft(profile.values.astype(complex))
-    norm_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(phi_hat) ** 2))
-    return OrbitReference(np.conj(phi_hat), norm_sq)
-
-
-def orbital_distance(field: ComplexField, reference: OrbitReference) -> float:
-    """H2 distance to the orbit of the reference wave (its ``orbit_reference``)
-    under rotation/translation.
+def orbital_distance(field: ComplexField, reference: ComplexField) -> float:
+    """H2 distance to the orbit of the reference wave under rotation/translation;
+    both fields' transforms and H2 norms are their cached ones.
 
     The rotation minimizer is closed-form for each translation (phase of the
     complex H2 pairing); the translation search runs over whole grid cells
@@ -372,9 +356,7 @@ def orbital_distance(field: ComplexField, reference: OrbitReference) -> float:
     are not resolved.
     """
     g = field.grid
-    u_hat = field.spectrum
-    norm_u_sq = g.dx / g.n_points * float(np.sum(g.h2_weight * np.abs(u_hat) ** 2))
-    pairing = g.dx * np.fft.ifft(g.h2_weight * u_hat * reference.conj_hat)
+    pairing = g.dx * np.fft.ifft(g.h2_weight * field.spectrum * np.conj(reference.spectrum))
     best = float(np.max(np.abs(pairing)))
-    dist_sq = max(norm_u_sq + reference.norm_sq - 2.0 * best, 0.0)
+    dist_sq = max(field.h2_norm_sq + reference.h2_norm_sq - 2.0 * best, 0.0)
     return float(np.sqrt(dist_sq))

@@ -1,8 +1,8 @@
 """Uniform periodic spectral grid: nodes, wavenumbers, Fourier multipliers,
-quadrature and the H2 norm; and the two maps between grids of one half-width
-that the nested iterations use, ``coarsest_grid`` (the coarsest grid that
-resolves a sampled function) and ``zero_pad`` (the exact prolongation of a
-half spectrum to a finer grid).
+quadrature, the Parseval sum and the H2 norm; and the two maps between grids
+of one half-width that the nested iterations use, ``coarsest_grid`` (the
+coarsest grid that resolves a sampled function) and ``zero_pad`` (the exact
+prolongation of a half spectrum to a finer grid).
 
 Wavenumbers are stored in standard FFT order (``0, ..., n/2-1, -n/2, ..., -1``
 times ``pi / L``).
@@ -97,14 +97,16 @@ class SpectralGrid:
         """Trapezoid rule on the periodic grid (= rectangle rule)."""
         return self.dx * self._check(values).sum()
 
+    def parseval(self, weight: np.ndarray, coeffs: np.ndarray) -> float:
+        """dx / n sum(weight |coeffs|^2) over a full spectrum coeffs = fft(v): the
+        integral of conj(v) weight(D) v, by Parseval; h2_weight gives |v|_H2^2."""
+        return self.dx / self.n_points * float(np.sum(weight * np.abs(coeffs) ** 2))
+
     def norm(self, values: np.ndarray, kind: str) -> float:
         """The H2 norm, by Parseval with the weight 1 + xi^2 + xi^4; the only kind."""
         if kind != "H2":
             raise ParameterError(f"unknown norm kind {kind!r}")
-        coeffs = np.fft.fft(self._check(values))
-        return float(
-            np.sqrt(self.dx / self.n_points * np.sum(self.h2_weight * np.abs(coeffs) ** 2))
-        )
+        return float(np.sqrt(self.parseval(self.h2_weight, np.fft.fft(self._check(values)))))
 
 
 def coarsest_grid(values: np.ndarray, grid: SpectralGrid) -> SpectralGrid:
@@ -172,3 +174,8 @@ class ComplexField:
     def spectrum(self) -> np.ndarray:
         """np.fft.fft(values), taken on first use and kept: values are not written."""
         return np.fft.fft(self.values)
+
+    @cached_property
+    def h2_norm_sq(self) -> float:
+        """The squared H2 norm, by Parseval on the cached spectrum."""
+        return self.grid.parseval(self.grid.h2_weight, self.spectrum)

@@ -169,6 +169,7 @@ def _recenter(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return np.roll(values, grid.n_points // 2 - peak)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate raises instead
 def petviashvili_solve(
     alpha: float,
     omega: float,
@@ -179,7 +180,8 @@ def petviashvili_solve(
 
     Non-convergence within ``max_iter`` is reported through
     ``diagnostics.converged`` rather than an exception; non-finite iterates
-    raise :class:`DivergenceError`.
+    and an overflowing stabilizing factor raise :class:`DivergenceError`,
+    with no numpy warning.
     """
     if not (0 < alpha < np.inf and 0 < omega < np.inf):
         raise ParameterError(f"alpha and omega must be positive and finite, got {alpha}, {omega}")
@@ -224,7 +226,10 @@ def petviashvili_solve(
             raise DegenerateInputError("nonlinear pairing vanished during iteration")
         m_n = numerator / denominator
         res = float(np.max(np.abs(lin - nl)))
-        gain = m_n**nu
+        try:
+            gain = m_n**nu
+        except OverflowError:
+            raise DivergenceError("iteration produced non-finite values") from None
         g = gain * nl_hat.view(float)
         g *= inv_denom
         image = g.view(complex)

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 These run on the production grid (half_width 200, 8192 points) and pin the
-tolerances of the package's headline claims.  The module takes about 40 s
-on a 2-vCPU host: the criterion-10 evolutions about 32 s, the criterion-4
-Gamma-function cross-check about 6 s, the criterion-5 spectra about 0.4 s
+tolerances of the package's headline claims.  The module takes about 35 s
+on a 2-vCPU host: the criterion-10 evolutions about 24 s, the criterion-4
+Gamma-function cross-check about 7 s, the criterion-5 spectra about 1.3 s
 and everything else under 1 s.  Every test carries the ``acceptance``
 marker, so ``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """

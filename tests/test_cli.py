@@ -320,6 +320,17 @@ def test_evolve_more_samples_than_steps_checkpoints_every_step(tmp_path, samples
     assert written[0] == written[1]
 
 
+def test_evolve_more_checkpoints_than_memory_holds_is_usage_error(tmp_path, capsys, solves):
+    # 1e15 whole steps and as many checkpoints, whose 8e15 bytes numpy cannot
+    # allocate: refused before the wave is solved
+    code = main(["evolve", "--alpha", "2", "--omega", "0.16", "--t-final", "1e6", "--dt", "1e-9",
+                 "--samples", str(10**15), "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "evolution.csv").exists()
+    assert solves == []
+
+
 @pytest.mark.parametrize(
     "flags", [["--alpha", "6", "--omega", "0.5", "--delta", "3e51", "--grid-n", "2048",
                "--grid-l", "100"],
@@ -489,5 +500,55 @@ def test_huge_step_count_is_usage_error(tmp_path, capsys, command, flag, steps):
     # none of them allocates anything
     code = main([command, "--out", str(tmp_path)] + FAST + _with(VALID[command], flag, steps))
     assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+    assert not any(tmp_path.iterdir())
+
+
+# the solves at omega = 1e300 diverge: their stabilizing factor overflows
+OVERFLOWING = ["--omega-min", "0.1", "--omega-max", "1e300"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_region_overflowing_solve_leaves_only_its_cell_nan(tmp_path, capsys, jobs):
+    code = main(["region", "--alpha-min", "2", "--alpha-max", "3", "--alpha-steps", "2",
+                 "--omega-steps", "2", *OVERFLOWING, "--jobs", jobs, "--out", str(tmp_path)]
+                + FAST)
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    region = read_csv(tmp_path / "region.csv")
+    np.testing.assert_array_equal(region["sign"][region["omega"] == 0.1], [1.0, 1.0])
+    assert np.isnan(region["sign"][region["omega"] == 1e300]).all()
+
+
+def test_branch_truncates_at_an_overflowing_solve(tmp_path, capsys):
+    code = main(["branch", "--alpha", "2", "--steps", "3", *OVERFLOWING,
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == ""
+    branch = read_csv(tmp_path / "branch.csv")
+    np.testing.assert_array_equal(branch["omega"], [0.1, 5e299])
+    np.testing.assert_array_equal(branch["converged"], [1.0, 0.0])
+    assert branch["mass"][0] > 0 and np.isnan(branch["mass"][1])
+
+
+def test_dmap_truncates_at_an_overflowing_solve(tmp_path, capsys):
+    code = main(["dmap", "--alpha", "2", "--steps", "3", *OVERFLOWING,
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "branch truncated at omega=5e+299" in err
+    assert not (tmp_path / "d2.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--alpha", "2", "--omega", "1e300"],
+    ["solve", "--alpha", "1e300", "--omega", "0.16"],
+    ["spectrum", "--alpha", "2", "--omega", "1e300"],
+], ids=["solve-omega", "solve-alpha", "spectrum-omega"])
+def test_overflowing_solve_is_one_line_numeric_failure(tmp_path, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main(command[:1] + ["--out", str(tmp_path)] + FAST + command[1:])
+    assert code == EXIT_NUMERIC
     assert _one_line_error(capsys)
     assert not any(tmp_path.iterdir())

@@ -1,5 +1,5 @@
-"""Tests for the spectral grid: symbols, quadrature, the H2 norm, and the
-continuum transform the tests use."""
+"""Tests for the spectral grid: symbols, quadrature, the Parseval sum, the H2
+norm, and the continuum transform the tests use."""
 
 import numpy as np
 import pytest
@@ -154,6 +154,35 @@ def test_h2_weight_is_built_on_first_use_bit_for_bit(n, half_width, seed):
     coeffs = np.fft.fft(f)
     expected = float(np.sqrt(g.dx / n * np.sum((1.0 + xi**2 + xi**4) * np.abs(coeffs) ** 2)))
     assert g.norm(f, "H2") == expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 512, 1024, 8192]),
+    half_width=st.floats(1.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_field_h2_norm_is_the_grids_bit_for_bit(n, half_width, seed):
+    # a field's squared H2 norm is the Parseval sum of its cached spectrum,
+    # taken on first use and kept, and its root is SpectralGrid.norm
+    g = SpectralGrid(n, half_width)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    field = ComplexField(g, values)
+    assert "spectrum" not in vars(field) and "h2_norm_sq" not in vars(field)
+    coeffs = np.fft.fft(values)
+    assert field.h2_norm_sq == g.dx / n * float(np.sum(g.h2_weight * np.abs(coeffs) ** 2))
+    assert field.spectrum.tobytes() == coeffs.tobytes()
+    assert field.h2_norm_sq is field.h2_norm_sq
+    assert float(np.sqrt(field.h2_norm_sq)) == g.norm(values, "H2")
+
+
+def test_parseval_with_unit_weight_is_the_quadrature_of_the_square(grid_small, rng):
+    # dx / n sum |fft(f)|^2 = dx sum |f|^2
+    g = grid_small
+    f = rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points)
+    expected = g.quadrature(np.abs(f) ** 2)
+    assert g.parseval(np.ones(g.n_points), np.fft.fft(f)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_symbol_agrees_with_finite_differences(grid_small):

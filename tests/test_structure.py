@@ -47,6 +47,36 @@ def test_model_lives_in_petviashvili_and_grid():
     assert not copies, "model written outside its home:\n" + "\n".join(copies)
 
 
+def _parseval_sums(source):
+    """Lines of the products dx / n sum(w |c|**2): a division by n or n_points
+    times a sum of a weighted |c|**2, the full-spectrum Parseval sum."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                   and re.search(r"/ [\w.]*\bn(_points)?\b.*\bsum\(.*\babs\(.*\) \*\* 2",
+                                 ast.unparse(node))})
+
+
+def test_parseval_sum_lives_in_grid():
+    # energy, SpectralGrid.norm and a field's H2 norm read SpectralGrid.parseval
+    package = Path(solitonlab.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _parseval_sums(path.read_text())]
+    tree = ast.parse((package / "grid.py").read_text())
+    (parseval,) = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "parseval"]
+    assert found == [f"grid.py:{parseval.body[-1].lineno}"]
+
+
+def test_parseval_guard_catches_the_written_out_sums():
+    # the forms that energy, the H2 norm and the orbit reference had; the
+    # solver's half-spectrum pairing, with dx in its weights, is not one
+    for source in ("q = g.dx / g.n_points * float(np.sum(w * np.abs(u.spectrum) ** 2))",
+                   "q = np.sqrt(self.dx / self.n_points * np.sum(w * np.abs(c) ** 2))",
+                   "q = dx / n * np.sum((1.0 + xi**2 + xi**4) * np.abs(c) ** 2)"):
+        assert _parseval_sums(source) == [1], source
+    assert _parseval_sums("m = float(np.sum(weights * np.abs(coeffs) ** 2))") == []
+
+
 def _references(tree, name):
     """Line numbers of every read of name, bare or as a module attribute."""
     return [node.lineno for node in ast.walk(tree)
