@@ -25,7 +25,6 @@ from .errors import (
     DeflationSolveError,
     DegenerateInputError,
     DivergenceError,
-    InsufficientDataError,
     ParameterError,
     ShapeError,
 )
@@ -144,12 +143,7 @@ def cmd_dmap(args, grid, config, out) -> int:
     branch = stability.continue_branch(
         args.alpha, args.omega_min, args.omega_max, args.steps, grid, config
     )
-    try:
-        samples = stability.d_second(branch)
-    except InsufficientDataError as exc:
-        raise BranchError(f"branch truncated at omega={branch.omegas[-1]:g}: {exc}") from exc
-    signs = stability.sample_signs(branch, samples)
-    _write_csv(out / "d2.csv", ["omega", "d2", "sign"], [samples[:, 0], samples[:, 1], signs])
+    _write_csv(out / "d2.csv", ["omega", "d2", "sign"], stability.d_second(branch).T)
     return EXIT_OK if branch.converged_flags.all() else EXIT_NO_CONVERGENCE
 
 
@@ -259,7 +253,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DegenerateInputError, InsufficientDataError, ShapeError) as exc:
+    except (ParameterError, DegenerateInputError, ShapeError) as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BranchError, BracketError) as exc:

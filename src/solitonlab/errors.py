@@ -21,10 +21,6 @@ class DeflationSolveError(ArithmeticError):
     """The deflated linear solve failed to reach its tolerance."""
 
 
-class InsufficientDataError(ValueError):
-    """Too few converged points to form the requested derivative."""
-
-
 class BracketError(ValueError):
     """A root bracket does not enclose a sign change."""
 

@@ -276,7 +276,8 @@ def check_run(dt: float, t_final: float, n_samples: int) -> np.ndarray:
         raise ParameterError(f"t_final / dt = {t_final / dt:g} steps; need fewer than 2**53")
     total_steps = int(round(t_final / dt))  # more checkpoints than whole steps add none
     steps = lattice(0, total_steps, min(n_samples, total_steps) + 1, "n_samples + 1")
-    return np.unique(np.round(steps).astype(int))
+    steps = np.round(steps).astype(int)  # sorted, so a duplicate follows its twin
+    return steps[np.diff(steps, prepend=-1) > 0]
 
 
 def run(field: ComplexField, alpha: float, dt: float, t_final: float, n_samples: int,

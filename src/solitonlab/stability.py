@@ -11,9 +11,10 @@ thresholds, whose roots Brent's method finds: alpha0, where d''(omega0(alpha))
 changes sign, at the closed-form wave with no nonlinear solve; omega_c, where
 d''(omega) changes sign at fixed alpha, between the ends of the omega range
 it is given.  The forward difference of the trapezoid-rule mass along a
-branch (``d_second``) stays as the independent estimate that ``dmap`` writes
-and the cross-checks compare with; at a single omega it is the difference of
-the two-point branch to omega + h.
+branch (``d_second``) stays as the independent estimate that the cross-checks
+compare with: it returns the very rows that ``dmap`` writes, (omega, d'',
+sign), and at a single omega it is the difference of the two-point branch to
+omega + h.
 
 Both the chi solve and each branch point are nested iterations on one
 helper, ``grid.coarsest_grid``: a branch point is solved on the coarsest grid
@@ -35,7 +36,6 @@ from .errors import (
     BranchError,
     DegenerateInputError,
     DivergenceError,
-    InsufficientDataError,
     ParameterError,
 )
 from .explicit import explicit_params, phi_exact
@@ -46,10 +46,10 @@ from .spectra import negative_direction_scalar
 
 @dataclass
 class SolitaryBranch:
-    """Ordered family of solitary waves along increasing omega."""
+    """Ordered family of solitary waves along increasing omega: each point's
+    trapezoid-rule mass (NaN where its solve raised) and verdict."""
 
     omegas: np.ndarray
-    profiles: list
     masses: np.ndarray
     converged_flags: np.ndarray
 
@@ -161,37 +161,35 @@ def continue_branch(
         raise ParameterError("n_steps must be >= 2")
 
     omegas = lattice(omega_start, omega_end, n_steps, "n_steps")
-    profiles, masses, flags = [], [], []
+    masses, flags = [], []
     for profile, converged in _sweep(alpha, omegas, grid, config):
-        if not profiles and not converged:
+        if not flags and not converged:
             state = "diverged or degenerated" if profile is None else "did not converge"
             raise BranchError(f"first branch point {state} at omega={omega_start:g}")
-        profiles.append(profile)
         masses.append(np.nan if profile is None else _mass(profile))
         flags.append(converged)
         if not converged:
             break
-    return SolitaryBranch(omegas=omegas[:len(profiles)], profiles=profiles,
-                          masses=np.asarray(masses), converged_flags=np.asarray(flags, dtype=bool))
-
-
-def _forward_d2(omegas: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """d'' of each consecutive pair, attributed to the left point; NaN where
-    either mass is NaN (a failed solve)."""
-    return 0.5 * np.diff(masses) / np.diff(omegas)
+    return SolitaryBranch(omegas=omegas[:len(flags)], masses=np.asarray(masses),
+                          converged_flags=np.asarray(flags, dtype=bool))
 
 
 def d_second(branch: SolitaryBranch) -> np.ndarray:
-    """Forward-difference d'' samples, attributed to the left endpoint.
+    """The (omega, d'', sign) rows of ``dmap``, one per consecutive pair of
+    converged branch points: d'' is half the forward difference of the
+    masses int phi^2, placed at the pair's left point and classified against
+    its mass.
 
-    Returns an array of (omega, d2) rows, one per consecutive pair of
-    converged branch points.
+    Raises :class:`BranchError` where the branch has no such pair.
     """
-    d2 = _forward_d2(branch.omegas, np.where(branch.converged_flags, branch.masses, np.nan))
+    masses = np.where(branch.converged_flags, branch.masses, np.nan)
+    d2 = 0.5 * np.diff(masses) / np.diff(branch.omegas)  # NaN past a failed point
     ok = ~np.isnan(d2)
     if not ok.any():
-        raise InsufficientDataError("need at least 2 consecutive converged points")
-    return np.column_stack([branch.omegas[:-1][ok], d2[ok]])
+        raise BranchError(f"branch truncated at omega={branch.omegas[-1]:g}:"
+                          " need at least 2 consecutive converged points")
+    omegas, d2 = branch.omegas[:-1][ok], d2[ok]
+    return np.column_stack([omegas, d2, classify_sign(d2, masses[:-1][ok], omegas)])
 
 
 def classify_sign(d2, mass, omega):
@@ -199,12 +197,6 @@ def classify_sign(d2, mass, omega):
     elementwise; NaN stays NaN."""
     threshold = 1e-6 * mass / omega
     return np.where(np.abs(d2) < threshold, 0.0, np.sign(d2))
-
-
-def sample_signs(branch: SolitaryBranch, samples: np.ndarray) -> np.ndarray:
-    """classify_sign of each d_second sample, against the mass at its omega."""
-    omegas, d2 = samples.T
-    return classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omegas)], omegas)
 
 
 def _chi_d2(profile: RealProfile, alpha: float, omega: float, beta: float) -> float:

@@ -14,7 +14,6 @@ import numpy as np
 from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterError
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import (
-    IMAG_RESIDUE_TOL,
     TOL_ERROR,
     TOL_RES,
     TOL_STAB,
@@ -24,6 +23,8 @@ from solitonlab.petviashvili import (
     _recenter,
     nonlinearity,
 )
+
+IMAG_RESIDUE_TOL = 1e-13
 
 
 def reference_solve(alpha, omega, grid=None, config=None):

@@ -17,7 +17,7 @@ from solitonlab.cli import (
     EXIT_USAGE,
     main,
 )
-from solitonlab.errors import DegenerateInputError, InsufficientDataError, ShapeError
+from solitonlab.errors import DegenerateInputError, ShapeError
 from solitonlab.explicit import explicit_params
 
 FAST = ["--grid-n", "1024", "--grid-l", "100"]
@@ -417,7 +417,7 @@ def test_region_single_omega_lattice(tmp_path):
     np.testing.assert_array_equal(signs[0], signs[1])
 
 
-@pytest.mark.parametrize("error", [DegenerateInputError, InsufficientDataError, ShapeError])
+@pytest.mark.parametrize("error", [DegenerateInputError, ShapeError])
 def test_value_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
     def raising(*args, **kwargs):
         raise error("bad input")

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from model_oracle import constrained_functional
@@ -14,6 +14,7 @@ from solitonlab.errors import BlowUpDetected, ParameterError
 from solitonlab.evolve import (
     ConservationAudit,
     advance,
+    check_run,
     conservation_audit,
     energy,
     mass,
@@ -22,7 +23,7 @@ from solitonlab.evolve import (
     run,
 )
 from solitonlab.explicit import explicit_params, phi_exact
-from solitonlab.grid import ComplexField, RealProfile, SpectralGrid
+from solitonlab.grid import ComplexField, RealProfile, SpectralGrid, lattice
 from solitonlab.petviashvili import SolverConfig, petviashvili_solve, power, symbol
 
 OMEGA0_2 = 4.0 / 25.0
@@ -436,6 +437,23 @@ def test_stability_experiment_refuses_zero_wave(grid_mid):
     zero = RealProfile(grid_mid, np.zeros(grid_mid.n_points))
     with pytest.raises(ParameterError, match="initial field"):
         perturbed_run(zero, 2.0, 0.0, 1e-3, 1.0, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dt=st.floats(1e-3, 1.0), t_final=st.floats(0.0, 40.0), n_samples=st.integers(1, 50000))
+@example(dt=1e-3, t_final=0.0, n_samples=1)
+@example(dt=1e-3, t_final=0.0, n_samples=100)
+@example(dt=1e-3, t_final=2.0, n_samples=2000)  # one checkpoint per step
+@example(dt=1e-3, t_final=2.0, n_samples=4001)
+@example(dt=0.3, t_final=1.0, n_samples=7)  # 3 steps, 7 samples
+@example(dt=1e-3, t_final=2.0, n_samples=1999)
+def test_check_run_is_the_sorted_distinct_rounded_lattice(dt, t_final, n_samples):
+    # the oracle has no cap at the step count: past it the rounded lattice
+    # repeats whole steps, which np.unique drops
+    steps = check_run(dt, t_final, n_samples)
+    oracle = np.unique(np.round(lattice(0, round(t_final / dt), n_samples + 1, "")).astype(int))
+    assert steps.dtype == oracle.dtype
+    np.testing.assert_array_equal(steps, oracle)
 
 
 @pytest.mark.parametrize("t_final, n_samples", [(-1.0, 4), (1.0, 0), (1.0, -2), (np.inf, 4)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from model_oracle import residual
 from reference_petviashvili import reference_solve
-from solitonlab import petviashvili
+from solitonlab import petviashvili, stability
 from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterError
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import RealProfile, SpectralGrid
@@ -365,18 +365,27 @@ def test_power_from_square_matches_power(p, n, scale, seed):
                                rtol=1e-14, atol=0)
 
 
-def test_imaginary_mean_mode_is_divergence(grid_small, monkeypatch):
-    # a half spectrum whose mean mode is not real has no real inverse
-    rfft = np.fft.rfft
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 1.0), (3.2, 1.0), (5.0, 1.0),
+                                         (6.0, 1.0), (4.0, 0.0), (10.0, 0.0)])
+def test_every_inverted_half_spectrum_has_real_mean_and_nyquist_modes(monkeypatch, alpha, beta):
+    # irfft drops the imaginary parts of the mean and Nyquist modes, which a
+    # real iterate does not have; the solver builds each spectrum it inverts
+    # as a real combination of rfft spectra, which are exactly real there.
+    # A branch makes cold, coarse-seeded, warm and secant-seeded solves, and
+    # a cold solve at N = 8192 runs many plain and mixed iterations
+    grid, config = SpectralGrid(8192, 200.0), SolverConfig(dispersion_beta=beta)
+    irfft, ends = np.fft.irfft, []
 
-    def tainted(values, *args, **kwargs):
-        out = rfft(values, *args, **kwargs)
-        out[0] += 1e-6j * values.size
-        return out
+    def spy(coeffs, *args, **kwargs):
+        ends.append((coeffs[0].imag, coeffs[-1].imag))
+        return irfft(coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", tainted)
-    with pytest.raises(DivergenceError, match="imaginary"):
-        petviashvili_solve(2.0, OMEGA0_2, grid_small)
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    branch = stability.continue_branch(alpha, 0.05, 0.25, 5, grid, config)
+    _, diag = petviashvili_solve(alpha, 0.2, grid, config)
+    assert branch.converged_flags.all() and diag.converged
+    assert len(ends) > 5 * 4 + diag.iterations
+    assert all(mean == 0.0 and nyquist == 0.0 for mean, nyquist in ends)
 
 
 def test_vanishing_pairing_is_degenerate(grid_small):

@@ -16,7 +16,6 @@ from solitonlab.errors import (
     BranchError,
     DegenerateInputError,
     DivergenceError,
-    InsufficientDataError,
     ParameterError,
 )
 from solitonlab.explicit import explicit_params, phi_exact
@@ -87,12 +86,14 @@ def test_branch_alpha2_all_converged(branch_alpha2):
     assert branch_alpha2.omegas.size == 12
 
 
-def test_branch_point_matches_exact_wave(branch_grid):
+def test_branch_point_matches_exact_wave(branch_grid, monkeypatch):
     # sweep through omega0(2) = 0.16 exactly and compare with the closed form
+    calls = _recording_solves(monkeypatch)
     branch = continue_branch(2.0, 0.10, 0.16, 4, branch_grid)
     exact = phi_exact(2.0, branch_grid)
     assert branch.omegas[-1] == pytest.approx(0.16, abs=1e-15)
-    diff = np.max(np.abs(branch.profiles[-1].values - exact.values))
+    assert calls[-1].omega == branch.omegas[-1] and calls[-1].grid is branch_grid
+    diff = np.max(np.abs(calls[-1].profile.values - exact.values))
     assert diff <= 1e-8
 
 
@@ -118,12 +119,77 @@ def test_d_second_negative_for_alpha55(branch_grid):
 def test_d_second_needs_two_points(branch_grid):
     empty = SolitaryBranch(
         omegas=np.array([0.1, 0.12]),
-        profiles=[None, None],
         masses=np.array([np.nan, np.nan]),
         converged_flags=np.array([False, False]),
     )
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(BranchError, match=r"^branch truncated at omega=0\.12: need at least 2"):
         d_second(empty)
+    # no two converged points in a row
+    gapped = SolitaryBranch(np.array([0.1, 0.12, 0.14]), np.array([1.0, 2.0, 3.0]),
+                            np.array([True, False, True]))
+    with pytest.raises(BranchError, match="consecutive converged"):
+        d_second(gapped)
+
+
+def _three_step_rows(branch):
+    """dmap's rows as three steps wrote them: the masses of failed points
+    masked, their forward difference at the left point, and each sample's
+    sign against the mass that searchsorted finds at its omega."""
+    masked = np.where(branch.converged_flags, branch.masses, np.nan)
+    d2 = 0.5 * np.diff(masked) / np.diff(branch.omegas)
+    ok = ~np.isnan(d2)
+    omegas, d2 = branch.omegas[:-1][ok], d2[ok]
+    signs = classify_sign(d2, branch.masses[np.searchsorted(branch.omegas, omegas)], omegas)
+    return np.column_stack([omegas, d2, signs])
+
+
+def _assert_same_bits(rows, oracle):
+    assert rows.shape == oracle.shape and rows.dtype == oracle.dtype
+    assert rows.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta, bad_index", [
+    (2.0, 1.0, None), (5.0, 1.0, None), (4.0, 0.0, None),  # complete; + then -, + and - signs
+    (5.0, 1.0, 4), (2.0, 1.0, 2),  # truncated at a degenerate solve
+])
+def test_d_second_rows_match_the_three_steps_on_solved_branches(branch_grid, monkeypatch,
+                                                                alpha, beta, bad_index):
+    omegas = np.linspace(0.05, 0.25, 9)
+    bad = None if bad_index is None else omegas[bad_index]
+    _recording_solves(monkeypatch, bad)
+    branch = continue_branch(alpha, 0.05, 0.25, 9, branch_grid, SolverConfig(dispersion_beta=beta))
+    assert branch.omegas.size == (9 if bad is None else bad_index + 1)
+    rows = d_second(branch)
+    assert rows.shape == (branch.omegas.size - 1 - (bad is not None), 3)
+    _assert_same_bits(rows, _three_step_rows(branch))
+    if alpha == 5.0 and bad is None:
+        assert set(rows[:, 2]) == {-1.0, 1.0}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    flags=st.lists(st.booleans(), min_size=2, max_size=12),
+    masses=st.lists(st.floats(0.1, 10.0), min_size=12, max_size=12),
+    gaps=st.lists(st.floats(1e-7, 1.0), min_size=12, max_size=12),
+    flat=st.booleans(),
+)
+@example(flags=[True, True, False, True, True], masses=[1.0] * 12, gaps=[0.05] * 12, flat=False)
+# d'' = 4.5 is outside the dead band 1e-6 M / omega of the left point (M = 1
+# at omega = 1e-6) and inside the right point's (M = 10): the sign is +1
+@example(flags=[True, True], masses=[1.0, 10.0] + [1.0] * 10, gaps=[1e-6] + [1.0] * 11,
+         flat=False)
+def test_d_second_rows_match_the_three_steps_on_gapped_branches(flags, masses, gaps, flat):
+    # hand-built branches whose flags have gaps (continue_branch stops at its
+    # first failure); a flat mass puts d'' in the dead band, sign 0.  A failed
+    # point keeps a finite mass here, which the masking must still drop
+    n = len(flags)
+    masses = np.full(n, masses[0]) if flat else np.asarray(masses[:n])
+    branch = SolitaryBranch(np.cumsum(gaps[:n]), masses, np.asarray(flags))
+    if not any(a and b for a, b in zip(flags, flags[1:])):
+        with pytest.raises(BranchError):
+            d_second(branch)
+        return
+    _assert_same_bits(d_second(branch), _three_step_rows(branch))
 
 
 def test_classify_sign_dead_band():
@@ -458,13 +524,16 @@ def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):
     np.testing.assert_array_equal(result.sign_matrix[0], [1.0, np.nan, 1.0, 1.0])
 
 
-def test_region_row_matches_branch_signs(branch_grid):
+def test_region_row_matches_branch_signs(branch_grid, monkeypatch):
     # each cell's sign is that of -<chi, phi> at its own wave, which the
     # region's sweep solves as the branch over the same omegas does
     omegas = np.linspace(1 / 16, 1 / 4, 13)
+    calls = _recording_solves(monkeypatch)
     branch = continue_branch(5.0, omegas[0], omegas[-1], omegas.size, branch_grid)
     assert branch.converged_flags.all()
-    d2 = [-negative_direction_scalar(p, 5.0, w) for p, w in zip(branch.profiles, omegas)]
+    profiles = [call.profile for call in calls if call.grid is branch_grid]
+    assert len(profiles) == omegas.size
+    d2 = [-negative_direction_scalar(p, 5.0, w) for p, w in zip(profiles, omegas)]
     signs = classify_sign(np.array(d2), branch.masses, omegas)
     row = region_scan([5.0], omegas, branch_grid).sign_matrix[0]
     np.testing.assert_array_equal(row, signs)
@@ -536,12 +605,13 @@ def test_branch_truncates_at_degenerate_point(branch_grid, monkeypatch):
     calls = _recording_solves(monkeypatch, omegas[2])
     branch = continue_branch(2.0, 0.05, 0.25, 6, branch_grid)
     np.testing.assert_array_equal(branch.converged_flags, [True, True, False])
-    assert branch.profiles[2] is None
+    profiles = [call.profile for call in calls[1::2]]
+    assert profiles[2] is None
     assert np.isnan(branch.masses[2])
     # the branch stops solving at the failed point
     assert [call.omega for call in calls] == list(np.repeat(omegas[:3], 2))
-    _assert_nested(calls, [None, branch.profiles[0].values,
-                           _secant(omegas[:2], branch.profiles[:2], omegas[2])], branch_grid)
+    _assert_nested(calls, [None, profiles[0].values,
+                           _secant(omegas[:2], profiles[:2], omegas[2])], branch_grid)
 
 
 def test_branch_degenerate_first_point_is_branch_error(branch_grid, monkeypatch):

@@ -2,13 +2,15 @@
 copy of it outside its home modules, the threshold layer solves only through
 its one sweep and finds roots with its one root finder, the evolution has one
 time-stepping loop and d'' one forward difference, which serves ``dmap``
-alone, every import is used, every function, class and method has a reader
-in the program or the benchmark, the program does not load
-``scipy.special``, ``scipy.optimize`` or ``scipy.sparse``, and the
-eigensolver's dense matrices do not grow with the grid and are built once per
-parity sector.  The tests' own Hypothesis properties are derandomized."""
+alone, every error meets one exit code in ``cli.main``, every import is
+used, every function, class and method has a reader in the program or the
+benchmark, the program does not load ``scipy.special``, ``scipy.optimize``
+or ``scipy.sparse``, and the eigensolver's dense matrices do not grow with
+the grid and are built once per parity sector.  The tests' own Hypothesis
+properties are derandomized."""
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -20,7 +22,7 @@ import pytest
 
 import solitonlab
 from dense_oracle import full_sector_eigenvalues
-from solitonlab import spectra
+from solitonlab import cli, errors, spectra
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import SpectralGrid
 from solitonlab.petviashvili import petviashvili_solve
@@ -110,15 +112,8 @@ def test_stability_has_one_root_finder():
 def test_find_omega_c_brackets_by_its_range_alone():
     # the chi form at the ends of the range decides; no branch, no forward difference
     _, functions = _functions("stability.py")
-    for name in ("continue_branch", "d_second", "sample_signs"):
+    for name in ("continue_branch", "d_second"):
         assert not _references(functions["find_omega_c"], name), name
-    # the forward difference and its signs are what dmap writes
-    package = Path(solitonlab.__file__).parent
-    for name in ("d_second", "sample_signs"):
-        readers = [f"{path.name}:{node.name}" for path in sorted(package.glob("*.py"))
-                   for node in ast.parse(path.read_text()).body
-                   if isinstance(node, ast.FunctionDef) and _references(node, name)]
-        assert readers == ["cli.py:cmd_dmap"], f"{name} read by {readers}"
 
 
 def test_evolution_runs_only_in_evolve():
@@ -132,12 +127,57 @@ def test_evolution_runs_only_in_evolve():
     assert _references(functions["cmd_evolve"], "perturbed_run")
 
 
+def _mass_differences(tree):
+    """Lines of the np.diff calls on masses: a forward difference of d''."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.diff"
+            and node.args and "mass" in ast.unparse(node.args[0])]
+
+
 def test_forward_difference_has_one_caller():
-    # d_second is the one forward-difference d''; a pointwise value is a two-point branch
-    tree, functions = _functions("stability.py")
-    callers = [name for name, node in functions.items() if _references(node, "_forward_d2")]
-    assert callers == ["d_second"]
-    assert len(_references(tree, "_forward_d2")) == 1
+    # d_second is the one forward-difference d'', which gives dmap its rows
+    # whole; a pointwise value is a two-point branch
+    package = Path(solitonlab.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _mass_differences(ast.parse(path.read_text()))]
+    _, functions = _functions("stability.py")
+    assert found == [f"stability.py:{line}" for line in _mass_differences(functions["d_second"])]
+    assert len(found) == 1
+    readers = [f"{path.name}:{node.name}" for path in sorted(package.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and _references(node, "d_second")]
+    assert readers == ["cli.py:cmd_dmap"], f"d_second read by {readers}"
+
+
+def _caught(handler):
+    """The names of the classes an except clause catches: one or a tuple."""
+    if handler.type is None:
+        return []
+    return [ast.unparse(node) for node in getattr(handler.type, "elts", [handler.type])]
+
+
+def test_every_error_is_raised_and_meets_one_exit_code():
+    # each exception of errors.py is raised in the program, is caught by no
+    # command on its way to cli.main, and matches exactly one of main's
+    # handlers, which alone decides its exit code
+    package = Path(solitonlab.__file__).parent
+    names = [node.name for node in ast.parse((package / "errors.py").read_text()).body
+             if isinstance(node, ast.ClassDef)]
+    raised = {ast.unparse(getattr(node.exc, "func", node.exc))
+              for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    assert [name for name in names if name not in raised] == []
+    _, functions = _functions("cli.py")
+    rerouted = [f"{function}: {name}" for function, node in functions.items() if function != "main"
+                for handler in ast.walk(node) if isinstance(handler, ast.ExceptHandler)
+                for name in _caught(handler) if name in names]
+    assert rerouted == [], f"caught before main: {rerouted}"
+    (outer,) = [node for node in functions["main"].body if isinstance(node, ast.Try)]
+    handlers = [tuple(getattr(cli, name, None) or getattr(builtins, name)
+                      for name in _caught(handler)) for handler in outer.handlers]
+    for name in names:
+        matches = [classes for classes in handlers if issubclass(getattr(errors, name), classes)]
+        assert len(matches) == 1, f"{name} matches {len(matches)} of main's handlers"
 
 
 def test_nested_iterations_read_one_resolved_band_helper():
