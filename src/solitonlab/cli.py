@@ -19,14 +19,11 @@ import numpy as np
 from . import evolve as evolve_mod
 from . import spectra, stability
 from .errors import (
-    BlowUpDetected,
-    BracketError,
     BranchError,
     DeflationSolveError,
     DegenerateInputError,
     DivergenceError,
     ParameterError,
-    ShapeError,
 )
 from .explicit import explicit_params, phi_exact
 from .grid import SpectralGrid, lattice
@@ -96,15 +93,20 @@ def cmd_verify_exact(args, grid, config, out) -> int:
         [iters, diag.error_history, diag.stab_history, diag.res_history],
     )
     print(f"alpha={args.alpha:g} omega0={omega0:.12g} Linf_distance={distance:.3e}")
+    return EXIT_OK if diag.converged and distance <= 1e-9 else EXIT_NO_CONVERGENCE
+
+
+def _converged_wave(args, grid, config):
+    """The wave at (--alpha, --omega); BranchError where its solve does not converge."""
+    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK if distance <= 1e-9 else EXIT_NO_CONVERGENCE
+        raise BranchError(f"solve at omega={args.omega:g} did not converge"
+                          f" in {diag.iterations} iterations")
+    return profile
 
 
 def cmd_spectrum(args, grid, config, out) -> int:
-    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
-    if not diag.converged:
-        return EXIT_NO_CONVERGENCE
+    profile = _converged_wave(args, grid, config)
     rep = {}
     for which, key in (("Lminus", "minus"), ("Lplus", "plus")):
         op = spectra.build_operator(profile, args.alpha, args.omega, which, args.beta)
@@ -167,9 +169,7 @@ def cmd_evolve(args, grid, config, out) -> int:
     evolve_mod.check_run(args.dt, args.t_final, args.samples)
     if not np.isfinite(args.delta):
         raise UsageError(f"--delta must be finite, got {args.delta:g}")
-    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
-    if not diag.converged:
-        return EXIT_NO_CONVERGENCE
+    profile = _converged_wave(args, grid, config)
     traj = evolve_mod.perturbed_run(profile, args.alpha, args.delta, args.dt, args.t_final,
                                     args.samples, args.beta)
     blew_up = traj.blow_up_time is not None
@@ -253,13 +253,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DegenerateInputError, ShapeError) as exc:
+    except (ParameterError, DegenerateInputError) as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BranchError, BracketError) as exc:
+    except BranchError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (DivergenceError, DeflationSolveError, BlowUpDetected, ArithmeticError) as exc:
+    except (DivergenceError, DeflationSolveError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,12 +1,8 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
-    """Array length does not match the grid it is supposed to live on."""
-
-
 class ParameterError(ValueError):
-    """A numeric parameter is outside its admissible range."""
+    """An argument is outside its admissible range or does not fit its grid."""
 
 
 class DegenerateInputError(ValueError):
@@ -21,15 +17,11 @@ class DeflationSolveError(ArithmeticError):
     """The deflated linear solve failed to reach its tolerance."""
 
 
-class BracketError(ValueError):
-    """A root bracket does not enclose a sign change."""
-
-
 class BranchError(RuntimeError):
-    """Branch continuation could not be started."""
+    """A solve or a branch continuation did not converge."""
 
 
-class BlowUpDetected(RuntimeError):
+class BlowUpDetected(DivergenceError):
     """Time integration produced non-finite values.
 
     Carries the simulation time at which the blow-up was detected.

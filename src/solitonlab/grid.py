@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 DEFAULT_HALF_WIDTH = 200.0
 DEFAULT_N_POINTS = 8192
@@ -72,7 +72,7 @@ class SpectralGrid:
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         if values.shape != (self.n_points,):
-            raise ShapeError(
+            raise ParameterError(
                 f"expected array of shape ({self.n_points},), got {values.shape}"
             )
         return values
@@ -145,7 +145,7 @@ class RealProfile:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid.n_points,):
-            raise ShapeError(
+            raise ParameterError(
                 f"profile length {values.shape} does not match grid ({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(values)):
@@ -163,7 +163,7 @@ class ComplexField:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.n_points,):
-            raise ShapeError(
+            raise ParameterError(
                 f"field length {values.shape} does not match grid ({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(values)):

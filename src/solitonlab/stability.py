@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    BranchError,
-    DegenerateInputError,
-    DivergenceError,
-    ParameterError,
-)
+from .errors import BranchError, DegenerateInputError, DivergenceError, ParameterError
 from .explicit import explicit_params, phi_exact
 from .grid import RealProfile, SpectralGrid, coarsest_grid, lattice
 from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
@@ -65,9 +59,10 @@ class StabilityMap:
     sign_matrix: np.ndarray
 
 
-# the width of find_omega_c's Brent bracket; its roots carry MINRES's 1e-12 stop,
-# and a change of the chi solve's grid or rounding moves them by up to about 5e-11
-TOL_OMEGA = 1e-10
+# the width of both threshold searches' final Brent bracket; their roots carry
+# MINRES's 1e-12 stop, and a change of the chi solve's grid or rounding moves
+# them by up to about 5e-11
+TOL_ROOT = 1e-10
 
 
 def _mass(profile: RealProfile) -> float:
@@ -199,14 +194,9 @@ def classify_sign(d2, mass, omega):
     return np.where(np.abs(d2) < threshold, 0.0, np.sign(d2))
 
 
-def _chi_d2(profile: RealProfile, alpha: float, omega: float, beta: float) -> float:
-    """d'' = -<chi, phi> at a solved wave, where L- chi = phi."""
-    return -negative_direction_scalar(profile, alpha, omega, beta)
-
-
-def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     """Root of f in [a, b], given fa = f(a) and fb = f(b) of opposite signs,
-    to within tol, by Brent's method: inverse quadratic interpolation or a
+    to within TOL_ROOT, by Brent's method: inverse quadratic interpolation or a
     secant step where it stays well inside the bracket and shrinks it fast
     enough, bisection otherwise."""
     c, fc = a, fa
@@ -218,7 +208,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
         if abs(fc) < abs(fb):  # b is the best estimate so far
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * TOL_ROOT
         m = 0.5 * (c - b)
         if abs(m) <= tol1 or fb == 0:
             return float(b)
@@ -252,7 +242,8 @@ def find_omega_c(
     the chi form between the ends of the range, each solve seeded from the
     one before it, the first from ``config``; None where d'' has one sign at
     both ends.  Where the range holds more than one crossing, Brent returns
-    one of them; d'' crosses once for alpha in (4, 8)."""
+    one of them; d'' crosses once for alpha in (4, 8).  A solve that does not
+    converge raises :class:`BranchError`."""
     lo, hi = omega_range
     if not (0 < lo < hi < np.inf):
         raise ParameterError("need 0 < omega_start < omega_end < inf")
@@ -266,37 +257,35 @@ def find_omega_c(
         ((seed, converged),) = _sweep(alpha, [omega], grid, warm)
         if not converged:
             raise BranchError(f"solve at omega={omega:g} did not converge")
-        return _chi_d2(seed, alpha, omega, config.dispersion_beta)
+        return -negative_direction_scalar(seed, alpha, omega, config.dispersion_beta)
 
     f_lo, f_hi = d2(lo), d2(hi)
     if f_lo * f_hi > 0:
         return None
-    return _brent(d2, lo, hi, f_lo, f_hi, TOL_OMEGA)
+    return _brent(d2, lo, hi, f_lo, f_hi)
 
 
-def find_alpha0(
-    alpha_bracket: tuple[float, float],
-    grid: SpectralGrid | None = None,
-    tol_alpha: float = 1e-10,
-) -> float:
+def find_alpha0(alpha_bracket: tuple[float, float], grid: SpectralGrid | None = None) -> float:
     """Root of d''(omega0(alpha)) over the bracket, by Brent's method on the
-    chi form at the closed-form wave, which is the solution at omega0."""
+    chi form at the closed-form wave, which is the solution at omega0.  A
+    bracket over which d'' does not go from + to - raises
+    :class:`ParameterError`."""
     if grid is None:
         grid = SpectralGrid()
 
     def d2(alpha):
         omega0 = explicit_params(alpha).omega0
         check_omega_width(omega0, grid)
-        return _chi_d2(phi_exact(alpha, grid), alpha, omega0, 1.0)
+        return -negative_direction_scalar(phi_exact(alpha, grid), alpha, omega0, 1.0)
 
     lo, hi = alpha_bracket
     g_lo, g_hi = d2(lo), d2(hi)
     if not (g_lo > 0 > g_hi):
-        raise BracketError(
+        raise ParameterError(
             f"d''(omega0) does not change sign over [{lo}, {hi}]"
             f" (values {g_lo:.3e}, {g_hi:.3e})"
         )
-    return _brent(d2, lo, hi, g_lo, g_hi, tol_alpha)
+    return _brent(d2, lo, hi, g_lo, g_hi)
 
 
 def _scan_row(args):
@@ -306,7 +295,7 @@ def _scan_row(args):
     d2, masses = np.full((2, omegas.size), np.nan)
     for j, (profile, converged) in enumerate(_sweep(alpha, omegas, grid, config)):
         if converged:
-            d2[j] = _chi_d2(profile, alpha, omegas[j], config.dispersion_beta)
+            d2[j] = -negative_direction_scalar(profile, alpha, omegas[j], config.dispersion_beta)
             masses[j] = _mass(profile)
     return classify_sign(d2, masses, omegas)
 

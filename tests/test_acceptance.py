@@ -247,7 +247,7 @@ def test_criterion_07_d_second_sign_structure(acc_grid, announce):
     negative = bool(np.all(d_second(branch55)[:, 1] < 0))
     ok = ok and negative
     details.append(f"alpha=5.5 all-negative={negative}")
-    alpha0 = find_alpha0((4.0, 5.5), acc_grid, tol_alpha=0.1)
+    alpha0 = find_alpha0((4.0, 5.5), acc_grid)
     in_window = 4.6 <= alpha0 <= 5.0
     ok = ok and in_window
     details.append(f"alpha0={alpha0:.2f} in [4.6, 5.0]={in_window}")

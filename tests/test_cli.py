@@ -17,7 +17,7 @@ from solitonlab.cli import (
     EXIT_USAGE,
     main,
 )
-from solitonlab.errors import DegenerateInputError, ShapeError
+from solitonlab.errors import DegenerateInputError, ParameterError
 from solitonlab.explicit import explicit_params
 
 FAST = ["--grid-n", "1024", "--grid-l", "100"]
@@ -118,6 +118,18 @@ def test_solve_non_convergence_exit_code(tmp_path):
     # diagnostics are still written for inspection
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["converged"] is False
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["evolve", "--t-final", "0.01"]],
+                         ids=["spectrum", "evolve"])
+def test_wave_non_convergence_is_one_line_and_no_file(tmp_path, capsys, command):
+    # spectrum and evolve need the wave itself: they stop at its solve
+    code = main([*command, "--alpha", "2", "--omega", "0.16", "--max-iter", "3",
+                 "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "non-convergence: solve at omega=0.16 did not converge in 3 iterations\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_determinism(tmp_path):
@@ -417,7 +429,7 @@ def test_region_single_omega_lattice(tmp_path):
     np.testing.assert_array_equal(signs[0], signs[1])
 
 
-@pytest.mark.parametrize("error", [DegenerateInputError, ShapeError])
+@pytest.mark.parametrize("error", [DegenerateInputError, ParameterError])
 def test_value_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
     def raising(*args, **kwargs):
         raise error("bad input")

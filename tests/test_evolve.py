@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from model_oracle import constrained_functional
 from reference_evolve import reference_advance
 from solitonlab import evolve
-from solitonlab.errors import BlowUpDetected, ParameterError
+from solitonlab.errors import BlowUpDetected, DivergenceError, ParameterError
 from solitonlab.evolve import (
     ConservationAudit,
     advance,
@@ -546,8 +546,11 @@ def test_stability_experiment_stable_bounded(grid_mid, wave_2):
 
 
 def test_blow_up_signal_carries_time():
+    # a blow-up is a divergence: cli.main gives it the numeric exit code
     exc = BlowUpDetected(3.25)
     assert exc.time == 3.25
+    assert isinstance(exc, DivergenceError)
+    assert str(exc) == "non-finite field detected at t=3.25"
 
 
 def test_stability_experiment_truncates_at_blow_up(wave_2, blow_up_on_third_interval):

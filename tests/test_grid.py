@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gamma_oracle import phi_hat_exact
 from model_oracle import forward
-from solitonlab.errors import ParameterError, ShapeError
+from solitonlab.errors import ParameterError
 from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import ComplexField, RealProfile, SpectralGrid, coarsest_grid, zero_pad
 
@@ -199,11 +199,13 @@ def test_symbol_agrees_with_finite_differences(grid_small):
 
 
 def test_shape_errors(grid_small):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError, match=r"^expected array of shape \(1024,\), got \(7,\)$"):
         grid_small.quadrature(np.ones(7))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError,
+                       match=r"^profile length \(7,\) does not match grid \(1024,\)$"):
         RealProfile(grid_small, np.ones(7))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError,
+                       match=r"^field length \(7,\) does not match grid \(1024,\)$"):
         ComplexField(grid_small, np.ones(7, dtype=complex))
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from model_oracle import d2_closed_pure4nls
 from solitonlab import petviashvili, stability
 from solitonlab.errors import (
-    BracketError,
     BranchError,
     DegenerateInputError,
     DivergenceError,
@@ -215,14 +214,15 @@ def test_d_second_step_size_robustness(branch_grid):
     (lambda x: math.expm1(40.0 * (x - 0.3)), -1.0, 1.0, 0.3),  # steep and lopsided
     (lambda x: x - 0.25, 0.25, 1.0, 0.25),  # root at an end
 ], ids=["cubic", "cos", "steep", "end"])
-def test_brent_finds_closed_form_roots(f, a, b, root):
+def test_brent_finds_closed_form_roots(monkeypatch, f, a, b, root):
+    monkeypatch.setattr(stability, "TOL_ROOT", 1e-12)
     calls = []
 
     def counted(x):
         calls.append(x)
         return f(x)
 
-    found = stability._brent(counted, a, b, f(a), f(b), 1e-12)
+    found = stability._brent(counted, a, b, f(a), f(b))
     assert found == pytest.approx(root, abs=1e-12)
     assert all(min(a, b) <= x <= max(a, b) for x in calls)
     assert len(calls) <= 20  # bisection to 1e-12 takes 40
@@ -273,7 +273,7 @@ def test_find_omega_c_root_does_not_depend_on_the_range(branch_grid, omega_range
 
 
 def test_find_omega_c_without_chi_sign_change_is_none(branch_grid, monkeypatch):
-    monkeypatch.setattr(stability, "_chi_d2", lambda *args: 1.0)
+    monkeypatch.setattr(stability, "negative_direction_scalar", lambda *args: -1.0)
     sweeps = _recording_sweeps(monkeypatch)
     assert find_omega_c(5.0, (0.02, 0.25), branch_grid) is None
     assert [omegas for omegas, _, _ in sweeps] == [[0.02], [0.25]]
@@ -311,7 +311,7 @@ def test_find_omega_c_scales_with_beta_squared(beta):
     scaled = find_omega_c(5.0, (beta**2 * 0.05, beta**2 * 0.25),
                           SpectralGrid(2048, 100.0 / math.sqrt(beta)),
                           SolverConfig(dispersion_beta=beta))
-    assert abs(scaled / beta**2 - reference) <= stability.TOL_OMEGA
+    assert abs(scaled / beta**2 - reference) <= stability.TOL_ROOT
 
 
 def test_d_second_at_omega0_signs(branch_grid):
@@ -320,16 +320,15 @@ def test_d_second_at_omega0_signs(branch_grid):
 
 
 def test_find_alpha0_bracket_error(branch_grid):
-    with pytest.raises(BracketError):
-        find_alpha0((2.0, 3.0), branch_grid, tol_alpha=0.5)
+    with pytest.raises(ParameterError,
+                       match=r"^d''\(omega0\) does not change sign over \[2\.0, 3\.0\] \(values "):
+        find_alpha0((2.0, 3.0), branch_grid)
 
 
 def test_find_alpha0_localizes_root(branch_grid):
-    # within its tolerance of the root, which the default tolerance resolves
-    alpha0 = find_alpha0((4.0, 5.5), branch_grid, tol_alpha=0.2)
-    assert abs(alpha0 - 4.791042420) <= 0.2
+    alpha0 = find_alpha0((4.0, 5.5), branch_grid)
     assert type(alpha0) is float
-    assert find_alpha0((4.0, 5.5), branch_grid) == pytest.approx(4.791042420, abs=1e-8)
+    assert alpha0 == pytest.approx(4.791042420, abs=1e-8)
 
 
 def _mass_d2(alpha, omega, grid, h, seed, beta=1.0):
@@ -449,7 +448,7 @@ def test_headline_roots_are_grid_independent():
             alphas.append(find_alpha0((4.0, 5.5), grid))
             omegas.append(find_omega_c(5.0, (0.02, 0.25), grid))
     for roots in (alphas, omegas):
-        assert max(roots) - min(roots) <= stability.TOL_OMEGA + 8 * np.finfo(float).eps * max(roots)
+        assert max(roots) - min(roots) <= stability.TOL_ROOT + 8 * np.finfo(float).eps * max(roots)
     assert 4.6 < alphas[0] < 5.0 and 0.1 < omegas[0] < 0.12
 
 
