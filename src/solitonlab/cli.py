@@ -29,6 +29,11 @@ from .explicit import explicit_params, phi_exact
 from .grid import SpectralGrid, lattice
 from .petviashvili import SolverConfig, petviashvili_solve
 
+# every command solves through stability.nested_solve; the single-grid kernel
+# stays bound here, unread, because perfbench's tracer test checks that
+# tracing rebinds cli.petviashvili_solve along with every other binding
+__all__ = ["main", "petviashvili_solve"]
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
@@ -73,7 +78,7 @@ def _diag_payload(diag) -> dict:
 
 
 def cmd_solve(args, grid, config, out) -> int:
-    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
+    profile, diag = stability.nested_solve(args.alpha, args.omega, grid, config)
     _write_csv(out / "profile.csv", ["x", "phi"], [grid.nodes, profile.values])
     _write_json(out / "diagnostics.json", _diag_payload(diag))
     return EXIT_OK if diag.converged else EXIT_NO_CONVERGENCE
@@ -83,7 +88,7 @@ def cmd_verify_exact(args, grid, config, out) -> int:
     if args.beta != 1.0:
         raise UsageError(f"the closed-form wave has beta = 1, got --beta {args.beta:g}")
     omega0 = explicit_params(args.alpha).omega0
-    profile, diag = petviashvili_solve(args.alpha, omega0, grid, config)
+    profile, diag = stability.nested_solve(args.alpha, omega0, grid, config)
     exact = phi_exact(args.alpha, grid)
     distance = float(np.max(np.abs(profile.values - exact.values)))
     iters = np.arange(1, diag.iterations + 1, dtype=float)
@@ -98,7 +103,7 @@ def cmd_verify_exact(args, grid, config, out) -> int:
 
 def _converged_wave(args, grid, config):
     """The wave at (--alpha, --omega); BranchError where its solve does not converge."""
-    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
+    profile, diag = stability.nested_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
         raise BranchError(f"solve at omega={args.omega:g} did not converge"
                           f" in {diag.iterations} iterations")
@@ -187,7 +192,9 @@ def _common(grid_n: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid-n", type=int, default=grid_n, help="number of grid points")
     common.add_argument("--grid-l", type=float, default=200.0, help="domain half-width")
-    common.add_argument("--max-iter", type=int, default=2000)
+    common.add_argument("--max-iter", type=int, default=2000,
+                        help="iterations of each stage of a wave's solve (coarse, then"
+                             " requested grid)")
     common.add_argument("--beta", type=float, default=1.0,
                         help="coefficient of -d2/dx2 (0 selects the pure fourth-order model)")
     common.add_argument("--out", default=None,

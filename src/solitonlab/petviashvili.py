@@ -7,7 +7,8 @@ the periodic grid, and its time-dependent form is i u_t + beta u_xx - u_xxxx +
 integrator's in-place step) and ``half_weights`` (the Parseval weights of an
 rfft half spectrum) build the solver's nonlinearity, quadratic form and
 residual here, and everything that ``spectra`` and ``evolve`` use of the
-model.
+model.  ``half_symbol`` keeps the omega-free part of the symbol on the rfft
+half spectrum once per grid shape and beta, read-only.
 
 The solver's map is the stabilized (Petviashvili) step c -> g(c) = M^nu
 N(c) / (xi^4 + beta xi^2 + omega) on rfft half spectra c, with the
@@ -30,10 +31,15 @@ add rounding that xi^4 amplifies into the first residual.  The diagnostics
 record, per iteration, the sup-norm step of the mixed iterate (``error``),
 |1 - M| and the sup-norm residual, the last two at the iterate the step
 starts from.
+
+``petviashvili_solve`` runs on one grid.  Every command and sweep reaches it
+through ``stability.nested_solve``, which solves on the coarsest grid that
+resolves the start and polishes on the requested one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,14 +135,23 @@ def nonlinearity(values: np.ndarray, alpha: float) -> np.ndarray:
     return values * power(values, alpha)
 
 
+@functools.lru_cache(maxsize=32)
+def _dispersion(n_points: int, half_width: float, beta: float) -> np.ndarray:
+    """xi^4 + beta xi^2 on the rfft half spectrum of SpectralGrid(n_points,
+    half_width), read-only.  Keyed on the grid's shape, not the grid: grids
+    compare by identity, and every grid of one shape has the same
+    wavenumbers."""
+    xi = SpectralGrid(n_points, half_width).wavenumbers[: n_points // 2 + 1]
+    part = symbol(xi, 0.0, beta)
+    part.flags.writeable = False
+    return part
+
+
 def half_symbol(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
-    """The symbol on the rfft half spectrum."""
-    return symbol(grid.wavenumbers[: grid.n_points // 2 + 1], omega, beta)
-
-
-def pairing_weights(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
-    """w with sum(w |rfft(v)|^2) = int v (d^4 - beta d^2 + omega) v."""
-    return grid.dx * half_weights(grid.n_points) * half_symbol(grid, omega, beta)
+    """The symbol on the rfft half spectrum, a new array each call.  It is
+    ``symbol`` bit for bit: that adds omega last too, and adding 0.0 first
+    changes no value that omega > 0 is added to."""
+    return _dispersion(grid.n_points, grid.half_width, beta) + omega
 
 
 def check_omega_width(omega: float, grid: SpectralGrid) -> None:
@@ -196,7 +211,8 @@ def petviashvili_solve(
     # g = M^nu N_hat / denom over the float view: numpy divides a complex by
     # a real as this reciprocal multiply, bit for bit, at twice the cost
     inv_denom = np.repeat(1.0 / denom, 2)
-    weights = pairing_weights(grid, omega, beta)
+    # w with sum(w |coeffs|^2) = int phi (d^4 - beta d^2 + omega) phi
+    weights = grid.dx * half_weights(grid.n_points) * denom
     dx, n = grid.dx, grid.n_points
 
     phi, coeffs = _initial_guess(alpha, omega, grid, config)

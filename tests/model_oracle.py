@@ -9,7 +9,7 @@ import numpy as np
 
 from solitonlab.errors import ParameterError
 from solitonlab.explicit import explicit_params
-from solitonlab.petviashvili import half_symbol, nonlinearity, pairing_weights, power
+from solitonlab.petviashvili import half_symbol, half_weights, nonlinearity, power
 
 
 class DomainError(ValueError):
@@ -24,6 +24,11 @@ def forward(grid, values):
     n = grid.n_points
     k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
     return grid.dx * np.where(k % 2 == 0, 1.0, -1.0) * np.fft.fft(values)
+
+
+def pairing_weights(grid, omega, beta):
+    """w with sum(w |rfft(v)|^2) = int v (d^4 - beta d^2 + omega) v."""
+    return grid.dx * half_weights(grid.n_points) * half_symbol(grid, omega, beta)
 
 
 def residual(profile, alpha, omega, beta=1.0):

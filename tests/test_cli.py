@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import collections
 import json
 import warnings
 
@@ -17,8 +18,10 @@ from solitonlab.cli import (
     EXIT_USAGE,
     main,
 )
-from solitonlab.errors import DegenerateInputError, ParameterError
+from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterError
 from solitonlab.explicit import explicit_params
+from solitonlab.grid import SpectralGrid
+from solitonlab.petviashvili import TOL_ERROR, TOL_RES, TOL_STAB, SolverConfig, petviashvili_solve
 
 FAST = ["--grid-n", "1024", "--grid-l", "100"]
 
@@ -27,17 +30,22 @@ def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
 
 
+Solve = collections.namedtuple("Solve", "grid guess profile")
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """The (alpha, omega) of every wave the CLI solves."""
+    """Every kernel solve the CLI makes, as a Solve; the commands reach the
+    kernel through stability.nested_solve."""
     calls = []
-    solve = cli.petviashvili_solve
+    solve = stability.petviashvili_solve
 
-    def spy(alpha, omega, *args, **kwargs):
-        calls.append((alpha, omega))
-        return solve(alpha, omega, *args, **kwargs)
+    def spy(alpha, omega, grid, config):
+        profile, diag = solve(alpha, omega, grid, config)
+        calls.append(Solve(grid, config.initial_guess, profile))
+        return profile, diag
 
-    monkeypatch.setattr(cli, "petviashvili_solve", spy)
+    monkeypatch.setattr(stability, "petviashvili_solve", spy)
     return calls
 
 
@@ -132,6 +140,94 @@ def test_wave_non_convergence_is_one_line_and_no_file(tmp_path, capsys, command)
     assert list(tmp_path.iterdir()) == []
 
 
+# the commands' own solves at their default N = 8192 and spectrum's at
+# N = 4096 (L = 200): a cold start there is resolved by a coarser grid
+NESTED = {
+    "solve": ["solve", "--alpha", "2", "--omega", "0.16"],
+    "verify-exact": ["verify-exact", "--alpha", "2"],
+    "spectrum-4096": ["spectrum", "--alpha", "2", "--omega", "0.16", "--grid-n", "4096"],
+    "evolve": ["evolve", "--alpha", "2", "--omega", "0.16", "--t-final", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", NESTED.values(), ids=NESTED)
+def test_each_command_solves_on_a_coarse_grid_then_polishes(tmp_path, solves, command):
+    # one cold solve on a coarser grid of the same half-width, whose nodes are
+    # every f-th of the requested grid's, then one on the requested grid from
+    # the coarse wave itself
+    n = int(command[-1]) if "--grid-n" in command else 8192
+    assert main([*command, "--out", str(tmp_path)]) == EXIT_OK
+    coarse, fine = solves
+    f = n // coarse.grid.n_points
+    assert f > 1 and coarse.grid.half_width == fine.grid.half_width == 200.0
+    np.testing.assert_array_equal(coarse.grid.nodes, fine.grid.nodes[::f])
+    assert coarse.guess is None
+    assert fine.grid.n_points == n and fine.guess is coarse.profile
+
+
+def test_spectrum_at_its_default_grid_solves_once(tmp_path, solves):
+    # a cold start needs every mode of N = 2048 on L = 200: no coarse stage
+    assert main(["spectrum", "--alpha", "2", "--omega", "0.16", "--out", str(tmp_path)]) == EXIT_OK
+    assert [(s.grid.n_points, s.guess) for s in solves] == [(2048, None)]
+
+
+def _meets_tolerances(error, stab, res):
+    return error <= TOL_ERROR and stab <= TOL_STAB and res <= TOL_RES
+
+
+@pytest.mark.parametrize("alpha, omega, beta", [(2.0, 0.16, 1.0), (3.0, 0.3, 1.0),
+                                                (1.0, 0.1, 1.0), (4.0, 0.2, 0.0)])
+def test_nested_solve_writes_the_single_grid_wave(tmp_path, alpha, omega, beta):
+    # profile.csv lies within 1e-13 of its peak from the single-grid solve;
+    # the history runs through both stages and ends with the requested grid's
+    # certificate
+    code = main(["solve", "--alpha", str(alpha), "--omega", str(omega), "--beta", str(beta),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    single, diag = petviashvili_solve(alpha, omega, SpectralGrid(),
+                                      SolverConfig(dispersion_beta=beta))
+    assert diag.converged
+    phi = read_csv(tmp_path / "profile.csv")["phi"]
+    assert np.max(np.abs(phi - single.values)) <= 1e-13 * np.max(np.abs(single.values))
+    payload = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert payload["converged"] is True
+    histories = [payload[f"{key}_history"] for key in ("error", "stab", "res")]
+    assert [len(h) for h in histories] == [payload["iterations"]] * 3
+    assert _meets_tolerances(*(h[-1] for h in histories))
+
+
+def test_a_diverging_coarse_stage_falls_back_to_the_seed(tmp_path, monkeypatch):
+    # the requested grid's solve starts cold, as with no coarse stage, and the
+    # outputs are the single-grid solve's, bit for bit
+    solve, starts = stability.petviashvili_solve, []
+
+    def coarse_diverges(alpha, omega, grid, config):
+        starts.append((grid.n_points, config.initial_guess))
+        if grid.n_points < 8192:
+            raise DivergenceError("iteration produced non-finite values")
+        return solve(alpha, omega, grid, config)
+
+    monkeypatch.setattr(stability, "petviashvili_solve", coarse_diverges)
+    assert main(["solve", "--alpha", "2", "--omega", "0.16", "--out", str(tmp_path)]) == EXIT_OK
+    assert [(n < 8192, guess) for n, guess in starts] == [(True, None), (False, None)]
+    single, diag = solve(2.0, 0.16, SpectralGrid(), SolverConfig())
+    np.testing.assert_array_equal(read_csv(tmp_path / "profile.csv")["phi"], single.values)
+    payload = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert payload["iterations"] == diag.iterations
+    np.testing.assert_array_equal(payload["res_history"], diag.res_history)
+
+
+def test_an_unconverged_coarse_stage_leaves_no_history(tmp_path, solves):
+    # --max-iter bounds each stage: the coarse one stops unconverged, so the
+    # requested grid starts cold and the history is its own 3 iterations
+    code = main(["solve", "--alpha", "2", "--omega", "0.16", "--max-iter", "3",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_NO_CONVERGENCE
+    assert [(s.grid.n_points < 8192, s.guess) for s in solves] == [(True, None), (False, None)]
+    payload = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert payload["iterations"] == len(payload["error_history"]) == 3
+
+
 def test_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -168,7 +264,11 @@ def test_verify_exact(tmp_path, capsys):
     code = main(["verify-exact", "--alpha", "2", "--grid-n", "2048",
                  "--grid-l", "100", "--out", str(tmp_path)])
     assert code == EXIT_OK
-    assert (tmp_path / "convergence.csv").exists()
+    # the coarse stage's rows (L = 100 resolves exp(-x^2) on 1024 points),
+    # then the requested grid's, whose last row is the certificate
+    rows = read_csv(tmp_path / "convergence.csv")
+    np.testing.assert_array_equal(rows["iteration"], np.arange(1, rows.size + 1))
+    assert _meets_tolerances(rows["error"][-1], rows["stab"][-1], rows["res"][-1])
     captured = capsys.readouterr()
     assert "Linf_distance" in captured.out
 
@@ -434,7 +534,7 @@ def test_value_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
     def raising(*args, **kwargs):
         raise error("bad input")
 
-    monkeypatch.setattr(cli, "petviashvili_solve", raising)
+    monkeypatch.setattr(stability, "petviashvili_solve", raising)
     code = main(["solve", "--alpha", "2", "--omega", "0.16",
                  "--out", str(tmp_path)] + FAST)
     assert code == EXIT_USAGE

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_oracle import residual
+from model_oracle import pairing_weights, residual
 from reference_petviashvili import reference_solve
 from solitonlab import petviashvili, stability
 from solitonlab.errors import DegenerateInputError, DivergenceError, ParameterError
@@ -13,11 +13,12 @@ from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import (
     SolverConfig,
+    half_symbol,
     nonlinearity,
-    pairing_weights,
     petviashvili_solve,
     power,
     power_from_square,
+    symbol,
 )
 
 OMEGA0_2 = 4.0 / 25.0
@@ -346,6 +347,26 @@ def test_half_spectrum_pairing_is_parseval(n, half_width, omega, beta, seed):
     terms = grid.dx / n * (xi**4 + beta * xi**2 + omega) * np.abs(np.fft.fft(v)) ** 2
     half = np.sum(pairing_weights(grid, omega, beta) * np.abs(np.fft.rfft(v)) ** 2)
     assert half == pytest.approx(terms.sum(), rel=0, abs=1e-12 * np.abs(terms).sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 4, 64, 1024, 8192]),
+    half_width=st.floats(1.0, 300.0),
+    beta=st.sampled_from([0.0, 1.0]),
+    omega=st.floats(1e-3, 20.0),
+)
+def test_half_symbol_is_the_symbol_bit_for_bit(n, half_width, beta, omega):
+    # its omega-free part is kept per grid shape, read-only, and shared by
+    # every grid of that shape; each call returns a new array
+    grid = SpectralGrid(n_points=n, half_width=half_width)
+    expected = symbol(grid.wavenumbers[: n // 2 + 1], omega, beta).tobytes()
+    first = half_symbol(grid, omega, beta)
+    assert first.tobytes() == expected
+    first += 1.0
+    assert half_symbol(SpectralGrid(n_points=n, half_width=half_width), omega, beta).tobytes() \
+        == expected
+    assert not petviashvili._dispersion(n, half_width, beta).flags.writeable
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -92,12 +92,25 @@ def _functions(module):
     return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-def test_stability_solves_only_in_sweep():
-    # one site keeps the warm-start policy in one place
+def test_stability_solves_only_in_nested_solve():
+    # one function keeps the nested-iteration policy in one place: its coarse
+    # stage and the requested grid's solve
     tree, functions = _functions("stability.py")
-    solves = _references(tree, "petviashvili_solve")
-    assert len(solves) == 1, f"petviashvili_solve read at lines {solves}"
-    assert solves == _references(functions["_sweep"], "petviashvili_solve")
+    solves = sorted(_references(tree, "petviashvili_solve"))
+    assert len(solves) == 2, f"petviashvili_solve read at lines {solves}"
+    assert solves == sorted(_references(functions["nested_solve"], "petviashvili_solve"))
+
+
+def test_every_command_solves_through_the_nested_solve():
+    # no command runs the single-grid kernel by itself: cli binds it only for
+    # perfbench's tracer (an import and __all__, which read no name)
+    tree, functions = _functions("cli.py")
+    assert not _references(tree, "petviashvili_solve")
+    readers = sorted(name for name, node in functions.items()
+                     if _references(node, "nested_solve"))
+    assert readers == ["_converged_wave", "cmd_solve", "cmd_verify_exact"]
+    for name in ("cmd_spectrum", "cmd_evolve"):
+        assert _references(functions[name], "_converged_wave"), name
 
 
 def test_stability_has_one_root_finder():
