@@ -29,11 +29,6 @@ from .explicit import explicit_params, phi_exact
 from .grid import SpectralGrid, lattice
 from .petviashvili import SolverConfig, petviashvili_solve
 
-# every command solves through stability.nested_solve; the single-grid kernel
-# stays bound here, unread, because perfbench's tracer test checks that
-# tracing rebinds cli.petviashvili_solve along with every other binding
-__all__ = ["main", "petviashvili_solve"]
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
@@ -53,18 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _write(path: Path, *parts: str) -> None:
+    """Write the parts to path in turn; an OSError there is a UsageError."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     table = np.column_stack(columns)
     row = ",".join([FLOAT_FMT] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+    _write(path, ",".join(header) + "\n", (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True), "\n")
 
 
 def _diag_payload(diag) -> dict:
@@ -78,7 +78,7 @@ def _diag_payload(diag) -> dict:
 
 
 def cmd_solve(args, grid, config, out) -> int:
-    profile, diag = stability.nested_solve(args.alpha, args.omega, grid, config)
+    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     _write_csv(out / "profile.csv", ["x", "phi"], [grid.nodes, profile.values])
     _write_json(out / "diagnostics.json", _diag_payload(diag))
     return EXIT_OK if diag.converged else EXIT_NO_CONVERGENCE
@@ -88,7 +88,7 @@ def cmd_verify_exact(args, grid, config, out) -> int:
     if args.beta != 1.0:
         raise UsageError(f"the closed-form wave has beta = 1, got --beta {args.beta:g}")
     omega0 = explicit_params(args.alpha).omega0
-    profile, diag = stability.nested_solve(args.alpha, omega0, grid, config)
+    profile, diag = petviashvili_solve(args.alpha, omega0, grid, config)
     exact = phi_exact(args.alpha, grid)
     distance = float(np.max(np.abs(profile.values - exact.values)))
     iters = np.arange(1, diag.iterations + 1, dtype=float)
@@ -103,7 +103,7 @@ def cmd_verify_exact(args, grid, config, out) -> int:
 
 def _converged_wave(args, grid, config):
     """The wave at (--alpha, --omega); BranchError where its solve does not converge."""
-    profile, diag = stability.nested_solve(args.alpha, args.omega, grid, config)
+    profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
     if not diag.converged:
         raise BranchError(f"solve at omega={args.omega:g} did not converge"
                           f" in {diag.iterations} iterations")

@@ -32,13 +32,14 @@ record, per iteration, the sup-norm step of the mixed iterate (``error``),
 |1 - M| and the sup-norm residual, the last two at the iterate the step
 starts from.
 
-``petviashvili_solve`` runs on one grid.  Every command and sweep reaches it
-through ``stability.nested_solve``, which solves on the coarsest grid that
-resolves the start and polishes on the requested one.
+``petviashvili_solve``, the package's one solve, is a nested iteration on
+that loop (``_iterate``): it solves on the coarsest grid that resolves the
+start (``grid.coarsest_grid``) and polishes on the requested one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.linalg.lapack import dgelss
 
 from .errors import DegenerateInputError, DivergenceError, ParameterError
-from .grid import RealProfile, SpectralGrid, zero_pad
+from .grid import RealProfile, SpectralGrid, coarsest_grid, zero_pad
 
 # convergence: sup-norm step, |1 - M_n| and sup-norm spectral residual
 TOL_ERROR = 1e-12
@@ -63,8 +64,9 @@ MIX_STAB = 0.5
 
 @dataclass
 class SolverConfig:
-    """Iteration controls.
+    """Solve controls.
 
+    ``max_iter`` bounds each stage of a solve, the coarse and the requested grid's.
     ``initial_guess`` is None for the Gaussian (2 omega)^(1/alpha) exp(-x^2),
     or a :class:`RealProfile` to continue from, on the solve's grid or on one
     of its half-width f times coarser, read there as its interpolant: its
@@ -162,11 +164,16 @@ def check_omega_width(omega: float, grid: SpectralGrid) -> None:
         )
 
 
+def _gaussian(grid: SpectralGrid) -> np.ndarray:
+    """exp(-x^2) at grid's nodes: the cold start, up to its amplitude."""
+    return np.exp(-(grid.nodes**2))
+
+
 def _initial_guess(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfig):
     """The first iterate and its rfft half spectrum (see ``SolverConfig``)."""
     guess = config.initial_guess
     if guess is None:
-        phi = (2.0 * omega) ** (1.0 / alpha) * np.exp(-(grid.nodes**2))
+        phi = (2.0 * omega) ** (1.0 / alpha) * _gaussian(grid)
     elif guess.grid.half_width != grid.half_width or guess.grid.n_points > grid.n_points:
         raise ParameterError("provided initial profile lives on a different grid")
     elif guess.grid.n_points == grid.n_points:
@@ -183,26 +190,84 @@ def _recenter(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return np.roll(values, grid.n_points // 2 - peak)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate raises instead
+def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid | None:
+    """The coarsest grid that resolves the seed (``grid.coarsest_grid``); None
+    where that is grid itself, or where the seed lives on another grid (the
+    solve reads a coarser one as its interpolant).  The cold seed is a
+    multiple of ``_gaussian``.
+    """
+    if seed is None:
+        values = _gaussian(grid)
+    elif (seed.grid.n_points, seed.grid.half_width) != (grid.n_points, grid.half_width):
+        return None
+    else:
+        values = seed.values
+    coarse = coarsest_grid(values, grid)
+    return None if coarse is grid else coarse
+
+
+def _joined(coarse: SolverDiagnostics, fine: SolverDiagnostics) -> SolverDiagnostics:
+    """One history through both stages; the requested grid's verdict."""
+    return SolverDiagnostics(
+        iterations=coarse.iterations + fine.iterations,
+        error_history=np.concatenate([coarse.error_history, fine.error_history]),
+        stab_history=np.concatenate([coarse.stab_history, fine.stab_history]),
+        res_history=np.concatenate([coarse.res_history, fine.res_history]),
+        converged=fine.converged,
+    )
+
+
 def petviashvili_solve(
     alpha: float,
     omega: float,
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
 ):
-    """Run the Anderson-mixed stabilized iteration; returns (profile, diagnostics).
+    """The wave at (alpha, omega) on grid from ``config.initial_guess`` (the
+    seed; None is the cold start), as a nested iteration; returns (profile,
+    diagnostics).
 
-    Non-convergence within ``max_iter`` is reported through
-    ``diagnostics.converged`` rather than an exception; non-finite iterates
-    and an overflowing stabilizing factor raise :class:`DivergenceError`,
-    with no numpy warning.
+    Where the seed's spectrum allows (``_coarse_grid``), it is first solved
+    on a coarse grid of the same half-width from the seed's samples there,
+    and the requested grid's solve starts from the coarse wave itself, read
+    as its exact interpolant; from the seed where the coarse solve raises
+    :class:`DivergenceError` or :class:`DegenerateInputError` or does not
+    converge, and then the coarse history is dropped.  ``max_iter`` bounds
+    each stage.  The diagnostics run through the kept coarse history, then
+    the requested grid's, whose verdict and exceptions are the solve's: a
+    solve that does not converge says so there and raises nothing.
     """
-    if not (0 < alpha < np.inf and 0 < omega < np.inf):
-        raise ParameterError(f"alpha and omega must be positive and finite, got {alpha}, {omega}")
     if grid is None:
         grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
+    seed = config.initial_guess
+    coarse = _coarse_grid(seed, grid)
+    start, coarse_diag = seed, None  # the requested grid's start, and its history so far
+    if coarse is not None:
+        # the seed's values at the shared nodes (None, cold, stays None)
+        guess = None if seed is None else RealProfile(
+            coarse, seed.values[:: grid.n_points // coarse.n_points])
+        try:
+            profile, diag = _iterate(
+                alpha, omega, coarse, dataclasses.replace(config, initial_guess=guess))
+            if diag.converged:
+                start, coarse_diag = profile, diag
+        except (DivergenceError, DegenerateInputError):
+            pass
+    profile, diag = _iterate(
+        alpha, omega, grid, dataclasses.replace(config, initial_guess=start))
+    return profile, diag if coarse_diag is None else _joined(coarse_diag, diag)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate raises instead
+def _iterate(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfig):
+    """Run the Anderson-mixed stabilized iteration on grid alone; returns
+    (profile, diagnostics).  Non-finite iterates and an overflowing
+    stabilizing factor raise :class:`DivergenceError`, with no numpy warning.
+    """
+    if not (0 < alpha < np.inf and 0 < omega < np.inf):
+        raise ParameterError(f"alpha and omega must be positive and finite, got {alpha}, {omega}")
     beta = config.dispersion_beta
     nu = (alpha + 2.0) / (alpha + 1.0)
 

@@ -16,12 +16,9 @@ compare with: it returns the very rows that ``dmap`` writes, (omega, d'',
 sign), and at a single omega it is the difference of the two-point branch to
 omega + h.
 
-Both the chi solve and every wave solve are nested iterations on one
-helper, ``grid.coarsest_grid``: ``nested_solve``, which serves each branch
-point, region cell and ``find_omega_c`` point and every command's own solve,
-solves on the coarsest grid that resolves its seed and polishes on the
-requested one.  ``region_scan`` runs its alpha rows in up to ``jobs``
-processes, the calling one included.
+Each branch point, region cell and ``find_omega_c`` point is the nested
+iteration ``petviashvili_solve``.  ``region_scan`` runs its alpha rows in up
+to ``jobs`` processes, the calling one included.
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ import numpy as np
 
 from .errors import BranchError, DegenerateInputError, DivergenceError, ParameterError
 from .explicit import explicit_params, phi_exact
-from .grid import RealProfile, SpectralGrid, coarsest_grid, lattice
-from .petviashvili import SolverConfig, SolverDiagnostics, check_omega_width, petviashvili_solve
+from .grid import RealProfile, SpectralGrid, lattice
+from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
 from .spectra import negative_direction_scalar
 
 
@@ -82,70 +79,8 @@ def _secant_seed(converged: list, omega: float) -> RealProfile:
     return RealProfile(p1.grid, p1.values + t * (p1.values - p0.values))
 
 
-def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid | None:
-    """The coarsest grid that resolves the seed (``grid.coarsest_grid``); None
-    where that is grid itself, or where the seed lives on another grid (the
-    solve reads a coarser one as its interpolant).  The cold seed is a
-    multiple of exp(-x^2).
-    """
-    if seed is None:
-        values = np.exp(-(grid.nodes**2))
-    elif (seed.grid.n_points, seed.grid.half_width) != (grid.n_points, grid.half_width):
-        return None
-    else:
-        values = seed.values
-    coarse = coarsest_grid(values, grid)
-    return None if coarse is grid else coarse
-
-
-def _joined(coarse: SolverDiagnostics, fine: SolverDiagnostics) -> SolverDiagnostics:
-    """One history through both stages; the requested grid's verdict."""
-    return SolverDiagnostics(
-        iterations=coarse.iterations + fine.iterations,
-        error_history=np.concatenate([coarse.error_history, fine.error_history]),
-        stab_history=np.concatenate([coarse.stab_history, fine.stab_history]),
-        res_history=np.concatenate([coarse.res_history, fine.res_history]),
-        converged=fine.converged,
-    )
-
-
-def nested_solve(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfig):
-    """The wave at (alpha, omega) on grid from ``config.initial_guess`` (the
-    seed; None is the cold start), as a nested iteration; returns (profile,
-    diagnostics) like ``petviashvili_solve``.
-
-    Where the seed's spectrum allows (``_coarse_grid``), it is first solved
-    on a coarse grid of the same half-width from the seed's samples there,
-    and the requested grid's solve starts from the coarse wave itself, which
-    the solver reads as its exact interpolant.  Where the coarse solve
-    raises :class:`DivergenceError` or :class:`DegenerateInputError`, or does
-    not converge, the requested grid's solve starts from the seed and the
-    coarse history is dropped.  ``max_iter`` bounds each stage.  The
-    diagnostics run through the coarse history, where it is kept, then the
-    requested grid's; their verdict is the requested grid's, and so is
-    every exception raised there.
-    """
-    seed = config.initial_guess
-    coarse = _coarse_grid(seed, grid)
-    start, coarse_diag = seed, None  # the requested grid's start, and its history so far
-    if coarse is not None:
-        # the seed's values at the shared nodes (None, cold, stays None)
-        guess = None if seed is None else RealProfile(
-            coarse, seed.values[:: grid.n_points // coarse.n_points])
-        try:
-            profile, diag = petviashvili_solve(
-                alpha, omega, coarse, dataclasses.replace(config, initial_guess=guess))
-            if diag.converged:
-                start, coarse_diag = profile, diag
-        except (DivergenceError, DegenerateInputError):
-            pass
-    profile, diag = petviashvili_solve(
-        alpha, omega, grid, dataclasses.replace(config, initial_guess=start))
-    return profile, diag if coarse_diag is None else _joined(coarse_diag, diag)
-
-
 def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
-    """Warm-started nested solves (``nested_solve``) along omegas, one per
+    """Warm-started solves (``petviashvili_solve``) along omegas, one per
     item drawn.
 
     Yields (profile, converged) per omega; profile is None where the solve
@@ -153,15 +88,13 @@ def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig
     next from the last converged profile, and every later one from the
     secant through the last two; a failure restarts that sequence.
     """
-    if grid is None:
-        grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
     converged_points = []  # the last one or two consecutive converged (omega, profile)
     for omega in map(float, omegas):
         seed = _secant_seed(converged_points, omega) if converged_points else config.initial_guess
         try:
-            profile, diag = nested_solve(
+            profile, diag = petviashvili_solve(
                 alpha, omega, grid, dataclasses.replace(config, initial_guess=seed))
             converged = diag.converged
         except (DivergenceError, DegenerateInputError):

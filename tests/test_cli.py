@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab import cli, evolve, stability
+from solitonlab import cli, evolve, petviashvili
 from solitonlab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
@@ -35,17 +35,17 @@ Solve = collections.namedtuple("Solve", "grid guess profile")
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every kernel solve the CLI makes, as a Solve; the commands reach the
-    kernel through stability.nested_solve."""
+    """Every kernel solve the CLI makes, one per stage of each
+    petviashvili_solve, as a Solve."""
     calls = []
-    solve = stability.petviashvili_solve
+    solve = petviashvili._iterate
 
     def spy(alpha, omega, grid, config):
         profile, diag = solve(alpha, omega, grid, config)
         calls.append(Solve(grid, config.initial_guess, profile))
         return profile, diag
 
-    monkeypatch.setattr(stability, "petviashvili_solve", spy)
+    monkeypatch.setattr(petviashvili, "_iterate", spy)
     return calls
 
 
@@ -178,16 +178,18 @@ def _meets_tolerances(error, stab, res):
 @pytest.mark.parametrize("alpha, omega, beta", [(2.0, 0.16, 1.0), (3.0, 0.3, 1.0),
                                                 (1.0, 0.1, 1.0), (4.0, 0.2, 0.0)])
 def test_nested_solve_writes_the_single_grid_wave(tmp_path, alpha, omega, beta):
-    # profile.csv lies within 1e-13 of its peak from the single-grid solve;
-    # the history runs through both stages and ends with the requested grid's
-    # certificate
+    # profile.csv is petviashvili_solve's wave, and lies within 1e-13 of its
+    # peak from the single-grid kernel's; the history runs through both
+    # stages and ends with the requested grid's certificate
     code = main(["solve", "--alpha", str(alpha), "--omega", str(omega), "--beta", str(beta),
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
-    single, diag = petviashvili_solve(alpha, omega, SpectralGrid(),
-                                      SolverConfig(dispersion_beta=beta))
+    config = SolverConfig(dispersion_beta=beta)
+    single, diag = petviashvili._iterate(alpha, omega, SpectralGrid(), config)
+    nested, _ = petviashvili_solve(alpha, omega, SpectralGrid(), config)
     assert diag.converged
     phi = read_csv(tmp_path / "profile.csv")["phi"]
+    np.testing.assert_array_equal(phi, nested.values)
     assert np.max(np.abs(phi - single.values)) <= 1e-13 * np.max(np.abs(single.values))
     payload = json.loads((tmp_path / "diagnostics.json").read_text())
     assert payload["converged"] is True
@@ -199,7 +201,7 @@ def test_nested_solve_writes_the_single_grid_wave(tmp_path, alpha, omega, beta):
 def test_a_diverging_coarse_stage_falls_back_to_the_seed(tmp_path, monkeypatch):
     # the requested grid's solve starts cold, as with no coarse stage, and the
     # outputs are the single-grid solve's, bit for bit
-    solve, starts = stability.petviashvili_solve, []
+    solve, starts = petviashvili._iterate, []
 
     def coarse_diverges(alpha, omega, grid, config):
         starts.append((grid.n_points, config.initial_guess))
@@ -207,7 +209,7 @@ def test_a_diverging_coarse_stage_falls_back_to_the_seed(tmp_path, monkeypatch):
             raise DivergenceError("iteration produced non-finite values")
         return solve(alpha, omega, grid, config)
 
-    monkeypatch.setattr(stability, "petviashvili_solve", coarse_diverges)
+    monkeypatch.setattr(petviashvili, "_iterate", coarse_diverges)
     assert main(["solve", "--alpha", "2", "--omega", "0.16", "--out", str(tmp_path)]) == EXIT_OK
     assert [(n < 8192, guess) for n, guess in starts] == [(True, None), (False, None)]
     single, diag = solve(2.0, 0.16, SpectralGrid(), SolverConfig())
@@ -487,10 +489,21 @@ def test_unusable_out_is_usage_error(tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("name", ["profile.csv", "diagnostics.json"])
+def test_unwritable_output_file_is_usage_error(tmp_path, capsys, name):
+    # the CSV and the JSON writer: a directory in the file's place is one
+    # line that names the file, not a traceback
+    (tmp_path / name).mkdir()
+    code = main(["solve", "--alpha", "2", "--omega", "0.16", "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write {tmp_path / name}: Is a directory\n")
+
+
 def test_dmap_with_one_converged_point_is_non_convergence(tmp_path, capsys, monkeypatch):
     # the same exit code as branch on the same inputs; each point's last
     # solve, on the requested grid, gives its verdict
-    solve, calls = stability.petviashvili_solve, []
+    solve, calls = petviashvili._iterate, []
 
     def second_fails(alpha, omega, grid=None, config=None):
         profile, diag = solve(alpha, omega, grid, config)
@@ -499,7 +512,7 @@ def test_dmap_with_one_converged_point_is_non_convergence(tmp_path, capsys, monk
             diag.converged = len(calls) != 2
         return profile, diag
 
-    monkeypatch.setattr(stability, "petviashvili_solve", second_fails)
+    monkeypatch.setattr(petviashvili, "_iterate", second_fails)
     for command in ("branch", "dmap"):
         calls.clear()
         code = main([command, "--alpha", "2", "--omega-min", "0.05", "--omega-max", "0.2",
@@ -534,7 +547,7 @@ def test_value_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
     def raising(*args, **kwargs):
         raise error("bad input")
 
-    monkeypatch.setattr(stability, "petviashvili_solve", raising)
+    monkeypatch.setattr(petviashvili, "_iterate", raising)
     code = main(["solve", "--alpha", "2", "--omega", "0.16",
                  "--out", str(tmp_path)] + FAST)
     assert code == EXIT_USAGE

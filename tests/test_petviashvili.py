@@ -13,6 +13,7 @@ from solitonlab.explicit import explicit_params, phi_exact
 from solitonlab.grid import RealProfile, SpectralGrid
 from solitonlab.petviashvili import (
     SolverConfig,
+    _iterate,
     half_symbol,
     nonlinearity,
     petviashvili_solve,
@@ -42,7 +43,7 @@ def test_nonlinearity_handles_signs():
 def _stabilizing_gap(profile, alpha, omega):
     """|1 - M| for the solver's stabilizing factor M at the profile it starts from."""
     config = SolverConfig(max_iter=1, initial_guess=profile)
-    return petviashvili_solve(alpha, omega, profile.grid, config)[1].stab_history[0]
+    return _iterate(alpha, omega, profile.grid, config)[1].stab_history[0]
 
 
 def test_stabilizing_factor_at_exact_wave(grid_mid):
@@ -112,7 +113,7 @@ def test_solve_validation(grid_small):
 def test_fixed_point_property(grid_mid, solve_cache):
     profile, _ = solve_cache(2.0, OMEGA0_2, grid_mid)
     config = SolverConfig(max_iter=1, initial_guess=profile)
-    again, _ = petviashvili_solve(2.0, OMEGA0_2, grid_mid, config)
+    again, _ = _iterate(2.0, OMEGA0_2, grid_mid, config)
     assert np.max(np.abs(again.values - profile.values)) <= 10 * 1e-12
 
 
@@ -146,7 +147,7 @@ def test_sign_changing_tails_above_threshold(grid_mid, solve_cache):
 
 def test_exact_sech_initial_guess(grid_mid):
     config = SolverConfig(initial_guess=phi_exact(2.0, grid_mid))
-    profile, diag = petviashvili_solve(2.0, OMEGA0_2, grid_mid, config)
+    profile, diag = _iterate(2.0, OMEGA0_2, grid_mid, config)
     assert diag.converged
     assert diag.iterations <= 5
 
@@ -164,8 +165,8 @@ def test_initial_guess_on_wrong_grid(grid_small, grid_mid):
     # the solve matches the one from its samples on the solve's own grid
     coarse = RealProfile(grid_small, np.exp(-grid_small.nodes**2))
     same = RealProfile(grid_mid, np.exp(-grid_mid.nodes**2))
-    read, diag = petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=coarse))
-    direct, direct_diag = petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=same))
+    read, diag = _iterate(2.0, 0.16, grid_mid, SolverConfig(initial_guess=coarse))
+    direct, direct_diag = _iterate(2.0, 0.16, grid_mid, SolverConfig(initial_guess=same))
     assert diag.converged and direct_diag.converged
     assert np.max(np.abs(read.values - direct.values)) <= 1e-12
     # a finer grid, the same number of nodes on a wider domain, and a
@@ -175,7 +176,7 @@ def test_initial_guess_on_wrong_grid(grid_small, grid_mid):
                   SpectralGrid(grid_small.n_points, 2.0 * grid_mid.half_width)):
         guess = RealProfile(other, np.exp(-other.nodes**2))
         with pytest.raises(ParameterError, match="different grid"):
-            petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=guess))
+            _iterate(2.0, 0.16, grid_mid, SolverConfig(initial_guess=guess))
 
 
 def _interpolant(profile, grid):
@@ -237,11 +238,11 @@ def test_solve_from_coarse_seed_matches_solve_from_its_interpolant(alpha, omega,
     # grid: the same verdict and the same profile to 1e-13
     fine, coarse = SpectralGrid(2048, 100.0), SpectralGrid(2048 // f, 100.0)
     config = SolverConfig(dispersion_beta=beta)
-    wave, diag = petviashvili_solve(alpha, omega, coarse, config)
+    wave, diag = _iterate(alpha, omega, coarse, config)
     assert diag.converged
-    from_seed = petviashvili_solve(alpha, omega, fine, SolverConfig(
+    from_seed = _iterate(alpha, omega, fine, SolverConfig(
         initial_guess=wave, dispersion_beta=beta))
-    from_interpolant = petviashvili_solve(alpha, omega, fine, SolverConfig(
+    from_interpolant = _iterate(alpha, omega, fine, SolverConfig(
         initial_guess=RealProfile(fine, _interpolant(wave, fine)), dispersion_beta=beta))
     assert from_seed[1].converged == from_interpolant[1].converged
     assert np.max(np.abs(from_seed[0].values - from_interpolant[0].values)) <= 1e-13
@@ -298,7 +299,7 @@ def test_solve_matches_complex_fft_oracle(grid_mid, alpha, omega, options):
         # the explicit wave: exact at omega0, a warm start elsewhere
         options = {"initial_guess": phi_exact(alpha, grid_mid)}
     config = SolverConfig(**options)
-    solved = petviashvili_solve(alpha, omega, grid_mid, config)
+    solved = _iterate(alpha, omega, grid_mid, config)
     reference = reference_solve(alpha, omega, grid_mid, config)
     _assert_agrees_with_oracle(solved, reference)
     assert solved[1].converged == ("max_iter" not in options)
@@ -310,7 +311,7 @@ def test_warm_branch_matches_complex_fft_oracle(grid_mid):
     # 24 warm-started points at alpha = 3.2, each side seeded by its own last profile
     profile = ref_profile = None
     for omega in np.linspace(0.02, 0.25, 24):
-        solved = petviashvili_solve(3.2, omega, grid_mid, SolverConfig(initial_guess=profile))
+        solved = _iterate(3.2, omega, grid_mid, SolverConfig(initial_guess=profile))
         reference = reference_solve(3.2, omega, grid_mid,
                                     SolverConfig(initial_guess=ref_profile))
         _assert_agrees_with_oracle(solved, reference)
@@ -325,7 +326,7 @@ def test_warm_branch_stays_even(grid_mid):
     profile = None
     center = grid_mid.n_points // 2
     for omega in np.linspace(0.02, 0.25, 24):
-        profile, diag = petviashvili_solve(1.0, omega, grid_mid,
+        profile, diag = _iterate(1.0, omega, grid_mid,
                                            SolverConfig(initial_guess=profile))
         assert diag.converged
         v = profile.values
@@ -412,7 +413,7 @@ def test_every_inverted_half_spectrum_has_real_mean_and_nyquist_modes(monkeypatc
 def test_vanishing_pairing_is_degenerate(grid_small):
     zero = RealProfile(grid_small, np.zeros(grid_small.n_points))
     with pytest.raises(DegenerateInputError):
-        petviashvili_solve(2.0, OMEGA0_2, grid_small, SolverConfig(initial_guess=zero))
+        _iterate(2.0, OMEGA0_2, grid_small, SolverConfig(initial_guess=zero))
 
 
 def test_non_finite_history_is_divergence(grid_small, monkeypatch):
@@ -436,7 +437,7 @@ def test_non_finite_history_is_divergence(grid_small, monkeypatch):
     monkeypatch.setattr(petviashvili, "nonlinearity", nan_on_fourth_call)
     monkeypatch.setattr(petviashvili, "dgelss", finite_only)
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="non-finite"):
-        petviashvili_solve(2.0, OMEGA0_2, grid_small)
+        _iterate(2.0, OMEGA0_2, grid_small, SolverConfig())
     assert len(calls) == 4
 
 
@@ -465,7 +466,7 @@ def test_two_transforms_per_iteration(grid_mid, grid_small, monkeypatch, start, 
              "coarse": phi_exact(2.0, grid_small)}[start]
     config = SolverConfig(max_iter=max_iter, initial_guess=guess)
     counts = _count_transforms(monkeypatch)
-    _, diag = petviashvili_solve(2.0, 0.17, grid_mid, config)
+    _, diag = _iterate(2.0, 0.17, grid_mid, config)
     assert diag.iterations >= 3
     assert counts == {"rfft": diag.iterations + 1,
                       "irfft": diag.iterations + 1 + (start == "coarse")}
@@ -486,7 +487,7 @@ def test_carried_residual_matches_spectral_residual(alpha, omega, beta, warm):
     grid = SpectralGrid(n_points=1024, half_width=100.0)
     config = SolverConfig(max_iter=200, dispersion_beta=beta)
     if warm:  # from the wave at a 10% larger omega
-        seed, _ = petviashvili_solve(alpha, 1.1 * omega, grid, config)
+        seed, _ = _iterate(alpha, 1.1 * omega, grid, config)
         config = SolverConfig(max_iter=200, initial_guess=seed, dispersion_beta=beta)
     spectral, iterates = {}, []
     irfft, nonlinearity_ = np.fft.irfft, petviashvili.nonlinearity
@@ -504,7 +505,7 @@ def test_carried_residual_matches_spectral_residual(alpha, omega, beta, warm):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.fft, "irfft", recording_irfft)
         mp.setattr(petviashvili, "nonlinearity", recording_nonlinearity)
-        _, diag = petviashvili_solve(alpha, omega, grid, config)
+        _, diag = _iterate(alpha, omega, grid, config)
     denom = petviashvili.half_symbol(grid, omega, beta)
     expected = np.array([
         np.max(np.abs(irfft(denom * coeffs - np.fft.rfft(nonlinearity(phi, alpha)), grid.n_points)))

@@ -550,9 +550,9 @@ Solve = collections.namedtuple("Solve", "omega grid guess profile")
 
 
 def _recording_solves(monkeypatch, bad_omega=None):
-    """Record every solve in stability as a Solve (profile None where it
-    raised); the solver raises DegenerateInputError at bad_omega."""
-    solve, calls = stability.petviashvili_solve, []
+    """Record every kernel solve, one per stage, as a Solve (profile None
+    where it raised); the kernel raises DegenerateInputError at bad_omega."""
+    solve, calls = petviashvili._iterate, []
 
     def recording(alpha, omega, grid=None, config=None):
         calls.append(Solve(omega, grid, config.initial_guess, None))
@@ -562,7 +562,7 @@ def _recording_solves(monkeypatch, bad_omega=None):
         calls[-1] = calls[-1]._replace(profile=profile)
         return profile, diag
 
-    monkeypatch.setattr(stability, "petviashvili_solve", recording)
+    monkeypatch.setattr(petviashvili, "_iterate", recording)
     return calls
 
 
@@ -669,7 +669,7 @@ def test_sweep_repeated_omega_seeds_the_last_profile(branch_grid, monkeypatch):
 def test_sweep_falls_back_to_the_seed_after_a_failed_coarse_solve(branch_grid, monkeypatch):
     # a coarse solve that raises or does not converge costs the point nothing:
     # the requested grid's solve starts from the seed, as with no coarse stage
-    solve, calls = stability.petviashvili_solve, []
+    solve, calls = petviashvili._iterate, []
 
     def coarse_fails(alpha, omega, grid=None, config=None):
         calls.append(Solve(omega, grid, config.initial_guess, None))
@@ -680,11 +680,11 @@ def test_sweep_falls_back_to_the_seed_after_a_failed_coarse_solve(branch_grid, m
             return profile, diag
         return solve(alpha, omega, grid, config)
 
-    monkeypatch.setattr(stability, "petviashvili_solve", coarse_fails)
+    monkeypatch.setattr(petviashvili, "_iterate", coarse_fails)
     nested = [p for p, _ in stability._sweep(2.0, [0.05, 0.10], branch_grid, None)]
     assert [call.grid.n_points < branch_grid.n_points for call in calls] == [True, False] * 2
     assert calls[1].guess is None and calls[3].guess is nested[0]
-    monkeypatch.setattr(stability, "_coarse_grid", lambda seed, grid: None)
+    monkeypatch.setattr(petviashvili, "_coarse_grid", lambda seed, grid: None)
     plain = [p for p, _ in stability._sweep(2.0, [0.05, 0.10], branch_grid, None)]
     for a, b in zip(nested, plain):
         np.testing.assert_array_equal(a.values, b.values)
@@ -693,9 +693,9 @@ def test_sweep_falls_back_to_the_seed_after_a_failed_coarse_solve(branch_grid, m
 def test_coarse_grid_of_the_cold_seed(branch_grid):
     # exp(-x^2) is below 1e-15 of its peak past xi = 12 (mode 382 on L = 100),
     # so 1024 points keep it and 512 would not
-    coarse = stability._coarse_grid(None, branch_grid)
+    coarse = petviashvili._coarse_grid(None, branch_grid)
     assert (coarse.n_points, coarse.half_width) == (1024, 100.0)
-    assert stability._coarse_grid(None, SpectralGrid(1024, 100.0)) is None
+    assert petviashvili._coarse_grid(None, SpectralGrid(1024, 100.0)) is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -714,7 +714,7 @@ def test_coarse_grid_drops_no_mode_above_the_cut(widths, amplitude, shift, grid)
     seed = RealProfile(grid, values)
     spectrum = np.abs(np.fft.rfft(values))
     cut = COARSE_CUT * spectrum.max()
-    coarse = stability._coarse_grid(seed, grid)
+    coarse = petviashvili._coarse_grid(seed, grid)
     n = grid.n_points if coarse is None else coarse.n_points
     assert np.all(spectrum[n // 2:] < cut) or coarse is None
     assert n == COARSE_MIN_POINTS or np.any(spectrum[n // 4:] >= cut)
@@ -731,7 +731,7 @@ def test_sign_changing_wave_gets_no_coarse_stage(branch_grid, monkeypatch):
     assert diag.converged and wave.values.min() < -1e-3 * wave.values.max()
     spectrum = np.abs(np.fft.rfft(wave.values))
     assert spectrum[branch_grid.n_points // 4:].max() >= COARSE_CUT * spectrum.max()
-    assert stability._coarse_grid(wave, branch_grid) is None
+    assert petviashvili._coarse_grid(wave, branch_grid) is None
     calls = _recording_solves(monkeypatch)
     list(stability._sweep(1.5, [0.21, 0.22], branch_grid,
                           dataclasses.replace(config, initial_guess=wave)))
@@ -744,7 +744,7 @@ def test_seed_on_another_grid_is_read_or_refused(branch_grid, monkeypatch):
     # closed-form wave's samples on the finer grid to rounding, and refuses
     # one on a finer grid or on a wider domain
     coarse = phi_exact(2.0, SpectralGrid(1024, 100.0))
-    assert stability._coarse_grid(coarse, branch_grid) is None
+    assert petviashvili._coarse_grid(coarse, branch_grid) is None
     calls = _recording_solves(monkeypatch)
     ((read, converged),) = stability._sweep(2.0, [0.16], branch_grid,
                                             SolverConfig(initial_guess=coarse))
@@ -753,7 +753,7 @@ def test_seed_on_another_grid_is_read_or_refused(branch_grid, monkeypatch):
                                     SolverConfig(initial_guess=phi_exact(2.0, branch_grid)))
     assert np.max(np.abs(read.values - fine.values)) <= 1e-12
     for other in (SpectralGrid(4096, 100.0), SpectralGrid(2048, 200.0), SpectralGrid(1024, 200.0)):
-        assert stability._coarse_grid(phi_exact(2.0, other), branch_grid) is None
+        assert petviashvili._coarse_grid(phi_exact(2.0, other), branch_grid) is None
         with pytest.raises(ParameterError, match="different grid"):
             list(stability._sweep(2.0, [0.16], branch_grid,
                                   SolverConfig(initial_guess=phi_exact(2.0, other))))
@@ -793,7 +793,7 @@ def test_nested_sweep_matches_sweep_without_coarse_stage(alpha, beta, grid, omeg
     config = SolverConfig(dispersion_beta=beta)
     nested = continue_branch(alpha, omega, 1.5 * omega, 5, grid, config)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stability, "_coarse_grid", lambda seed, grid: None)
+        patch.setattr(petviashvili, "_coarse_grid", lambda seed, grid: None)
         plain = continue_branch(alpha, omega, 1.5 * omega, 5, grid, config)
     np.testing.assert_array_equal(nested.converged_flags, plain.converged_flags)
     np.testing.assert_array_equal(np.sign(d_second(nested)[:, 1]), np.sign(d_second(plain)[:, 1]))
@@ -808,14 +808,14 @@ def test_branch_polishes_each_point_in_one_iteration(monkeypatch):
     # grid, then polished on the requested one in exactly 1 iteration, whose
     # recorded residual is within the tolerance
     grid = SpectralGrid(8192, 200.0)
-    solve, solves = stability.petviashvili_solve, []
+    solve, solves = petviashvili._iterate, []
 
     def recording(alpha, omega, stage=None, config=None):
         profile, diag = solve(alpha, omega, stage, config)
         solves.append((stage.n_points, diag))
         return profile, diag
 
-    monkeypatch.setattr(stability, "petviashvili_solve", recording)
+    monkeypatch.setattr(petviashvili, "_iterate", recording)
     for alpha, beta, omega_start, steps in ((3.2, 1.0, 0.02, 24), (5.0, 1.0, 0.02, 24),
                                             (6.0, 1.0, 0.02, 24), (4.0, 0.0, 0.05, 8)):
         solves.clear()

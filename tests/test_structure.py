@@ -1,13 +1,14 @@
 """Structure of the package source: the model is written down once, with no
-copy of it outside its home modules, the threshold layer solves only through
-its one sweep and finds roots with its one root finder, the evolution has one
-time-stepping loop and d'' one forward difference, which serves ``dmap``
-alone, every error meets one exit code in ``cli.main``, every import is
-used, every function, class and method has a reader in the program or the
-benchmark, the program does not load ``scipy.special``, ``scipy.optimize``
-or ``scipy.sparse``, and the eigensolver's dense matrices do not grow with
-the grid and are built once per parity sector.  The tests' own Hypothesis
-properties are derandomized."""
+copy of it outside its home modules, the package has one public solve, which
+runs the single-grid kernel for its two stages and serves every command, the
+threshold layer solves only through its one sweep and finds roots with its
+one root finder, the evolution has one time-stepping loop and d'' one
+forward difference, which serves ``dmap`` alone, every error meets one exit
+code in ``cli.main``, every import is used, every function, class and
+method has a reader in the program or the benchmark, the program does not
+load ``scipy.special``, ``scipy.optimize`` or ``scipy.sparse``, and the
+eigensolver's dense matrices do not grow with the grid and are built once
+per parity sector.  The tests' own Hypothesis properties are derandomized."""
 
 import ast
 import builtins
@@ -92,25 +93,32 @@ def _functions(module):
     return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-def test_stability_solves_only_in_nested_solve():
-    # one function keeps the nested-iteration policy in one place: its coarse
-    # stage and the requested grid's solve
-    tree, functions = _functions("stability.py")
-    solves = sorted(_references(tree, "petviashvili_solve"))
-    assert len(solves) == 2, f"petviashvili_solve read at lines {solves}"
-    assert solves == sorted(_references(functions["nested_solve"], "petviashvili_solve"))
-
-
-def test_every_command_solves_through_the_nested_solve():
-    # no command runs the single-grid kernel by itself: cli binds it only for
-    # perfbench's tracer (an import and __all__, which read no name)
+def test_one_public_solve_runs_the_kernel_twice():
+    # petviashvili_solve is the nested iteration: it reads the single-grid
+    # kernel for its coarse stage and for the requested grid, and never calls
+    # itself, so a traced solve is one span; every command, and stability's
+    # one sweep, solve through it
+    tree, functions = _functions("petviashvili.py")
+    solve = functions["petviashvili_solve"]
+    reads = _references(tree, "_iterate")
+    assert len(reads) == 2 and reads == _references(solve, "_iterate")
+    assert not _references(solve, "petviashvili_solve")
+    package = Path(solitonlab.__file__).parent
+    naming = [path.name for path in sorted(package.glob("*.py")) if path.name != "petviashvili.py"
+              and re.search(r"\b_iterate\b", path.read_text())]
+    assert naming == []
     tree, functions = _functions("cli.py")
-    assert not _references(tree, "petviashvili_solve")
+    assert not [node for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
     readers = sorted(name for name, node in functions.items()
-                     if _references(node, "nested_solve"))
+                     if _references(node, "petviashvili_solve"))
     assert readers == ["_converged_wave", "cmd_solve", "cmd_verify_exact"]
+    assert len(_references(tree, "petviashvili_solve")) == 3
     for name in ("cmd_spectrum", "cmd_evolve"):
         assert _references(functions[name], "_converged_wave"), name
+    tree, functions = _functions("stability.py")
+    solves = _references(tree, "petviashvili_solve")
+    assert len(solves) == 1 and solves == _references(functions["_sweep"], "petviashvili_solve")
 
 
 def test_stability_has_one_root_finder():
@@ -194,12 +202,11 @@ def test_every_error_is_raised_and_meets_one_exit_code():
 
 
 def test_nested_iterations_read_one_resolved_band_helper():
-    # the branch points' coarse stage and the chi solve pick their grid with
+    # the wave solve's coarse stage and the chi solve pick their grid with
     # grid.coarsest_grid, and prolong with grid.zero_pad; neither has a cut of its own
-    stability_tree, stability_functions = _functions("stability.py")
     spectra_tree, spectra_functions = _functions("spectra.py")
     petviashvili_tree, petviashvili_functions = _functions("petviashvili.py")
-    for tree, function in ((stability_tree, stability_functions["_coarse_grid"]),
+    for tree, function in ((petviashvili_tree, petviashvili_functions["_coarse_grid"]),
                            (spectra_tree, spectra_functions["negative_direction_scalar"])):
         assert _references(tree, "coarsest_grid") == _references(function, "coarsest_grid")
         assert len(_references(function, "coarsest_grid")) == 1
