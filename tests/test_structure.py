@@ -93,11 +93,11 @@ def _functions(module):
     return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-def test_one_public_solve_runs_the_kernel_twice():
+def test_stability_solves_only_in_nested_solve():
     # petviashvili_solve is the nested iteration: it reads the single-grid
     # kernel for its coarse stage and for the requested grid, and never calls
-    # itself, so a traced solve is one span; every command, and stability's
-    # one sweep, solve through it
+    # itself, so a traced solve is one span; no other module names the
+    # kernel, and stability solves through its one sweep
     tree, functions = _functions("petviashvili.py")
     solve = functions["petviashvili_solve"]
     reads = _references(tree, "_iterate")
@@ -107,18 +107,24 @@ def test_one_public_solve_runs_the_kernel_twice():
     naming = [path.name for path in sorted(package.glob("*.py")) if path.name != "petviashvili.py"
               and re.search(r"\b_iterate\b", path.read_text())]
     assert naming == []
+    tree, functions = _functions("stability.py")
+    solves = _references(tree, "petviashvili_solve")
+    assert len(solves) == 1 and solves == _references(functions["_sweep"], "petviashvili_solve")
+
+
+def test_every_command_solves_through_the_nested_solve():
+    # cli reads the one public solve in the three places that solve, keeps
+    # no __all__, and spectrum and evolve solve through _converged_wave
     tree, functions = _functions("cli.py")
     assert not [node for node in tree.body if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    assert not _references(tree, "_iterate")
     readers = sorted(name for name, node in functions.items()
                      if _references(node, "petviashvili_solve"))
     assert readers == ["_converged_wave", "cmd_solve", "cmd_verify_exact"]
     assert len(_references(tree, "petviashvili_solve")) == 3
     for name in ("cmd_spectrum", "cmd_evolve"):
         assert _references(functions[name], "_converged_wave"), name
-    tree, functions = _functions("stability.py")
-    solves = _references(tree, "petviashvili_solve")
-    assert len(solves) == 1 and solves == _references(functions["_sweep"], "petviashvili_solve")
 
 
 def test_stability_has_one_root_finder():
