@@ -190,19 +190,26 @@ def _recenter(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return np.roll(values, grid.n_points // 2 - peak)
 
 
+@functools.lru_cache(maxsize=32)
+def _cold_coarse_grid(n_points: int, half_width: float) -> SpectralGrid | None:
+    """``_coarse_grid`` of the cold seed, a multiple of ``_gaussian``, on
+    SpectralGrid(n_points, half_width).  Keyed on the grid's shape, like
+    ``_dispersion``: every grid of one shape has the same nodes."""
+    grid = SpectralGrid(n_points, half_width)
+    return _coarse_grid(RealProfile(grid, _gaussian(grid)), grid)
+
+
 def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid | None:
     """The coarsest grid that resolves the seed (``grid.coarsest_grid``); None
     where that is grid itself, or where the seed lives on another grid (the
-    solve reads a coarser one as its interpolant).  The cold seed is a
-    multiple of ``_gaussian``.
+    solve reads a coarser one as its interpolant).  The cold seed's is kept
+    per grid shape (``_cold_coarse_grid``).
     """
     if seed is None:
-        values = _gaussian(grid)
-    elif (seed.grid.n_points, seed.grid.half_width) != (grid.n_points, grid.half_width):
+        return _cold_coarse_grid(grid.n_points, grid.half_width)
+    if (seed.grid.n_points, seed.grid.half_width) != (grid.n_points, grid.half_width):
         return None
-    else:
-        values = seed.values
-    coarse = coarsest_grid(values, grid)
+    coarse = coarsest_grid(seed.values, grid)
     return None if coarse is grid else coarse
 
 

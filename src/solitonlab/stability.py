@@ -10,11 +10,13 @@ wave's own grid.  This chi form decides every region cell and both
 thresholds, whose roots Brent's method finds: alpha0, where d''(omega0(alpha))
 changes sign, at the closed-form wave with no nonlinear solve; omega_c, where
 d''(omega) changes sign at fixed alpha, between the ends of the omega range
-it is given.  The forward difference of the trapezoid-rule mass along a
-branch (``d_second``) stays as the independent estimate that the cross-checks
-compare with: it returns the very rows that ``dmap`` writes, (omega, d'',
-sign), and at a single omega it is the difference of the two-point branch to
-omega + h.
+(lo, hi) it is given, as the root of the scale-free d'' omega / M(phi) (what
+``classify_sign`` compares with its dead band) in s = hi log(omega), far less
+steep and lopsided there than d'' is in omega.  The forward difference of the
+trapezoid-rule mass along a branch (``d_second``) stays as the independent
+estimate that the cross-checks compare with: it returns the very rows that
+``dmap`` writes, (omega, d'', sign), and at a single omega it is the
+difference of the two-point branch to omega + h.
 
 Each branch point, region cell and ``find_omega_c`` point is the nested
 iteration ``petviashvili_solve``.  ``region_scan`` runs its alpha rows in up
@@ -58,9 +60,10 @@ class StabilityMap:
     sign_matrix: np.ndarray
 
 
-# the width of both threshold searches' final Brent bracket; their roots carry
-# MINRES's 1e-12 stop, and a change of the chi solve's grid or rounding moves
-# them by up to about 5e-11
+# the width of both threshold searches' final Brent bracket: in alpha for
+# find_alpha0, in hi log(omega) for find_omega_c, where it is TOL_ROOT omega /
+# hi <= TOL_ROOT in omega; their roots carry MINRES's 1e-12 stop, and a change
+# of the chi solve's grid or rounding moves them by up to about 5e-11
 TOL_ROOT = 1e-10
 
 
@@ -205,11 +208,12 @@ def find_omega_c(
     grid: SpectralGrid | None = None,
     config: SolverConfig | None = None,
 ):
-    """Frequency in omega_range where d'' changes sign, by Brent's method on
-    the chi form between the ends of the range, each solve seeded from the
-    one before it, the first from ``config``; None where d'' has one sign at
-    both ends.  Where the range holds more than one crossing, Brent returns
-    one of them; d'' crosses once for alpha in (4, 8).  A solve that does not
+    """Frequency in omega_range = (lo, hi) where d'' changes sign, by Brent's
+    method on the chi form's d'' omega / M(phi) in s = hi log(omega), between
+    the ends of the range, each solve seeded from the one before it, the
+    first from ``config``; None where d'' has one sign at both ends.  Where
+    the range holds more than one crossing, Brent returns one of them; d''
+    crosses once for alpha in (4, 8).  A solve that does not
     converge raises :class:`BranchError`."""
     lo, hi = omega_range
     if not (0 < lo < hi < np.inf):
@@ -218,18 +222,20 @@ def find_omega_c(
         config = SolverConfig()
     seed = config.initial_guess
 
-    def d2(omega):
+    def d2(omega):  # d'' omega / M(phi)
         nonlocal seed
         warm = dataclasses.replace(config, initial_guess=seed)
         ((seed, converged),) = _sweep(alpha, [omega], grid, warm)
         if not converged:
             raise BranchError(f"solve at omega={omega:g} did not converge")
-        return -negative_direction_scalar(seed, alpha, omega, config.dispersion_beta)
+        chi_phi = negative_direction_scalar(seed, alpha, omega, config.dispersion_beta)
+        return -chi_phi * omega / _mass(seed)
 
     f_lo, f_hi = d2(lo), d2(hi)
     if f_lo * f_hi > 0:
         return None
-    return _brent(d2, lo, hi, f_lo, f_hi)
+    s = _brent(lambda s: d2(math.exp(s / hi)), hi * math.log(lo), hi * math.log(hi), f_lo, f_hi)
+    return math.exp(s / hi)
 
 
 def find_alpha0(alpha_bracket: tuple[float, float], grid: SpectralGrid | None = None) -> float:

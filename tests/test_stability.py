@@ -314,6 +314,51 @@ def test_find_omega_c_scales_with_beta_squared(beta):
     assert abs(scaled / beta**2 - reference) <= stability.TOL_ROOT
 
 
+@pytest.mark.parametrize("alpha, omega_range, root, digits", [
+    (4.9, (0.02, 0.25), None, None),
+    (5.0, (0.02, 0.25), 0.1118831293, 10),
+    (5.1, (0.02, 0.25), None, None),
+    (6.0, (0.1, 2.0), 0.6069, 4),
+    (7.0, (1.0, 10.0), 4.0799, 4),
+    (5.0, (0.05, 2.0), 0.1118831293, 10),
+], ids=["4.9", "5", "5.1", "6", "7", "5-wide"])
+def test_find_omega_c_takes_at_most_8_chi_forms(branch_grid, monkeypatch, alpha, omega_range,
+                                                 root, digits):
+    # Brent runs on the scale-free d'' omega / M in s = hi log(omega), where
+    # it is far less steep and lopsided than d'' in omega (10-14 chi forms
+    # there); each root matches the direction-6 table to the digits it gives
+    omegas, chi = [], stability.negative_direction_scalar
+
+    def counted(profile, alpha, omega, beta):
+        omegas.append(omega)
+        return chi(profile, alpha, omega, beta)
+
+    monkeypatch.setattr(stability, "negative_direction_scalar", counted)
+    omega_c = find_omega_c(alpha, omega_range, branch_grid)
+    assert len(omegas) <= 8
+    assert omega_range[0] < omega_c < omega_range[1]
+    if root is not None:
+        assert abs(omega_c - root) <= 0.5 * 10.0**-digits
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(case=st.sampled_from([(5.0, (0.02, 0.25)), (7.0, (1.0, 10.0))]), t=st.floats(0.0, 1.0))
+@example(case=(5.0, (0.02, 0.25)), t=0.0)
+@example(case=(7.0, (1.0, 10.0)), t=1.0)
+def test_find_omega_c_finds_a_closed_form_root(branch_grid, case, t):
+    # with the chi form omega_star - omega, the scaled d'' (omega - omega_star)
+    # omega / M changes sign at omega_star exactly, while the real solves
+    # still give each M; (1, 10) is where s = hi log(omega) stretches omega
+    # most, and t = 0 and 1 put the root at an end of the range
+    alpha, (lo, hi) = case
+    omega_star = lo + t * (hi - lo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "negative_direction_scalar",
+                      lambda profile, alpha, omega, beta: omega_star - omega)
+        omega_c = find_omega_c(alpha, (lo, hi), branch_grid)
+    assert abs(omega_c - omega_star) <= stability.TOL_ROOT
+
+
 def test_d_second_at_omega0_signs(branch_grid):
     assert _d2_at(2.0, explicit_params(2.0).omega0, branch_grid) > 0
     assert _d2_at(5.5, explicit_params(5.5).omega0, branch_grid) < 0
@@ -696,6 +741,22 @@ def test_coarse_grid_of_the_cold_seed(branch_grid):
     coarse = petviashvili._coarse_grid(None, branch_grid)
     assert (coarse.n_points, coarse.half_width) == (1024, 100.0)
     assert petviashvili._coarse_grid(None, SpectralGrid(1024, 100.0)) is None
+
+
+def test_cold_coarse_grid_is_taken_once_per_grid_shape(monkeypatch):
+    # it depends only on (n_points, half_width): two grids of one shape take
+    # the rfft of exp(-x^2) once and get the same coarse grid
+    petviashvili._cold_coarse_grid.cache_clear()
+    transforms, rfft = [], np.fft.rfft
+
+    def counted(values, *args, **kwargs):
+        transforms.append(values.size)
+        return rfft(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    first, second = (petviashvili._coarse_grid(None, SpectralGrid(2048, 100.0)) for _ in range(2))
+    assert transforms == [2048] and first is second
+    assert (first.n_points, first.half_width) == (1024, 100.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
