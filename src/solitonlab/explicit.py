@@ -33,7 +33,15 @@ def explicit_params(alpha: float) -> ExplicitWaveParams:
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     a = float(alpha)
-    a0 = ((3 * a**3 + 22 * a**2 + 48 * a + 32) / (2 * (a**2 + 4 * a + 8) ** 2)) ** (1 / a)
+    try:  # a**3 raises from about 5.6e102 on, 2 a**4 is inf from about 9.7e76
+        square = 2 * (a**2 + 4 * a + 8) ** 2
+        cubic = 3 * a**3 + 22 * a**2 + 48 * a + 32
+    except OverflowError:
+        square = math.inf
+    if not math.isfinite(square):
+        raise ParameterError(f"alpha={alpha:g} is too large: the explicit wave's"
+                             " polynomials in alpha overflow")
+    a0 = (cubic / square) ** (1 / a)
     b0 = a / (2 * math.sqrt(a**2 + 4 * a + 8))
     omega0 = 4 * (a**2 + 4 * a + 4) / (a**4 + 8 * a**3 + 32 * a**2 + 64 * a + 64)
     return ExplicitWaveParams(alpha=a, a0=a0, b0=b0, omega0=omega0)

@@ -35,6 +35,16 @@ starts from.
 ``petviashvili_solve``, the package's one solve, is a nested iteration on
 that loop (``_iterate``): it solves on the coarsest grid that resolves the
 start (``grid.coarsest_grid``) and polishes on the requested one.
+
+The loop's Anderson history (``_anderson_workspace``) is kept per thread and
+per grid size n, for the last KEPT_WORKSPACES = 2 sizes the thread solved on
+(one nested solve's coarse and requested grids): 120 n + 360 bytes each,
+at most 1.5 MB per thread that solves at N = 8192 (a coarse grid has at most
+N / 2 points).  A solve reuses it as the last one left it instead of
+allocating new arrays, whose release made the allocator trim its heap and
+fault fresh pages into the next solve; the loop writes every row and entry
+before it reads it, so no value changes.  Two threads never share a
+workspace.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +71,8 @@ TOL_RES = 1e-10
 ANDERSON_DEPTH = 5
 RANK_CUTOFF = 1e-12
 MIX_STAB = 0.5
+# grid sizes whose Anderson workspace each thread keeps between solves
+KEPT_WORKSPACES = 2
 
 
 @dataclass
@@ -213,6 +226,29 @@ def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid |
     return None if coarse is grid else coarse
 
 
+_workspaces = threading.local()
+
+
+def _anderson_workspace(n: int):
+    """(delta_f, delta_g, delta_lin, gram) for a solve on n points: the
+    calling thread's, kept for its last KEPT_WORKSPACES grid sizes (the
+    least recently used one is dropped).  Their contents are left over from
+    the thread's last solve on n points; ``_iterate`` writes every row and
+    entry before it reads it."""
+    kept = getattr(_workspaces, "by_size", None)
+    if kept is None:
+        kept = _workspaces.by_size = {}
+    space = kept.pop(n, None)
+    if space is None:
+        if len(kept) == KEPT_WORKSPACES:
+            del kept[next(iter(kept))]
+        delta_f = np.empty((ANDERSON_DEPTH, 2 * (n // 2 + 1)))
+        space = (delta_f, np.empty_like(delta_f), np.empty((ANDERSON_DEPTH, n)),
+                 np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH)))
+    kept[n] = space  # the most recently used last
+    return space
+
+
 def _joined(coarse: SolverDiagnostics, fine: SolverDiagnostics) -> SolverDiagnostics:
     """One history through both stages; the requested grid's verdict."""
     return SolverDiagnostics(
@@ -295,11 +331,9 @@ def _iterate(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfi
     # Anderson history in the float view of the half spectrum: differences of
     # successive residuals f = g - c and images g, with their Gram matrix;
     # and the differences of the images' x-space linear parts M^nu N.  Every
-    # row and entry the mixing reads is written first, so none is zeroed
-    delta_f = np.empty((ANDERSON_DEPTH, 2 * coeffs.size))
-    delta_g = np.empty_like(delta_f)
-    delta_lin = np.empty((ANDERSON_DEPTH, n))
-    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    # row and entry the mixing reads is written first, so the thread's kept
+    # workspace is reused as it is left, never zeroed
+    delta_f, delta_g, delta_lin, gram = _anderson_workspace(n)
     history = 0  # iterates since the last plain step
     errors, stabs, residuals = [], [], []
     converged = False

@@ -285,6 +285,18 @@ def test_verify_exact_refuses_beta_other_than_one(tmp_path, capsys, solves):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("alpha", ["1e200", "1e78", "inf"])
+def test_verify_exact_refuses_an_alpha_whose_wave_overflows(tmp_path, capsys, solves, alpha):
+    # omega0(alpha)'s polynomials overflow from about alpha = 9.7e76 on
+    code = main(["verify-exact", "--alpha", alpha, "--out", str(tmp_path)] + FAST)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"alpha={float(alpha):g}" in err
+    assert solves == []
+    assert not any(tmp_path.iterdir())
+
+
 def test_spectrum(tmp_path):
     code = main(["spectrum", "--alpha", "2", "--omega", "0.16",
                  "--out", str(tmp_path)] + FAST)

@@ -1,6 +1,7 @@
 """Tests for the closed-form wave, and for the oracles of its transforms, its
 functional and the beta = 0 d'' formula."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,19 @@ def test_params_validation():
         explicit_params(0.0)
     with pytest.raises(ParameterError):
         explicit_params(-1.0)
+
+
+@pytest.mark.parametrize("alpha", [9.8e76, 1e78, 1e200, np.inf])
+def test_params_refuse_an_alpha_whose_polynomials_overflow(alpha):
+    # a**3 raises OverflowError at 1e200; at 1e78 2 (a**2 + 4a + 8)**2 is inf
+    # and a0 would come out 0 instead of about 1
+    with pytest.raises(ParameterError, match=re.escape(f"alpha={alpha:g}")):
+        explicit_params(alpha)
+
+
+def test_params_of_the_largest_alpha_are_finite():
+    p = explicit_params(9.7e76)
+    assert (p.a0, p.b0) == (1.0, 0.5) and 0 < p.omega0 < 5e-154
 
 
 def test_phi_exact_shape_and_symmetry(grid_mid):

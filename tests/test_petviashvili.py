@@ -1,5 +1,7 @@
 """Tests for the stabilized fixed-point solver and its diagnostics."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -513,3 +515,82 @@ def test_carried_residual_matches_spectral_residual(alpha, omega, beta, warm):
     ])
     assert expected.size == diag.iterations
     np.testing.assert_allclose(diag.res_history, expected, rtol=1e-14, atol=1e-12)
+
+
+def _recorded_stages(monkeypatch):
+    """Every ``_iterate`` stage's profile and diagnostics, as bytes."""
+    stages, iterate = [], petviashvili._iterate
+
+    def recording(*args):
+        profile, diag = iterate(*args)
+        stages.append((profile.values.tobytes(), diag.iterations, diag.converged,
+                       diag.error_history.tobytes(), diag.stab_history.tobytes(),
+                       diag.res_history.tobytes()))
+        return profile, diag
+
+    monkeypatch.setattr(petviashvili, "_iterate", recording)
+    return stages
+
+
+def _workspaces(monkeypatch, kind):
+    """Hand every solve a ``fresh`` Anderson workspace (new arrays, as if none
+    were kept), a ``poisoned`` one (the kept arrays, every entry NaN) or the
+    ``kept`` one as it was left."""
+    take = petviashvili._anderson_workspace
+
+    def fresh(n):
+        petviashvili._workspaces.by_size = {}
+        return take(n)
+
+    def poisoned(n):
+        space = take(n)
+        for array in space:
+            array.fill(np.nan)
+        return space
+
+    monkeypatch.setattr(petviashvili, "_anderson_workspace",
+                        {"fresh": fresh, "poisoned": poisoned, "kept": take}[kind])
+
+
+@pytest.mark.parametrize("start", ["cold", "warm", "coarse", "branch"])
+def test_kept_workspace_changes_no_bit(grid_mid, grid_small, monkeypatch, start):
+    # every row and entry the mixing reads is written first in the same
+    # solve: a workspace full of NaN, or of the last solve's history, gives
+    # the same profiles and diagnostics, bit for bit, as new arrays
+    def run():
+        if start == "branch":
+            return stability.continue_branch(3.2, 0.02, 0.25, 24, grid_mid).masses.tobytes()
+        guess = {"cold": None, "warm": petviashvili_solve(2.0, 0.17, grid_mid)[0],
+                 "coarse": phi_exact(2.0, grid_small)}[start]
+        petviashvili_solve(2.0, 0.16, grid_mid, SolverConfig(initial_guess=guess))
+
+    results = {}
+    for kind in ("fresh", "poisoned", "kept"):
+        with monkeypatch.context() as patch:
+            _workspaces(patch, kind)
+            stages = _recorded_stages(patch)
+            results[kind] = (run(), stages)
+    assert results["poisoned"] == results["fresh"] == results["kept"]
+    stages = results["fresh"][1]
+    # the mixing ran, and every stage converged
+    assert sum(1 for s in stages if s[1] > 2) >= 1 and all(s[2] for s in stages)
+
+
+def test_workspace_is_kept_per_thread_for_the_last_two_sizes(monkeypatch):
+    monkeypatch.setattr(petviashvili, "_workspaces", threading.local())
+    take = petviashvili._anderson_workspace
+    first = take(1024)
+    assert [a.shape for a in first] == [(5, 1026), (5, 1026), (5, 1024), (5, 5)]
+    assert take(1024) is first
+    second = take(2048)
+    assert take(1024) is first  # used last, so 2048 goes first
+    take(4096)
+    assert list(petviashvili._workspaces.by_size) == [1024, 4096]
+    assert take(2048) is not second
+    assert list(petviashvili._workspaces.by_size) == [4096, 2048]
+    other = []
+    thread = threading.Thread(target=lambda: other.append(take(2048)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert other[0] is not take(2048)

@@ -3,6 +3,11 @@
 import collections
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +373,11 @@ def test_find_alpha0_bracket_error(branch_grid):
     with pytest.raises(ParameterError,
                        match=r"^d''\(omega0\) does not change sign over \[2\.0, 3\.0\] \(values "):
         find_alpha0((2.0, 3.0), branch_grid)
+
+
+def test_find_alpha0_refuses_a_bracket_end_whose_wave_overflows(branch_grid):
+    with pytest.raises(ParameterError, match=r"^alpha=1e\+200 is too large"):
+        find_alpha0((4.0, 1e200), branch_grid)
 
 
 def test_find_alpha0_localizes_root(branch_grid):
@@ -896,3 +906,67 @@ def test_pure_fourth_order_signs(branch_grid):
     assert np.all(d_second(pos)[:, 1] > 0)
     neg = continue_branch(10.0, 0.05, 0.25, 8, branch_grid, config)
     assert np.all(d_second(neg)[:, 1] < 0)
+
+
+def test_concurrent_branches_match_sequential_ones(branch_grid, monkeypatch):
+    # each thread solves with its own kept Anderson workspace: three branches
+    # on one grid shape at once, switching threads every 10 us, give the
+    # sequential masses and profiles bit for bit
+    solve, profiles = stability.petviashvili_solve, collections.defaultdict(list)
+
+    def recording(*args):
+        profile, diag = solve(*args)
+        profiles[threading.get_ident()].append(profile.values.tobytes())
+        return profile, diag
+
+    monkeypatch.setattr(stability, "petviashvili_solve", recording)
+    alphas = (3.2, 5.0, 6.0)
+
+    def run(alpha, start=None):
+        if start is not None:
+            start.wait(timeout=60)
+        branch = continue_branch(alpha, 0.02, 0.25, 24, branch_grid)
+        return branch.masses.tobytes(), profiles.pop(threading.get_ident())
+
+    sequential = [run(alpha) for alpha in alphas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start, results = threading.Barrier(len(alphas)), {}
+        threads = [threading.Thread(target=lambda a=a: results.update({a: run(a, start)}))
+                   for a in alphas]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results.get(a) for a in alphas] == sequential
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
+def test_second_branch_takes_few_page_faults():
+    # a 24-point branch at N = 8192 reuses the solver's Anderson workspaces;
+    # allocating them per solve (983 kB at N = 8192) took 3,200-3,400 minor
+    # page faults on the second branch of a process, reuse 0-170
+    resource = pytest.importorskip("resource")
+    script = """if True:
+        import resource
+        from solitonlab.grid import SpectralGrid
+        from solitonlab.stability import continue_branch
+        grid = SpectralGrid(8192, 200.0)
+        for alpha in (3.2, 5.0):
+            continue_branch(alpha, 0.02, 0.25, 24, grid)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            continue_branch(alpha, 0.02, 0.25, 24, grid)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("this kernel does not count minor page faults")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(stability.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    faults = [int(line) for line in run.stdout.split()]
+    assert len(faults) == 2 and max(faults) < 1000, faults
