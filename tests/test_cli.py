@@ -3,7 +3,9 @@
 import argparse
 import collections
 import json
+import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,6 +262,74 @@ def test_csv_writer_matches_per_row_writer(tmp_path_factory, n_columns, n_rows, 
     cli._write_csv(out / "table.csv", header, columns)
     _per_row_csv(out / "rows.csv", header, columns)
     assert (out / "table.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def _returns(phi):
+    """A petviashvili_solve that returns phi unchecked, with an empty converged history."""
+    diag = types.SimpleNamespace(iterations=0, converged=True, error_history=[],
+                                 stab_history=[], res_history=[])
+    return lambda alpha, omega, grid, config: (types.SimpleNamespace(values=phi), diag)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_points=st.sampled_from([8, 64, 1024, 8192]),
+       half_width=st.sampled_from([37.5, 100.0, 200.0]), data=st.data())
+def test_profile_csv_matches_per_row_writer(tmp_path_factory, n_points, half_width, data):
+    # profile.csv's x column comes from a template kept per grid shape; its
+    # phi column takes any float, not only a solved wave's
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
+    drawn = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64)
+                               | st.sampled_from(specials), max_size=32))
+    phi = np.resize(np.array([*specials, *drawn], dtype=float), n_points)
+    out = tmp_path_factory.mktemp("profile")
+    _per_row_csv(out / "rows.csv", ["x", "phi"], [SpectralGrid(n_points, half_width).nodes, phi])
+    args = argparse.Namespace(alpha=2.0, omega=0.16)
+    with mock.patch.object(cli, "petviashvili_solve", _returns(phi)):
+        for k in range(2):
+            (out / str(k)).mkdir()
+            before = cli._profile_rows.cache_info()
+            grid = SpectralGrid(n_points, half_width)
+            assert cli.cmd_solve(args, grid, SolverConfig(), out / str(k)) == EXIT_OK
+            assert (out / str(k) / "profile.csv").read_bytes() == (out / "rows.csv").read_bytes()
+    # the second solve on the shape, on a grid of its own, reads the kept template
+    after = cli._profile_rows.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, monkeypatch):
+    solve = ["solve", "--alpha", "2", "--omega", "0.16"]
+    # built while SOLITONLAB_OUT names one directory, the parser must not keep it
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("SOLITONLAB_OUT", str(tmp_path / "env1"))
+    assert main([*solve, "--out", str(tmp_path / "first"), *FAST]) == EXIT_OK
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    # a usage error leaves nothing behind for the next call
+    bad = ["solve", "--alpha", "x", "--omega", "0.16", "--out", str(tmp_path / "bad"), *FAST]
+    assert main(bad) == EXIT_USAGE
+    assert main([*solve, "--out", str(tmp_path / "good"), *FAST]) == EXIT_OK
+    assert not (tmp_path / "bad").exists()
+    for name in ("profile.csv", "diagnostics.json"):
+        assert (tmp_path / "good" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+    # SOLITONLAB_OUT is read on every call
+    for name in ("env1", "env2"):
+        monkeypatch.setenv("SOLITONLAB_OUT", str(tmp_path / name))
+        assert main([*solve, *FAST]) == EXIT_OK
+        assert (tmp_path / name / "profile.csv").read_bytes() == (
+            tmp_path / "first" / "profile.csv").read_bytes()
+    # each subcommand keeps its own defaults: spectrum's N = 2048, then solve's 8192
+    monkeypatch.delenv("SOLITONLAB_OUT")
+    assert main(["spectrum", "--alpha", "2", "--omega", "0.16", "--grid-l", "100",
+                 "--out", str(tmp_path / "spectrum")]) == EXIT_OK
+    assert main([*solve, "--out", str(tmp_path / "default")]) == EXIT_OK
+    assert read_csv(tmp_path / "default" / "profile.csv")["x"].size == 8192
+    assert added == []
 
 
 def test_verify_exact(tmp_path, capsys):
