@@ -7,9 +7,10 @@ SOLITONLAB_OUT environment variable).  Exit codes: 0 success, 1 usage error,
 
 A process that calls ``main`` more than once pays for its numerics alone: the
 parser is built once per process, on the first call, and ``profile.csv``'s
-node column is formatted once per grid shape.  That row template is kept for
-the last PROFILE_SHAPES = 4 grid shapes, at most about 210 kB each at N = 8192
-(155 kB at the default half-width), so under 1 MB in all.
+node column is formatted once per grid: grids of one shape are equal, so each
+call's fresh grid finds an earlier call's template.  It is kept for the last
+PROFILE_SHAPES = 4 grids, at most about 340 kB each at N = 8192 with its key
+grid, so under 1.5 MB in all.
 """
 
 from __future__ import annotations
@@ -72,13 +73,11 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 @functools.lru_cache(maxsize=PROFILE_SHAPES)
-def _profile_rows(n_points: int, half_width: float) -> str:
-    """The rows of profile.csv on SpectralGrid(n_points, half_width), the x
-    column formatted and the phi column a FLOAT_FMT placeholder: ``_write_csv``'s
-    bytes, once filled in.  Keyed on the grid's shape, like
-    ``petviashvili._dispersion``: every grid of one shape has the same nodes."""
+def _profile_rows(grid: SpectralGrid) -> str:
+    """The rows of profile.csv on grid, the x column formatted and the phi
+    column a FLOAT_FMT placeholder: ``_write_csv``'s bytes, once filled in."""
     row = FLOAT_FMT + "," + FLOAT_FMT.replace("%", "%%") + "\n"
-    return (row * n_points) % tuple(SpectralGrid(n_points, half_width).nodes.tolist())
+    return (row * grid.n_points) % tuple(grid.nodes.tolist())
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -97,7 +96,7 @@ def _diag_payload(diag) -> dict:
 
 def cmd_solve(args, grid, config, out) -> int:
     profile, diag = petviashvili_solve(args.alpha, args.omega, grid, config)
-    rows = _profile_rows(grid.n_points, grid.half_width)
+    rows = _profile_rows(grid)
     _write(out / "profile.csv", "x,phi\n", rows % tuple(profile.values.tolist()))
     _write_json(out / "diagnostics.json", _diag_payload(diag))
     return EXIT_OK if diag.converged else EXIT_NO_CONVERGENCE
@@ -256,7 +255,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega-steps", type=int, default=24)
     p.add_argument("--jobs", type=int, default=1,
                    help="processes that scan the alpha rows, this one included"
-                        " (at most one per row)")
+                        " (at most one per row and one per usable CPU)")
 
     p = command("evolve", cmd_evolve, "split-step evolution of a perturbed wave",
                 [alpha, omega, common])

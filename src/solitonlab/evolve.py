@@ -5,7 +5,8 @@ One step is a half nonlinear phase rotation, a full linear multiplier
 exp(-i (xi^4 + beta xi^2) dt) in Fourier space, and another half rotation.  The
 linear substep is unitary and the nonlinear substep preserves |u| pointwise,
 so both invariants are conserved up to rounding; energy drift measures the
-genuine splitting error.
+genuine splitting error.  The propagators are kept for the last grid, beta and
+dt, keyed on the grid; they and energy read ``petviashvili.dispersion``.
 
 Both substeps keep a field even, u(x) = u(-x), and every wave the program
 evolves starts even.  An even field steps on the free lines of its n1 x n2 view
@@ -29,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BlowUpDetected, ParameterError
-from .grid import ComplexField, RealProfile, SpectralGrid, lattice
-from .petviashvili import power, power_from_square, symbol
+from .grid import ComplexField, RealProfile, SpectralGrid, lattice, read_only
+from .petviashvili import dispersion, power, power_from_square
 
 TINY_ANGLE = 2.0**-27  # the largest phase angle that needs no cos or sin
 EVEN_CUT = 2.0**-48  # the largest odd part, relative to the field, of a field that steps as even
@@ -60,17 +61,10 @@ class ConservationAudit:
 
 
 @lru_cache(maxsize=1)
-def _symbol(grid: SpectralGrid, beta: float) -> np.ndarray:
-    """xi^4 + beta xi^2 on the grid's full spectrum, read-only; energy and both
-    propagators read it."""
-    return _read_only(symbol(grid.wavenumbers, 0.0, beta))
-
-
-@lru_cache(maxsize=1)
 def _propagator(grid: SpectralGrid, beta: float, dt: float) -> np.ndarray:
-    """exp(-i symbol dt) on the grid's full spectrum, read-only: the linear
+    """exp(-i dispersion dt) on the grid's full spectrum, read-only: the linear
     substep of a field that is not even."""
-    return _read_only(np.exp(-1j * _symbol(grid, beta) * dt))
+    return read_only(np.exp(-1j * dispersion(grid, beta) * dt))
 
 
 @lru_cache(maxsize=1)
@@ -87,7 +81,7 @@ def _half_step_tables(grid: SpectralGrid, beta: float, dt: float) -> tuple:
     phases 2 undo this after stage 2: row r of the (n1, h2) result is row r or,
     past n1/2, row n1 - r of the (h1, n2) one, column n2 - j2 mod n2, times the
     conjugate twiddle exp(2 pi i s j2 / n) of the signed row s.  The propagator
-    is exp(-i symbol dt) / n at mode k = k1 + n1 k2 on rows k1 <= n1/2, read at
+    is exp(-i dispersion dt) / n at mode k = k1 + n1 k2 on rows k1 <= n1/2, read at
     the one of k and n - k not above n/2: xi**4 rounds differently at -xi, so
     only this makes it exactly even, as the gathers take it to be.
     """
@@ -96,24 +90,19 @@ def _half_step_tables(grid: SpectralGrid, beta: float, dt: float) -> tuple:
     h1, h2 = n1 // 2 + 1, n2 // 2 + 1
     k1, c = np.arange(h1)[:, None], np.arange(n2)
     modes = k1 + n1 * c
-    propagator = np.exp(-1j * _symbol(grid, beta)[np.minimum(modes, n - modes)] * dt) / n
+    propagator = np.exp(-1j * dispersion(grid, beta)[np.minimum(modes, n - modes)] * dt) / n
     gather_1 = np.where(c < h2, k1 * h2 + c, (-k1 % n1) * h2 + n2 - c)
     phases_1 = np.exp(-2j * np.pi / n * k1 * np.where(c < h2, c, c - n2))
     r, j2 = np.arange(n1)[:, None], np.arange(h2)
     gather_2 = np.where(r < h1, r * n2 + j2, (n1 - r) * n2 + (n2 - j2) % n2)
     phases_2 = np.exp(2j * np.pi / n * np.where(r < h1, r, r - n1) * j2)
-    return tuple(map(_read_only, (propagator, gather_1, phases_1, gather_2, phases_2)))
+    return tuple(map(read_only, (propagator, gather_1, phases_1, gather_2, phases_2)))
 
 
 def _view_shape(n: int) -> tuple:
     """(n1, n2) of the four-step view of n points, n1 = 2**(log2(n) // 2)."""
     n1 = 1 << ((n.bit_length() - 1) // 2)
     return n1, n // n1
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
 
 
 def _linear_substep(u: np.ndarray, propagator: np.ndarray, scratch: np.ndarray) -> None:
@@ -243,7 +232,7 @@ def _all_finite(u: np.ndarray) -> bool:
 def energy(field: ComplexField, alpha: float, beta: float = 1.0) -> float:
     """E = (1/2) int |u_xx|^2 + beta |u_x|^2 - (2/(alpha+2)) |u|^(alpha+2)."""
     g = field.grid
-    quadratic = g.parseval(_symbol(g, beta), field.spectrum)
+    quadratic = g.parseval(dispersion(g, beta), field.spectrum)
     nonlinear = float(g.quadrature(power(field.values, alpha + 2)).real)
     return 0.5 * quadratic - nonlinear / (alpha + 2.0)
 

@@ -5,7 +5,8 @@ coarsest grid that resolves a sampled function) and ``zero_pad`` (the exact
 prolongation of a half spectrum to a finer grid).
 
 Wavenumbers are stored in standard FFT order (``0, ..., n/2-1, -n/2, ..., -1``
-times ``pi / L``).
+times ``pi / L``).  Grids of one shape are one grid: they compare and hash by
+``(n_points, half_width)``, and every table kept per grid is keyed on the grid.
 """
 
 from __future__ import annotations
@@ -35,9 +36,16 @@ def lattice(start: float, stop: float, num: int, name: str) -> np.ndarray:
     raise ParameterError(f"{name} must be >= 1 and fit in memory, got {num}")
 
 
-@dataclass(frozen=True, eq=False)
+def read_only(table: np.ndarray) -> np.ndarray:
+    """table, made read-only: a table kept per grid is shared by its readers."""
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True)
 class SpectralGrid:
-    """Periodic grid on ``[-L, L)`` with ``n_points`` equispaced nodes.
+    """Periodic grid on ``[-L, L)`` with ``n_points`` equispaced nodes, equal
+    (hash too) to every grid of its shape; a half-width 200 is that of 200.0.
 
     Parameters
     ----------

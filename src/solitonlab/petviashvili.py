@@ -7,8 +7,10 @@ the periodic grid, and its time-dependent form is i u_t + beta u_xx - u_xxxx +
 integrator's in-place step) and ``half_weights`` (the Parseval weights of an
 rfft half spectrum) build the solver's nonlinearity, quadratic form and
 residual here, and everything that ``spectra`` and ``evolve`` use of the
-model.  ``half_symbol`` keeps the omega-free part of the symbol on the rfft
-half spectrum once per grid shape and beta, read-only.
+model.  ``dispersion``, the one table of xi^4 + beta xi^2, keeps it on the full
+spectrum per grid and beta, read-only: ``half_symbol`` reads its rfft half and
+the split step all of it.  It holds the last 32, each with its key grid about
+24 bytes per point (200 kB at N = 8192).
 
 The solver's map is the stabilized (Petviashvili) step c -> g(c) = M^nu
 N(c) / (xi^4 + beta xi^2 + omega) on rfft half spectra c, with the
@@ -59,7 +61,7 @@ import numpy as np
 from scipy.linalg.lapack import dgelss
 
 from .errors import DegenerateInputError, DivergenceError, ParameterError
-from .grid import RealProfile, SpectralGrid, coarsest_grid, zero_pad
+from .grid import RealProfile, SpectralGrid, coarsest_grid, read_only, zero_pad
 
 # convergence: sup-norm step, |1 - M_n| and sup-norm spectral residual
 TOL_ERROR = 1e-12
@@ -151,22 +153,16 @@ def nonlinearity(values: np.ndarray, alpha: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _dispersion(n_points: int, half_width: float, beta: float) -> np.ndarray:
-    """xi^4 + beta xi^2 on the rfft half spectrum of SpectralGrid(n_points,
-    half_width), read-only.  Keyed on the grid's shape, not the grid: grids
-    compare by identity, and every grid of one shape has the same
-    wavenumbers."""
-    xi = SpectralGrid(n_points, half_width).wavenumbers[: n_points // 2 + 1]
-    part = symbol(xi, 0.0, beta)
-    part.flags.writeable = False
-    return part
+def dispersion(grid: SpectralGrid, beta: float) -> np.ndarray:
+    """xi^4 + beta xi^2 on the grid's full spectrum, read-only."""
+    return read_only(symbol(grid.wavenumbers, 0.0, beta))
 
 
 def half_symbol(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
     """The symbol on the rfft half spectrum, a new array each call.  It is
     ``symbol`` bit for bit: that adds omega last too, and adding 0.0 first
     changes no value that omega > 0 is added to."""
-    return _dispersion(grid.n_points, grid.half_width, beta) + omega
+    return dispersion(grid, beta)[: grid.n_points // 2 + 1] + omega
 
 
 def check_omega_width(omega: float, grid: SpectralGrid) -> None:
@@ -204,11 +200,8 @@ def _recenter(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _cold_coarse_grid(n_points: int, half_width: float) -> SpectralGrid | None:
-    """``_coarse_grid`` of the cold seed, a multiple of ``_gaussian``, on
-    SpectralGrid(n_points, half_width).  Keyed on the grid's shape, like
-    ``_dispersion``: every grid of one shape has the same nodes."""
-    grid = SpectralGrid(n_points, half_width)
+def _cold_coarse_grid(grid: SpectralGrid) -> SpectralGrid | None:
+    """``_coarse_grid`` of the cold seed, a multiple of ``_gaussian``, on grid."""
     return _coarse_grid(RealProfile(grid, _gaussian(grid)), grid)
 
 
@@ -216,11 +209,11 @@ def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid |
     """The coarsest grid that resolves the seed (``grid.coarsest_grid``); None
     where that is grid itself, or where the seed lives on another grid (the
     solve reads a coarser one as its interpolant).  The cold seed's is kept
-    per grid shape (``_cold_coarse_grid``).
+    per grid (``_cold_coarse_grid``).
     """
     if seed is None:
-        return _cold_coarse_grid(grid.n_points, grid.half_width)
-    if (seed.grid.n_points, seed.grid.half_width) != (grid.n_points, grid.half_width):
+        return _cold_coarse_grid(grid)
+    if seed.grid != grid:
         return None
     coarse = coarsest_grid(seed.values, grid)
     return None if coarse is grid else coarse

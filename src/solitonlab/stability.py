@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -278,17 +279,13 @@ def _scan_rows(tasks) -> list:
     return [_scan_row(t) for t in tasks]
 
 
-def region_scan(
-    alpha_grid,
-    omega_grid,
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-    jobs: int = 1,
-) -> StabilityMap:
+def region_scan(alpha_grid, omega_grid, grid: SpectralGrid | None = None,
+                config: SolverConfig | None = None, jobs: int = 1) -> StabilityMap:
     """Sign of d'' on the (alpha, omega) lattice, each cell from its own
-    wave; a cell whose solve fails becomes NaN.  The rows run in
-    w = min(jobs, rows) processes, the calling one included: process i scans
-    rows i, i + w, ..."""
+    wave; a cell whose solve fails becomes NaN.  The rows run in w = min(jobs,
+    rows, usable CPUs) processes, the calling one included, where the usable
+    CPUs are those this process may run on (``os.cpu_count()`` where the
+    platform does not say): process i scans rows i, i + w, ..."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if alpha_grid.size == 0 or omega_grid.size == 0:
@@ -302,13 +299,13 @@ def region_scan(
     if config is None:
         config = SolverConfig()
     check_omega_width(float(omega_grid.min()), grid)  # before any cell is solved
-    tasks = [
-        (float(a), omega_grid, grid.n_points, grid.half_width, config)
-        for a in alpha_grid
-    ]
+    # a task names its grid by shape: a pickled grid carries its nodes and
+    # wavenumbers (perfbench thresholds: +0.5-0.8 MB peak memory, +2% wall time)
+    tasks = [(float(a), omega_grid, grid.n_points, grid.half_width, config) for a in alpha_grid]
     # the parent is one of the workers: it scans stripe 0 while a pool of
     # workers - 1 processes scans the others (the pool starts them all at once)
-    workers = min(jobs, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
     stripes = [tasks[i::workers] for i in range(workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:

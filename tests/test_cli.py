@@ -275,8 +275,9 @@ def _returns(phi):
 @given(n_points=st.sampled_from([8, 64, 1024, 8192]),
        half_width=st.sampled_from([37.5, 100.0, 200.0]), data=st.data())
 def test_profile_csv_matches_per_row_writer(tmp_path_factory, n_points, half_width, data):
-    # profile.csv's x column comes from a template kept per grid shape; its
-    # phi column takes any float, not only a solved wave's
+    # profile.csv's x column comes from a template kept per grid, which every
+    # grid of the shape finds; its phi column takes any float, not only a
+    # solved wave's
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
     drawn = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64)
                                | st.sampled_from(specials), max_size=32))
@@ -294,6 +295,23 @@ def test_profile_csv_matches_per_row_writer(tmp_path_factory, n_points, half_wid
     # the second solve on the shape, on a grid of its own, reads the kept template
     after = cli._profile_rows.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_points=st.sampled_from([64, 1024, 8192]), half_width=st.sampled_from([37.5, 100, 200]),
+       beta=st.sampled_from([0.0, 1.0]))
+def test_a_fresh_grid_of_a_seen_shape_reads_every_kept_table(n_points, half_width, beta):
+    # the symbol's table, the cold start's coarse grid and profile.csv's
+    # template are kept per grid, and a grid of one shape is found by any
+    # other: it hits each cache and gets the very object kept
+    caches = (petviashvili.dispersion, petviashvili._cold_coarse_grid, cli._profile_rows)
+    tables = (lambda grid: petviashvili.dispersion(grid, beta), *caches[1:])
+    kept = [table(SpectralGrid(n_points, half_width)) for table in tables]
+    before = [cache.cache_info() for cache in caches]
+    fresh = SpectralGrid(n_points, float(half_width))
+    assert all(table(fresh) is table_kept for table, table_kept in zip(tables, kept))
+    for old, new in zip(before, (cache.cache_info() for cache in caches)):
+        assert (new.hits, new.misses) == (old.hits + 1, old.misses)
 
 
 def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, monkeypatch):

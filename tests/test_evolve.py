@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from model_oracle import constrained_functional
 from reference_evolve import reference_advance
-from solitonlab import evolve
+from solitonlab import evolve, petviashvili
 from solitonlab.errors import BlowUpDetected, DivergenceError, ParameterError
 from solitonlab.evolve import (
     ConservationAudit,
@@ -219,12 +219,13 @@ def test_one_step_is_four_transforms_of_the_n1_by_n2_view(monkeypatch, n, shape)
 
 
 def test_a_run_builds_its_tables_once(monkeypatch, wave_2):
-    # the symbol for energy and propagator, and the half path's propagator,
-    # gathers and phases: once for 20 checkpoints, not once per checkpoint;
-    # the wave is even, so the whole field's propagator is never built
+    # the symbol for energy and propagator (petviashvili.dispersion), and the
+    # half path's propagator, gathers and phases: once for 20 checkpoints, not
+    # once per checkpoint; the wave is even, so the whole field's propagator
+    # is never built
     builds = []
-    monkeypatch.setattr(evolve, "symbol", lambda *args: builds.append(args) or symbol(*args))
-    evolve._symbol.cache_clear()
+    monkeypatch.setattr(petviashvili, "symbol", lambda *args: builds.append(args) or symbol(*args))
+    petviashvili.dispersion.cache_clear()
     evolve._propagator.cache_clear()
     evolve._half_step_tables.cache_clear()
     result = perturbed_run(wave_2, 2.0, 0.01, 1e-3, 0.2, 20)
@@ -618,6 +619,38 @@ def test_energy_on_the_cached_symbol_is_bit_identical(grid_small, grid_mid):
     for beta in (1.0, 1.0, 0.0, 0.5, 1.0, 0.0):
         for field in fields + fields[:1]:
             assert energy(field, 2.0, beta) == _inline_energy(field, 2.0, beta)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 64, 1024, 8192]), half_width=st.floats(1.0, 300.0),
+       beta=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), alpha=st.floats(0.5, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_energy_reads_the_symbol_bit_for_bit(n, half_width, beta, alpha, seed):
+    # energy's quadratic part is the Parseval sum of xi^4 + beta xi^2 built by
+    # symbol on the full spectrum, on any field; a fresh grid of each shape
+    rng = np.random.default_rng(seed)
+    grid = SpectralGrid(n, half_width)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    quadratic = grid.parseval(symbol(grid.wavenumbers, 0.0, beta), np.fft.fft(values))
+    nonlinear = float(grid.quadrature(power(values, alpha + 2)).real)
+    expected = 0.5 * quadratic - nonlinear / (alpha + 2.0)
+    assert energy(ComplexField(SpectralGrid(n, half_width), values), alpha, beta) == expected
+
+
+def test_runs_on_fresh_grids_of_one_shape_build_their_tables_once(monkeypatch):
+    # two perturbed runs, each on a grid of its own of one shape, share the
+    # symbol and the half path's tables: grids of one shape are equal
+    builds = []
+    monkeypatch.setattr(petviashvili, "symbol", lambda *args: builds.append(args) or symbol(*args))
+    petviashvili.dispersion.cache_clear()
+    evolve._half_step_tables.cache_clear()
+    runs = [perturbed_run(phi_exact(2.0, SpectralGrid(1024, 100.0)), 2.0, 0.01, 1e-3, 0.01, 2)
+            for _ in range(2)]
+    assert len(builds) == 1
+    info = evolve._half_step_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    for name in ("energy", "mass", "orbital_distance"):
+        assert runs[0].series[name].tobytes() == runs[1].series[name].tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])

@@ -177,6 +177,27 @@ def test_field_h2_norm_is_the_grids_bit_for_bit(n, half_width, seed):
     assert float(np.sqrt(field.h2_norm_sq)) == g.norm(values, "H2")
 
 
+SHAPES = [2, 64, 1024, 8192], [1, 1.0, 37.5, 100, 100.0, 200, 200.0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(first=st.tuples(st.sampled_from(SHAPES[0]), st.sampled_from(SHAPES[1]) | st.floats(1, 300)),
+       second=st.tuples(st.sampled_from(SHAPES[0]), st.sampled_from(SHAPES[1])))
+def test_grids_are_equal_exactly_when_their_shapes_are(first, second):
+    # grids of one shape are one grid, 200 and 200.0 alike: equal, with equal
+    # hashes, and with the same nodes and wavenumbers to the last bit, which
+    # is what lets every per-grid table be keyed on the grid
+    a, b = SpectralGrid(*first), SpectralGrid(*second)
+    same = first[0] == second[0] and first[1] == second[1]
+    assert (a == b) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+        assert a.nodes.tobytes() == b.nodes.tobytes()
+        assert a.wavenumbers.tobytes() == b.wavenumbers.tobytes()
+    assert a == SpectralGrid(*first) and hash(a) == hash(SpectralGrid(*first))
+    assert a != first and a != (a.n_points, a.half_width)
+
+
 def test_parseval_with_unit_weight_is_the_quadrature_of_the_square(grid_small, rng):
     # dx / n sum |fft(f)|^2 = dx sum |f|^2
     g = grid_small

@@ -360,8 +360,9 @@ def test_half_spectrum_pairing_is_parseval(n, half_width, omega, beta, seed):
     omega=st.floats(1e-3, 20.0),
 )
 def test_half_symbol_is_the_symbol_bit_for_bit(n, half_width, beta, omega):
-    # its omega-free part is kept per grid shape, read-only, and shared by
-    # every grid of that shape; each call returns a new array
+    # its omega-free part is the rfft half of dispersion's full-spectrum
+    # table, kept per grid, read-only, and shared by every grid of that shape
+    # (they are equal); each call returns a new array
     grid = SpectralGrid(n_points=n, half_width=half_width)
     expected = symbol(grid.wavenumbers[: n // 2 + 1], omega, beta).tobytes()
     first = half_symbol(grid, omega, beta)
@@ -369,7 +370,9 @@ def test_half_symbol_is_the_symbol_bit_for_bit(n, half_width, beta, omega):
     first += 1.0
     assert half_symbol(SpectralGrid(n_points=n, half_width=half_width), omega, beta).tobytes() \
         == expected
-    assert not petviashvili._dispersion(n, half_width, beta).flags.writeable
+    table = petviashvili.dispersion(grid, beta)
+    assert not table.flags.writeable
+    assert table.tobytes() == symbol(grid.wavenumbers, 0.0, beta).tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

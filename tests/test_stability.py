@@ -524,6 +524,8 @@ def test_region_scan_pool_has_at_most_one_worker_per_row(branch_grid, monkeypatc
     # the calling process is one of the workers: two rows at --jobs 8 take a
     # pool of 1 process, and three rows at --jobs 2 split into the stripes
     # (rows 0 and 2 here, row 1 in the pool), which come back in lattice order
+    # (eight usable CPUs, so that only jobs and rows bound the pool here)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     sizes, stripes = [], []
 
     class SerialPool:
@@ -550,6 +552,48 @@ def test_region_scan_pool_has_at_most_one_worker_per_row(branch_grid, monkeypatc
     striped = region_scan([2.0, 5.5, 3.0], [0.08, 0.12], branch_grid, jobs=2)
     assert sizes == [1, 1] and stripes[-1] == [[5.5]]
     np.testing.assert_array_equal(striped.sign_matrix, [[1, 1], [-1, -1], [1, 1]])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_region_scan_pool_has_at_most_one_process_per_usable_cpu(branch_grid, monkeypatch, cpus):
+    # the pool starts all its workers at once, so --jobs 500 on a 2-CPU host
+    # must not fork 499 processes: w = min(jobs, rows, usable CPUs), the
+    # calling process included.  The pool is a spy that starts no process,
+    # and each row's scan a stand-in that solves nothing
+    sizes = []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(stability, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(stability, "_scan_rows",
+                        lambda tasks: [np.full(t[1].size, t[0]) for t in tasks])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10, 10 + cpus)),
+                        raising=False)
+    alphas = np.arange(1.0, 7.0)
+    for jobs in (1, 2, 3, 5, 500):
+        sizes.clear()
+        result = region_scan(alphas, [0.08, 0.12], branch_grid, jobs=jobs)
+        workers = min(jobs, alphas.size, cpus)
+        assert sizes == ([workers - 1] if workers > 1 else [])
+        np.testing.assert_array_equal(result.sign_matrix, np.repeat(alphas, 2).reshape(-1, 2))
+    # where the platform names no usable CPUs, os.cpu_count() bounds the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, workers in ((cpus, cpus), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        sizes.clear()
+        region_scan(alphas, [0.08, 0.12], branch_grid, jobs=500)
+        assert sizes == ([workers - 1] if workers > 1 else [])
 
 
 def test_region_scan_validation(branch_grid):
@@ -754,7 +798,7 @@ def test_coarse_grid_of_the_cold_seed(branch_grid):
 
 
 def test_cold_coarse_grid_is_taken_once_per_grid_shape(monkeypatch):
-    # it depends only on (n_points, half_width): two grids of one shape take
+    # it is kept per grid, and two grids of one shape are equal: they take
     # the rfft of exp(-x^2) once and get the same coarse grid
     petviashvili._cold_coarse_grid.cache_clear()
     transforms, rfft = [], np.fft.rfft

@@ -80,6 +80,57 @@ def test_parseval_guard_catches_the_written_out_sums():
     assert _parseval_sums("m = float(np.sum(weights * np.abs(coeffs) ** 2))") == []
 
 
+def _shape_keyed_caches(tree):
+    """Names of the lru_cache'd functions that take n_points or half_width:
+    a table keyed on a grid's shape instead of on the grid."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+            and {"n_points", "half_width"} & {a.arg for a in ast.walk(node.args)
+                                              if isinstance(a, ast.arg)}]
+
+
+def _omega_free_symbols(tree):
+    """Names of the functions that call symbol with omega a literal 0: they
+    build xi^4 + beta xi^2, the dispersion table."""
+    def omega_free(call):
+        omega = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "omega"), None)
+        return isinstance(omega, ast.Constant) and omega.value == 0
+    return sorted({function.name for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef)
+                   for call in ast.walk(function) if isinstance(call, ast.Call)
+                   and ast.unparse(call.func).split(".")[-1] == "symbol" and omega_free(call)})
+
+
+def test_per_grid_tables_are_keyed_on_the_grid_and_the_symbol_is_kept_once():
+    # grids of one shape are equal, so no cache takes a grid's shape apart,
+    # and xi^4 + beta xi^2 is built in petviashvili.dispersion alone
+    package = Path(solitonlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert [f"{name}:{f}" for name, tree in trees.items()
+            for f in _shape_keyed_caches(tree)] == []
+    assert [f"{name}:{f}" for name, tree in trees.items()
+            for f in _omega_free_symbols(tree)] == ["petviashvili.py:dispersion"]
+
+
+def test_per_grid_table_guard_catches_the_shape_keys_and_a_second_symbol_table():
+    # the forms that the solver's, the cold start's, profile.csv's and the
+    # split step's tables had
+    source = ("@functools.lru_cache(maxsize=32)\n"
+              "def _dispersion(n_points, half_width, beta):\n"
+              "    return symbol(SpectralGrid(n_points, half_width).wavenumbers, 0.0, beta)\n"
+              "@lru_cache(maxsize=32)\ndef _cold_coarse_grid(n_points: int, half_width: float):\n"
+              "    pass\n"
+              "@functools.lru_cache(maxsize=4)\ndef _profile_rows(n_points, *, half_width):\n"
+              "    pass\n"
+              "@lru_cache(maxsize=1)\ndef _symbol(grid, beta):\n"
+              "    return petviashvili.symbol(grid.wavenumbers, omega=0, beta=beta)\n"
+              "def half_symbol(grid, omega, beta):\n    return symbol(xi, omega, beta)\n")
+    tree = ast.parse(source)
+    assert _shape_keyed_caches(tree) == ["_dispersion", "_cold_coarse_grid", "_profile_rows"]
+    assert _omega_free_symbols(tree) == ["_dispersion", "_symbol"]
+
+
 def _references(tree, name):
     """Line numbers of every read of name, bare or as a module attribute."""
     return [node.lineno for node in ast.walk(tree)
