@@ -6,7 +6,10 @@ prolongation of a half spectrum to a finer grid).
 
 Wavenumbers are stored in standard FFT order (``0, ..., n/2-1, -n/2, ..., -1``
 times ``pi / L``).  Grids of one shape are one grid: they compare and hash by
-``(n_points, half_width)``, and every table kept per grid is keyed on the grid.
+``(n_points, half_width)``, pickle as that shape (a process rebuilds its nodes
+and wavenumbers), and every table kept per grid is keyed on the grid.  A grid
+has no default: every caller names its own, and the CLI's flags hold the
+program's.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-DEFAULT_HALF_WIDTH = 200.0
-DEFAULT_N_POINTS = 8192
 # coarsest_grid may drop the rfft modes of a function below COARSE_CUT of
 # their peak, down to COARSE_MIN_POINTS points
 COARSE_CUT = 1e-15
@@ -45,7 +46,8 @@ def read_only(table: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralGrid:
     """Periodic grid on ``[-L, L)`` with ``n_points`` equispaced nodes, equal
-    (hash too) to every grid of its shape; a half-width 200 is that of 200.0.
+    (hash too) to every grid of its shape, and pickled as that shape; a
+    half-width 200 is that of 200.0.
 
     Parameters
     ----------
@@ -55,8 +57,8 @@ class SpectralGrid:
         Domain half-width ``L``.
     """
 
-    n_points: int = DEFAULT_N_POINTS
-    half_width: float = DEFAULT_HALF_WIDTH
+    n_points: int
+    half_width: float
 
     def __post_init__(self) -> None:
         n = self.n_points
@@ -70,6 +72,9 @@ class SpectralGrid:
         object.__setattr__(self, "nodes", -L + dx * lattice(0, n - 1, n, "n_points"))
         xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
         object.__setattr__(self, "wavenumbers", xi)
+
+    def __reduce__(self):
+        return SpectralGrid, (self.n_points, self.half_width)
 
     @cached_property
     def h2_weight(self) -> np.ndarray:

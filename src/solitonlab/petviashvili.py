@@ -38,15 +38,16 @@ starts from.
 that loop (``_iterate``): it solves on the coarsest grid that resolves the
 start (``grid.coarsest_grid``) and polishes on the requested one.
 
-The loop's Anderson history (``_anderson_workspace``) is kept per thread and
-per grid size n, for the last KEPT_WORKSPACES = 2 sizes the thread solved on
-(one nested solve's coarse and requested grids): 120 n + 360 bytes each,
-at most 1.5 MB per thread that solves at N = 8192 (a coarse grid has at most
-N / 2 points).  A solve reuses it as the last one left it instead of
-allocating new arrays, whose release made the allocator trim its heap and
-fault fresh pages into the next solve; the loop writes every row and entry
-before it reads it, so no value changes.  Two threads never share a
-workspace.
+The loop's Anderson history (``_anderson_workspace``) is an lru_cache on
+the grid size n and the solving thread's ident, which keeps the last
+KEPT_WORKSPACES = 2: a thread that solves alone, as every command, the
+benchmark and each ``region`` worker do, keeps one nested solve's coarse and
+requested grids.  Each takes 120 n + 360 bytes, at most 1.5 MB at N = 8192 (a
+coarse grid has at most N / 2 points).  A solve reuses it as the last one
+left it instead of allocating new arrays, whose release made the allocator
+trim its heap and fault fresh pages into the next solve; the loop writes
+every row and entry before it reads it, so no value changes.  Two live
+threads never share a workspace; threads that solve in turn allocate anew.
 """
 
 from __future__ import annotations
@@ -165,6 +166,12 @@ def half_symbol(grid: SpectralGrid, omega: float, beta: float) -> np.ndarray:
     return dispersion(grid, beta)[: grid.n_points // 2 + 1] + omega
 
 
+def check_alpha_omega(alpha: float, omega: float) -> None:
+    """Refuse an alpha or omega that is not positive and finite."""
+    if not (0 < alpha < np.inf and 0 < omega < np.inf):
+        raise ParameterError(f"alpha and omega must be positive and finite, got {alpha}, {omega}")
+
+
 def check_omega_width(omega: float, grid: SpectralGrid) -> None:
     """Refuse a wave too wide for the domain (small-omega tails ~ exp(-sqrt(omega) |x|))."""
     if np.sqrt(omega) * grid.half_width < 10.0:
@@ -219,27 +226,15 @@ def _coarse_grid(seed: RealProfile | None, grid: SpectralGrid) -> SpectralGrid |
     return None if coarse is grid else coarse
 
 
-_workspaces = threading.local()
-
-
-def _anderson_workspace(n: int):
-    """(delta_f, delta_g, delta_lin, gram) for a solve on n points: the
-    calling thread's, kept for its last KEPT_WORKSPACES grid sizes (the
-    least recently used one is dropped).  Their contents are left over from
-    the thread's last solve on n points; ``_iterate`` writes every row and
-    entry before it reads it."""
-    kept = getattr(_workspaces, "by_size", None)
-    if kept is None:
-        kept = _workspaces.by_size = {}
-    space = kept.pop(n, None)
-    if space is None:
-        if len(kept) == KEPT_WORKSPACES:
-            del kept[next(iter(kept))]
-        delta_f = np.empty((ANDERSON_DEPTH, 2 * (n // 2 + 1)))
-        space = (delta_f, np.empty_like(delta_f), np.empty((ANDERSON_DEPTH, n)),
-                 np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH)))
-    kept[n] = space  # the most recently used last
-    return space
+@functools.lru_cache(maxsize=KEPT_WORKSPACES)
+def _anderson_workspace(n: int, thread: int):
+    """(delta_f, delta_g, delta_lin, gram) for a solve on n points by the
+    thread of ident ``thread``, kept for the last KEPT_WORKSPACES (n, thread).
+    Their contents are left over from that thread's last solve on n points;
+    ``_iterate`` writes every row and entry before it reads it."""
+    delta_f = np.empty((ANDERSON_DEPTH, 2 * (n // 2 + 1)))
+    return (delta_f, np.empty_like(delta_f), np.empty((ANDERSON_DEPTH, n)),
+            np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH)))
 
 
 def _joined(coarse: SolverDiagnostics, fine: SolverDiagnostics) -> SolverDiagnostics:
@@ -253,12 +248,8 @@ def _joined(coarse: SolverDiagnostics, fine: SolverDiagnostics) -> SolverDiagnos
     )
 
 
-def petviashvili_solve(
-    alpha: float,
-    omega: float,
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-):
+def petviashvili_solve(alpha: float, omega: float, grid: SpectralGrid,
+                       config: SolverConfig | None = None):
     """The wave at (alpha, omega) on grid from ``config.initial_guess`` (the
     seed; None is the cold start), as a nested iteration; returns (profile,
     diagnostics).
@@ -273,8 +264,6 @@ def petviashvili_solve(
     the requested grid's, whose verdict and exceptions are the solve's: a
     solve that does not converge says so there and raises nothing.
     """
-    if grid is None:
-        grid = SpectralGrid()
     if config is None:
         config = SolverConfig()
     seed = config.initial_guess
@@ -302,8 +291,7 @@ def _iterate(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfi
     (profile, diagnostics).  Non-finite iterates and an overflowing
     stabilizing factor raise :class:`DivergenceError`, with no numpy warning.
     """
-    if not (0 < alpha < np.inf and 0 < omega < np.inf):
-        raise ParameterError(f"alpha and omega must be positive and finite, got {alpha}, {omega}")
+    check_alpha_omega(alpha, omega)
     beta = config.dispersion_beta
     nu = (alpha + 2.0) / (alpha + 1.0)
 
@@ -326,7 +314,7 @@ def _iterate(alpha: float, omega: float, grid: SpectralGrid, config: SolverConfi
     # and the differences of the images' x-space linear parts M^nu N.  Every
     # row and entry the mixing reads is written first, so the thread's kept
     # workspace is reused as it is left, never zeroed
-    delta_f, delta_g, delta_lin, gram = _anderson_workspace(n)
+    delta_f, delta_g, delta_lin, gram = _anderson_workspace(n, threading.get_ident())
     history = 0  # iterates since the last plain step
     errors, stabs, residuals = [], [], []
     converged = False

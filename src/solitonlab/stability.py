@@ -19,13 +19,15 @@ estimate that the cross-checks compare with: it returns the very rows that
 difference of the two-point branch to omega + h.
 
 Each branch point, region cell and ``find_omega_c`` point is the nested
-iteration ``petviashvili_solve``.  ``region_scan`` runs its alpha rows in up
-to ``jobs`` processes, the calling one included.
+iteration ``petviashvili_solve``, on the grid that the caller names.
+``region_scan`` runs its alpha rows in up to ``jobs`` processes, the calling
+one included; each row's task carries the grid, which pickles as its shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import BranchError, DegenerateInputError, DivergenceError, ParameterError
 from .explicit import explicit_params, phi_exact
 from .grid import RealProfile, SpectralGrid, lattice
-from .petviashvili import SolverConfig, check_omega_width, petviashvili_solve
+from .petviashvili import SolverConfig, check_alpha_omega, check_omega_width, petviashvili_solve
 from .spectra import negative_direction_scalar
 
 
@@ -83,7 +85,7 @@ def _secant_seed(converged: list, omega: float) -> RealProfile:
     return RealProfile(p1.grid, p1.values + t * (p1.values - p0.values))
 
 
-def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig | None):
+def _sweep(alpha: float, omegas, grid: SpectralGrid, config: SolverConfig | None):
     """Warm-started solves (``petviashvili_solve``) along omegas, one per
     item drawn.
 
@@ -107,14 +109,8 @@ def _sweep(alpha: float, omegas, grid: SpectralGrid | None, config: SolverConfig
         converged_points = [*converged_points[-1:], (omega, profile)] if converged else []
 
 
-def continue_branch(
-    alpha: float,
-    omega_start: float,
-    omega_end: float,
-    n_steps: int,
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-) -> SolitaryBranch:
+def continue_branch(alpha: float, omega_start: float, omega_end: float, n_steps: int,
+                    grid: SpectralGrid, config: SolverConfig | None = None) -> SolitaryBranch:
     """Warm-started Petviashvili sweep over [omega_start, omega_end].
 
     A failure on the first point raises :class:`BranchError`; a mid-branch
@@ -203,12 +199,8 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
         fb = f(b)
 
 
-def find_omega_c(
-    alpha: float,
-    omega_range: tuple[float, float],
-    grid: SpectralGrid | None = None,
-    config: SolverConfig | None = None,
-):
+def find_omega_c(alpha: float, omega_range: tuple[float, float], grid: SpectralGrid,
+                 config: SolverConfig | None = None):
     """Frequency in omega_range = (lo, hi) where d'' changes sign, by Brent's
     method on the chi form's d'' omega / M(phi) in s = hi log(omega), between
     the ends of the range, each solve seeded from the one before it, the
@@ -239,13 +231,11 @@ def find_omega_c(
     return math.exp(s / hi)
 
 
-def find_alpha0(alpha_bracket: tuple[float, float], grid: SpectralGrid | None = None) -> float:
+def find_alpha0(alpha_bracket: tuple[float, float], grid: SpectralGrid) -> float:
     """Root of d''(omega0(alpha)) over the bracket, by Brent's method on the
     chi form at the closed-form wave, which is the solution at omega0.  A
     bracket over which d'' does not go from + to - raises
     :class:`ParameterError`."""
-    if grid is None:
-        grid = SpectralGrid()
 
     def d2(alpha):
         omega0 = explicit_params(alpha).omega0
@@ -264,8 +254,7 @@ def find_alpha0(alpha_bracket: tuple[float, float], grid: SpectralGrid | None = 
 
 def _scan_row(args):
     """Signs of one alpha row, each cell from the chi form at its own wave."""
-    alpha, omegas, n_points, half_width, config = args
-    grid = SpectralGrid(n_points, half_width)
+    alpha, omegas, grid, config = args
     d2, masses = np.full((2, omegas.size), np.nan)
     for j, (profile, converged) in enumerate(_sweep(alpha, omegas, grid, config)):
         if converged:
@@ -279,13 +268,15 @@ def _scan_rows(tasks) -> list:
     return [_scan_row(t) for t in tasks]
 
 
-def region_scan(alpha_grid, omega_grid, grid: SpectralGrid | None = None,
+def region_scan(alpha_grid, omega_grid, grid: SpectralGrid,
                 config: SolverConfig | None = None, jobs: int = 1) -> StabilityMap:
     """Sign of d'' on the (alpha, omega) lattice, each cell from its own
-    wave; a cell whose solve fails becomes NaN.  The rows run in w = min(jobs,
-    rows, usable CPUs) processes, the calling one included, where the usable
-    CPUs are those this process may run on (``os.cpu_count()`` where the
-    platform does not say): process i scans rows i, i + w, ..."""
+    wave; a cell whose solve fails becomes NaN.  A cell's alpha and omega are
+    refused as its solve would refuse them, before any cell is solved or any
+    process started.  The rows run in w = min(jobs, rows, usable CPUs)
+    processes, the calling one included, where the usable CPUs are those
+    this process may run on (``os.cpu_count()`` where the platform does not
+    say): process i scans rows i, i + w, ..."""
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if alpha_grid.size == 0 or omega_grid.size == 0:
@@ -294,14 +285,12 @@ def region_scan(alpha_grid, omega_grid, grid: SpectralGrid | None = None,
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if np.any(omega_grid <= 0):
         raise ParameterError("omega values must be positive")
-    if grid is None:
-        grid = SpectralGrid()
+    for alpha, omega in itertools.product(alpha_grid.tolist(), omega_grid.tolist()):
+        check_alpha_omega(alpha, omega)
+    check_omega_width(float(omega_grid.min()), grid)
     if config is None:
         config = SolverConfig()
-    check_omega_width(float(omega_grid.min()), grid)  # before any cell is solved
-    # a task names its grid by shape: a pickled grid carries its nodes and
-    # wavenumbers (perfbench thresholds: +0.5-0.8 MB peak memory, +2% wall time)
-    tasks = [(float(a), omega_grid, grid.n_points, grid.half_width, config) for a in alpha_grid]
+    tasks = [(float(a), omega_grid, grid, config) for a in alpha_grid]
     # the parent is one of the workers: it scans stripe 0 while a pool of
     # workers - 1 processes scans the others (the pool starts them all at once)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

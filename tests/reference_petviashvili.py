@@ -32,7 +32,7 @@ def reference_solve(alpha, omega, grid=None, config=None):
     if not alpha > 0 or not omega > 0:
         raise ParameterError("alpha and omega must be positive")
     if grid is None:
-        grid = SpectralGrid()
+        grid = SpectralGrid(8192, 200.0)
     if config is None:
         config = SolverConfig()
     beta = config.dispersion_beta

@@ -187,8 +187,8 @@ def test_nested_solve_writes_the_single_grid_wave(tmp_path, alpha, omega, beta):
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     config = SolverConfig(dispersion_beta=beta)
-    single, diag = petviashvili._iterate(alpha, omega, SpectralGrid(), config)
-    nested, _ = petviashvili_solve(alpha, omega, SpectralGrid(), config)
+    single, diag = petviashvili._iterate(alpha, omega, SpectralGrid(8192, 200.0), config)
+    nested, _ = petviashvili_solve(alpha, omega, SpectralGrid(8192, 200.0), config)
     assert diag.converged
     phi = read_csv(tmp_path / "profile.csv")["phi"]
     np.testing.assert_array_equal(phi, nested.values)
@@ -214,7 +214,7 @@ def test_a_diverging_coarse_stage_falls_back_to_the_seed(tmp_path, monkeypatch):
     monkeypatch.setattr(petviashvili, "_iterate", coarse_diverges)
     assert main(["solve", "--alpha", "2", "--omega", "0.16", "--out", str(tmp_path)]) == EXIT_OK
     assert [(n < 8192, guess) for n, guess in starts] == [(True, None), (False, None)]
-    single, diag = solve(2.0, 0.16, SpectralGrid(), SolverConfig())
+    single, diag = solve(2.0, 0.16, SpectralGrid(8192, 200.0), SolverConfig())
     np.testing.assert_array_equal(read_csv(tmp_path / "profile.csv")["phi"], single.values)
     payload = json.loads((tmp_path / "diagnostics.json").read_text())
     assert payload["iterations"] == diag.iterations

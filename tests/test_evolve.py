@@ -83,7 +83,7 @@ def test_advance_matches_allocating_reference(grid_small, alpha, beta):
     # reference's own transform pair: a 1-ulp change of it moves the reference
     # itself by about 6e-15 after 1000 steps, and the fused rotation's
     # rounding reads 4.6-6.7e-15 (N = 1024 and 8192)
-    for grid in (grid_small, SpectralGrid()):
+    for grid in (grid_small, SpectralGrid(8192, 200.0)):
         values = 1.01 * phi_exact(alpha, grid).values * np.exp(0.2j * grid.nodes)
         field = ComplexField(grid, values)
         out = advance(field, alpha, 1e-3, 1000, beta).values
@@ -105,7 +105,7 @@ def test_advance_of_even_waves_matches_allocating_reference(grid_small, alpha, b
     # read 1.1-1.3e-13 at N = 1024 and 1.9-2.3e-13 at N = 8192, and the odd
     # part of the output at most 1.4e-16
     omega = explicit_params(alpha).omega0
-    for grid in (grid_small, SpectralGrid()):
+    for grid in (grid_small, SpectralGrid(8192, 200.0)):
         solved, diag = petviashvili_solve(alpha, omega, grid, SolverConfig(dispersion_beta=beta))
         assert diag.converged
         for wave in (solved, phi_exact(alpha, grid)):

@@ -1,6 +1,8 @@
 """Tests for the spectral grid: symbols, quadrature, the Parseval sum, the H2
 norm, and the continuum transform the tests use."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,24 @@ def test_grids_are_equal_exactly_when_their_shapes_are(first, second):
         assert a.wavenumbers.tobytes() == b.wavenumbers.tobytes()
     assert a == SpectralGrid(*first) and hash(a) == hash(SpectralGrid(*first))
     assert a != first and a != (a.n_points, a.half_width)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("n_points, half_width", [(64, 37.5), (2048, 100), (8192, 200.0)])
+def test_a_grid_pickles_as_its_shape(n_points, half_width, protocol):
+    # a region task carries its grid to a pool worker: the pickle holds the
+    # shape alone (131,391 bytes with the nodes and wavenumbers at N = 8192),
+    # and the worker rebuilds the same grid to the last bit
+    grid = SpectralGrid(n_points, half_width)
+    assert grid.h2_weight.size == n_points  # a cached table is not shipped either
+    data = pickle.dumps(grid, protocol=protocol)
+    assert len(data) < 200
+    copy = pickle.loads(data)
+    assert copy == grid and hash(copy) == hash(grid)
+    assert (copy.n_points, copy.half_width) == (n_points, half_width)
+    assert type(copy.half_width) is type(half_width) and copy.dx == grid.dx
+    assert copy.nodes.tobytes() == grid.nodes.tobytes()
+    assert copy.wavenumbers.tobytes() == grid.wavenumbers.tobytes()
 
 
 def test_parseval_with_unit_weight_is_the_quadrature_of_the_square(grid_small, rng):

@@ -541,12 +541,12 @@ def _workspaces(monkeypatch, kind):
     ``kept`` one as it was left."""
     take = petviashvili._anderson_workspace
 
-    def fresh(n):
-        petviashvili._workspaces.by_size = {}
-        return take(n)
+    def fresh(n, thread):
+        take.cache_clear()
+        return take(n, thread)
 
-    def poisoned(n):
-        space = take(n)
+    def poisoned(n, thread):
+        space = take(n, thread)
         for array in space:
             array.fill(np.nan)
         return space
@@ -579,21 +579,22 @@ def test_kept_workspace_changes_no_bit(grid_mid, grid_small, monkeypatch, start)
     assert sum(1 for s in stages if s[1] > 2) >= 1 and all(s[2] for s in stages)
 
 
-def test_workspace_is_kept_per_thread_for_the_last_two_sizes(monkeypatch):
-    monkeypatch.setattr(petviashvili, "_workspaces", threading.local())
-    take = petviashvili._anderson_workspace
-    first = take(1024)
+def test_workspace_is_kept_per_thread_for_the_last_two_sizes():
+    take, me = petviashvili._anderson_workspace, threading.get_ident()
+    take.cache_clear()
+    first = take(1024, me)
     assert [a.shape for a in first] == [(5, 1026), (5, 1026), (5, 1024), (5, 5)]
-    assert take(1024) is first
-    second = take(2048)
-    assert take(1024) is first  # used last, so 2048 goes first
-    take(4096)
-    assert list(petviashvili._workspaces.by_size) == [1024, 4096]
-    assert take(2048) is not second
-    assert list(petviashvili._workspaces.by_size) == [4096, 2048]
-    other = []
-    thread = threading.Thread(target=lambda: other.append(take(2048)))
+    assert take(1024, me) is first
+    second = take(2048, me)
+    assert take(2048, me) is second
+    assert take(1024, me) is first  # used last, so 2048 goes first
+    take(4096, me)
+    assert take(1024, me) is first
+    assert take(2048, me) is not second
+    # a second live thread never receives the first one's arrays
+    mine, other = take(2048, me), []
+    thread = threading.Thread(target=lambda: other.append(take(2048, threading.get_ident())))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert other[0] is not take(2048)
+    assert not any(np.shares_memory(a, b) for a in other[0] for b in mine)

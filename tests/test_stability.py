@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -606,6 +607,80 @@ def test_region_scan_validation(branch_grid):
         region_scan([2.0], [-0.1], branch_grid)
     with pytest.raises(ParameterError):
         region_scan([2.0], [], branch_grid)
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor that starts no process: it records its size and
+    the tasks it is handed, and runs them here, each stripe through a pickle
+    round trip as a pool worker receives it."""
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, stripes):
+        stripes = list(stripes)
+        self.tasks.extend(task for stripe in stripes for task in stripe)
+        return map(fn, [pickle.loads(pickle.dumps(stripe)) for stripe in stripes])
+
+
+def _in_process_pool(monkeypatch):
+    """_InProcessPool in stability's place on eight usable CPUs (so that jobs
+    and rows alone bound the pool), with fresh records of sizes and tasks."""
+    class Pool(_InProcessPool):
+        sizes, tasks = [], []
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(stability, "ProcessPoolExecutor", Pool)
+    return Pool
+
+
+def test_region_scan_hands_its_pool_the_callers_grid(branch_grid, monkeypatch):
+    # a task holds the grid itself, not its shape; a worker receives it
+    # pickled as its shape and scans the same row as the calling process
+    pool = _in_process_pool(monkeypatch)
+    result = region_scan([2.0, 5.5], [0.08, 0.12], branch_grid, jobs=2)
+    assert pool.sizes == [1] and [task[0] for task in pool.tasks] == [5.5]
+    assert all(task[2] is branch_grid for task in pool.tasks)
+    np.testing.assert_array_equal(result.sign_matrix, [[1, 1], [-1, -1]])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("alphas, omegas, cell", [
+    ([2.0, 3.0], [0.1, 0.2, np.nan], (2.0, np.nan)),
+    ([2.0, 3.0], [0.1, np.inf, 0.2], (2.0, np.inf)),
+    ([2.0, np.nan, 3.0], [0.1, 0.2], (np.nan, 0.1)),
+    ([2.0, 3.0, np.inf], [0.1, 0.2], (np.inf, 0.1)),
+    ([0.0, 2.0], [0.1, 0.2], (0.0, 0.1)),
+    ([2.0, 0.0], [0.1, 0.2, np.nan], (2.0, np.nan)),
+])
+def test_region_scan_refuses_a_bad_cell_before_it_solves_any(branch_grid, monkeypatch,
+                                                             alphas, omegas, cell, jobs):
+    # NaN and inf omegas pass the positivity and width checks, and a bad
+    # alpha would meet its solve's check only at its row's first cell, maybe
+    # in a pool worker after other rows ran: the first bad cell in row-major
+    # order raises the solve's own error before any cell is solved or any
+    # process started
+    with pytest.raises(ParameterError) as solve_error:
+        petviashvili._iterate(*cell, branch_grid, SolverConfig())
+    solved, iterate = [], petviashvili._iterate
+    monkeypatch.setattr(petviashvili, "_iterate",
+                        lambda *args: solved.append(args) or iterate(*args))
+    pool = _in_process_pool(monkeypatch)
+    with pytest.raises(ParameterError) as scan_error:
+        region_scan(alphas, omegas, branch_grid, jobs=jobs)
+    assert str(scan_error.value) == str(solve_error.value)
+    assert str(solve_error.value).endswith(f"got {cell[0]}, {cell[1]}")
+    assert solved == [] and pool.sizes == []
+    # an omega that is not positive keeps its own message
+    with pytest.raises(ParameterError, match="^omega values must be positive$"):
+        region_scan(alphas, [*omegas, -1.0], branch_grid, jobs=jobs)
+    assert solved == [] and pool.sizes == []
 
 
 def test_region_scan_degenerate_cell_becomes_nan(branch_grid, monkeypatch):

@@ -8,7 +8,9 @@ code in ``cli.main``, every import is used, every function, class and
 method has a reader in the program or the benchmark, the program does not
 load ``scipy.special``, ``scipy.optimize`` or ``scipy.sparse``, and the
 eigensolver's dense matrices do not grow with the grid and are built once
-per parity sector.  The tests' own Hypothesis properties are derandomized."""
+per parity sector, every module-level binding is a constant (kept state lives
+in caches), and only the CLI defaults a grid.  The tests' own Hypothesis
+properties are derandomized."""
 
 import ast
 import builtins
@@ -129,6 +131,108 @@ def test_per_grid_table_guard_catches_the_shape_keys_and_a_second_symbol_table()
     tree = ast.parse(source)
     assert _shape_keyed_caches(tree) == ["_dispersion", "_cold_coarse_grid", "_profile_rows"]
     assert _omega_free_symbols(tree) == ["_dispersion", "_symbol"]
+
+
+def _constant(node):
+    """Whether node is a number or a string, or arithmetic on numbers."""
+    return all(isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+               or isinstance(n, ast.Constant) and isinstance(n.value, (int, float, str))
+               for n in ast.walk(node))
+
+
+def _module_level(node):
+    """node's descendants outside the functions and classes it defines."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+def _module_state(tree):
+    """Lines of the module-level bindings other than __all__ and number or
+    string constants, and of every global statement: state kept outside an
+    lru_cache or a cached property."""
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    for node in _module_level(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+            targets = [ast.unparse(t) for t in getattr(node, "targets", None) or [node.target]]
+            if targets != ["__all__"] and not _constant(node.value):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.NamedExpr)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.withitem) and node.optional_vars:
+            lines.append(node.optional_vars.lineno)
+    return sorted(lines)
+
+
+def test_module_level_bindings_are_constants():
+    # kept state lives in lru_caches and cached properties alone, where a
+    # structure test and a cache_clear() can find it
+    package = Path(solitonlab.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _module_state(ast.parse(path.read_text()))]
+    assert found == [], f"module-level state at {found}"
+
+
+def test_module_state_guard_catches_kept_state():
+    # the solver's per-thread workspace had the first form
+    source = ("import threading\n__all__ = ['f']\nTOL = 1e-12\nCUT = 2.0 ** (-48)\n"
+              "FMT = '%.17g'\nNEG = -1\nSHAPES: int = 4\nSHAPES += 1\n"
+              "_workspaces = threading.local()\n"
+              "_cache = {}\n"
+              "_seen: set = set()\n"
+              "PAIR = (1, 2)\n"
+              "for _n in range(3):\n    pass\n"
+              "with open('f') as _fh:\n    pass\n"
+              "if (_last := 0):\n    pass\n"
+              "def f():\n    global _cache\n    table = {}\n    return table\n"
+              "class A:\n    kept = []\n")
+    assert _module_state(ast.parse(source)) == [9, 10, 11, 12, 13, 15, 17, 20]
+
+
+def _grid_defaults(tree):
+    """Lines where a grid is defaulted: a grid parameter with a default, a
+    ``grid is None`` test, a SpectralGrid() call with no arguments or a
+    default on a SpectralGrid field."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            defaulted = positional[len(positional) - len(node.defaults):] + [
+                arg for arg, default in zip(node.kwonlyargs, node.kw_defaults) if default]
+            lines += [arg.lineno for arg in defaulted if arg.arg == "grid"]
+        elif isinstance(node, ast.Compare) and re.fullmatch(r"(.*\.)?grid is None",
+                                                            ast.unparse(node)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == (
+                "SpectralGrid") and not node.args and not node.keywords:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ClassDef) and node.name == "SpectralGrid":
+            lines += [field.lineno for field in node.body
+                      if isinstance(field, ast.AnnAssign) and field.value]
+    return sorted(lines)
+
+
+def test_only_the_cli_has_a_default_grid():
+    # every caller names its grid; the CLI's flags hold the program's
+    package = Path(solitonlab.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _grid_defaults(ast.parse(path.read_text()))]
+    assert found == [], f"grid defaulted at {found}"
+
+
+def test_grid_default_guard_catches_the_fallbacks():
+    # the forms that the solve, the thresholds, the region scan and the
+    # grid's fields had; a named grid passes
+    source = ("def solve(alpha, omega, grid=None, config=None):\n"
+              "    if grid is None:\n        grid = SpectralGrid()\n"
+              "def scan(alphas, *, grid: SpectralGrid | None = None):\n"
+              "    return self.grid is None or grid.SpectralGrid()\n"
+              "class SpectralGrid:\n    n_points: int = 8192\n    half_width: float\n"
+              "def named(alpha, grid, config=None, jobs=1):\n"
+              "    return SpectralGrid(8192, 200.0), grid is not None, gridded is None\n")
+    assert _grid_defaults(ast.parse(source)) == [1, 2, 3, 4, 5, 5, 7]
 
 
 def _references(tree, name):
